@@ -8,7 +8,9 @@ membership tests, orbits, and expansions are exact.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
@@ -86,38 +88,37 @@ class BetaTransform:
         b1 = float((lo + hi) / 2)
         self._b1_pows = tuple(b1 ** k for k in range(self.field.degree))
         self._float_pieces = tuple((float(iv.lo), float(iv.hi)) for iv, _ in self.pieces)
+        self._digit_den = math.lcm(*(c.denominator for d in self.digits for c in d.coords))
 
     # -- membership --------------------------------------------------------
 
-    def _approx(self, x):
-        v = s = 0.0
-        for c, p in zip(x.coords, self._b1_pows):
-            cf = c.numerator / c.denominator
-            v += cf * p
-            s += abs(cf) * p
-        return v, s
+    def _screen(self, cfs):
+        """Float screen of a point given by its coordinate floats.
 
-    def digit_index_of(self, x):
-        """Index of the digit whose piece contains x, or None.
-
-        Uses a float screen with a wide exactness band; only points near a
-        piece boundary fall through to exact comparisons.
+        Returns (digit index, False) for a point inside a piece by a wide
+        exactness band, else (None, whether the point lies within the band of
+        a piece boundary and so needs the exact test).
         """
-        xf, scale = self._approx(x)
+        xf = scale = 0.0
+        for cf, p in zip(cfs, self._b1_pows):
+            xf += cf * p
+            scale += abs(cf) * p
         band = 1e-9 * (1.0 + scale)
         right = self.side == "right"
-        exact_needed = False
+        near = False
         for (lof, hif), (iv, a) in zip(self._float_pieces, self.pieces):
             if right:
                 if lof + band <= xf < hif - band:
-                    return a
+                    return a, False
             else:
                 if lof + band < xf <= hif - band:
-                    return a
+                    return a, False
             if lof - band <= xf <= lof + band or hif - band <= xf <= hif + band:
-                exact_needed = True
-        if not exact_needed:
-            return None
+                near = True
+        return None, near
+
+    def _exact_index(self, x):
+        right = self.side == "right"
         for iv, a in self.pieces:
             if right:
                 if qb_compare(x, iv.lo) != LT and qb_compare(x, iv.hi) == LT:
@@ -127,16 +128,31 @@ class BetaTransform:
                     return a
         return None
 
+    def digit_index_of(self, x):
+        """Index of the digit whose piece contains x, or None.
+
+        Uses a float screen with a wide exactness band; only points near a
+        piece boundary fall through to exact comparisons.
+        """
+        a, near = self._screen([c.numerator / c.denominator for c in x.coords])
+        return self._exact_index(x) if near else a
+
+    def _index_num(self, n, q):
+        """:meth:`digit_index_of` for the point n/q given by integer numerators.
+
+        n_i / q is the correctly rounded float of the coordinate, as in
+        :meth:`digit_index_of`, so the screen decides the same way.
+        """
+        a, near = self._screen([c / q for c in n])
+        return self._exact_index(_from_num(self.field, n, q)) if near else a
+
     def contains(self, x):
         return self.digit_index_of(x) is not None
 
     def step(self, x):
         """One application of the map: returns (digit, beta*x - digit)."""
-        a = self.digit_index_of(x)
-        if a is None:
-            raise OutOfDomain(f"{x!r} is not in the domain")
-        digit = self.digits[a]
-        return digit, x * self.field.beta - digit
+        a, y = self.step_index(x)
+        return self.digits[a], y
 
     def step_index(self, x):
         a = self.digit_index_of(x)
@@ -321,6 +337,29 @@ class Expansion:
         return len(self.preperiod) + len(self.period)
 
 
+# Integer orbit kernel.  An orbit of x under x -> beta*x - d stays in
+# (1/q) Z[beta] for q the lcm of the denominators of x and of the digits, so
+# it is carried as integer numerator tuples over that one q: a step is the
+# companion product minus q*digit, with no Fraction and no gcd.
+
+def _from_num(field, n, q):
+    return QBeta(field, tuple(Fraction(c, q) for c in n))
+
+
+def _num_frame(t, x):
+    """(q, numerators of x, numerators of q*digit per digit index)."""
+    q = math.lcm(t._digit_den, *(c.denominator for c in x.coords))
+    num = lambda v: tuple(c.numerator * (q // c.denominator) for c in v.coords)
+    return q, num(x), [num(d) for d in t.digits]
+
+
+def _num_step(row, n, qd):
+    """Numerators of beta*x - d from those of x and of d, with row = beta^deg."""
+    top = n[-1]
+    return (top * row[0] - qd[0],
+            *(c + top * r - e for c, r, e in zip(n, row[1:], qd[1:])))
+
+
 def expand(t, x, max_steps=100000):
     """The digit expansion of x under t, with certified eventual period.
 
@@ -328,17 +367,20 @@ def expand(t, x, max_steps=100000):
     minimal.  Raises OutOfDomain if x is outside the domain and BudgetExceeded
     (a defect signal for field elements) if no revisit happens in max_steps.
     """
+    q, cur, qd = _num_frame(t, x)
+    row = t.field._pow_coords[t.field.degree]
     seen = {}
     word = []
-    cur = x
     for k in range(max_steps):
-        key = cur.coords
-        if key in seen:
-            j = seen[key]
+        if cur in seen:
+            j = seen[cur]
             return Expansion(tuple(word[:j]), tuple(word[j:]), True)
-        seen[key] = k
-        a, cur = t.step_index(cur)
+        seen[cur] = k
+        a = t._index_num(cur, q)
+        if a is None:
+            raise OutOfDomain(f"{_from_num(t.field, cur, q)!r} is not in the domain")
         word.append(a)
+        cur = _num_step(row, cur, qd[a])
     raise BudgetExceeded("no period detected", x=str(x), steps=max_steps)
 
 
@@ -347,16 +389,24 @@ def expansion_value(t, word):
     f = t.field
     if not word.period:
         raise ValidationError("word must be eventually periodic (nonempty period)")
-    beta = f.beta
-    n = len(word.period)
-    acc = f.zero
+    # period by Horner in beta over the digit denominator q, next to beta^n
+    # over q; then one division by beta^n - 1, where q cancels; then the
+    # preperiod by Horner in 1/beta
+    q, acc, qd = _num_frame(t, f.zero)
+    minus = [tuple(-c for c in v) for v in qd]
+    zero = (0,) * f.degree
+    pw = (q, *zero[1:])
+    row = f._pow_coords[f.degree]
     for a in word.period:
-        acc = acc * beta + t.digits[a]
-    per_val = acc * (beta ** n - f.one).inv()
-    val = per_val
+        acc = _num_step(row, acc, minus[a])
+        pw = _num_step(row, pw, zero)
+    per_val = f.qb(acc) * f.qb((pw[0] - q, *pw[1:])).inv()
+    q, val, qd = _num_frame(t, per_val)
+    minv = f.inv_beta_mat
     for a in reversed(word.preperiod):
-        val = (val + t.digits[a]).div_beta()
-    return val
+        s = [c + e for c, e in zip(val, qd[a])]
+        val = tuple(sum(m * c for m, c in zip(mrow, s)) for mrow in minv)
+    return _from_num(f, val, q)
 
 
 def word_from_digits(t, pre, per):
@@ -368,42 +418,22 @@ def word_from_digits(t, pre, per):
 def is_admissible(t, word):
     """Whether the eventually periodic word is the expansion of its own value.
 
-    Uses the lexicographic endpoint criterion when every digit piece is a
-    single interval in monotone layout, and exact tail-value membership in
-    general; the two agree.
+    Walks the orbit of x_0 = value(word) once: x_k must lie in the piece of
+    the word's k-th digit a_k, and x_(k+1) = beta*x_k - d(a_k) is the value of
+    the next tail.  Every distinct tail is visited, so this is exact tail-value
+    membership, linear in the word length.
     """
-    for a in itertools.chain(word.preperiod, word.period):
+    letters = tuple(itertools.chain(word.preperiod, word.period))
+    for a in letters:
         if not 0 <= a < len(t.digits):
             raise UnknownDigit(f"digit index {a} out of range")
-    if _lex_applicable(t):
-        words = endpoint_words(t)
-        strict_low = t.side == "left"
-        for k in range(len(word.preperiod) + len(word.period)):
-            tail = word.tail(k)
-            a = tail.preperiod[0] if tail.preperiod else tail.period[0]
-            low, up = words[a][0]
-            cmp_low = word_compare(low, tail)
-            if cmp_low == GT or (strict_low and cmp_low == EQ):
-                return False
-            cmp_up = word_compare(tail, up)
-            if (cmp_up != LT) if t.side == "right" else (cmp_up == GT):
-                return False
-        return True
-    for k in range(len(word.preperiod) + len(word.period)):
-        tail = word.tail(k)
-        a = tail.preperiod[0] if tail.preperiod else tail.period[0]
-        x = expansion_value(t, tail)
-        if t.digit_index_of(x) != a:
+    q, cur, qd = _num_frame(t, expansion_value(t, word))
+    row = t.field._pow_coords[t.field.degree]
+    for a in letters:
+        if t._index_num(cur, q) != a:
             return False
+        cur = _num_step(row, cur, qd[a])
     return True
-
-
-def _lex_applicable(t):
-    if any(len(p) != 1 for p in t.parts):
-        return False
-    # digit order must match interval order
-    return all(qb_compare(t.digits[a], t.digits[a + 1]) == LT
-               for a in range(len(t.digits) - 1))
 
 
 def endpoint_words(t):
@@ -425,17 +455,12 @@ def word_compare(w1, w2, horizon=None):
     """Exact lexicographic comparison of eventually periodic index words."""
     if horizon is None:
         n1, n2 = max(1, len(w1.period)), max(1, len(w2.period))
-        horizon = len(w1.preperiod) + len(w2.preperiod) + _lcm(n1, n2) + 1
+        horizon = len(w1.preperiod) + len(w2.preperiod) + math.lcm(n1, n2) + 1
     for k in range(horizon):
         a, b = w1.digit_at(k), w2.digit_at(k)
         if a != b:
             return GT if a > b else LT
     return EQ
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 def prefix_interval_set(t, prefix):
@@ -477,19 +502,10 @@ class VData:
 
     def index_of_point(self, x):
         """Index of the interval containing x (exact, right-continuous)."""
-        lo, hi = 0, len(self.V) - 1
-        best = None
-        for i, v in enumerate(self.V):
-            if qb_compare(v, x) != GT:
-                best = i
-            else:
-                break
-        if best is None:
+        i = bisect.bisect_right(self.V, x) - 1
+        if i < 0 or qb_compare(x, self.J[self.V[i]].hi) != LT:
             return None
-        iv = self.J[self.V[best]]
-        if qb_compare(x, iv.hi) == LT:
-            return best
-        return None
+        return i
 
 
 def compute_v(t, budget=20000):

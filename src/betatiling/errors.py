@@ -61,10 +61,6 @@ class OutOfDomain(BetaError):
     """Point is not in the domain of the map (under the exact side convention)."""
 
 
-class InfiniteV(BetaError):
-    """The boundary-orbit set is provably infinite."""
-
-
 class NoFixedPoint(BetaError):
     """The transfer matrix has no nonnegative fixed vector; defect signal."""
 

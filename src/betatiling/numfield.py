@@ -211,9 +211,9 @@ class PisotField:
             v = [sum(Fraction(self.companion[i][k]) * v[k] for k in range(d)) for i in range(d)]
         self._psi_cols = tuple(cols)
         self._pi1_rows = _invert_rational_matrix([[cols[k][i] for k in range(d)] for i in range(d)])
-        # powers beta^d .. beta^(2d-2) in the basis, for reduction after products
-        pows = [tuple(Fraction(x) for x in row) for row in _basis_powers(c, 2 * d - 1)]
-        self._pow_coords = pows
+        # integer powers beta^0 .. beta^(2d-2) in the basis, for reduction after
+        # products; row d is the companion step of the integer orbit kernel
+        self._pow_coords = [tuple(row) for row in _basis_powers(c, 2 * d - 1)]
         self._inv_beta = tuple(
             Fraction(-c[d - 2 - k], c[d - 1]) if k < d - 1 else Fraction(1, c[d - 1])
             for k in range(d))
@@ -291,9 +291,6 @@ class PisotField:
             raise ValidationError("too many coordinates")
         coords += [0] * (self.degree - len(coords))
         return QBeta(self, tuple(Fraction(c) for c in coords))
-
-    def from_rational(self, r):
-        return self.qb([Fraction(r)])
 
     @property
     def zero(self):
@@ -586,10 +583,6 @@ def qb_compare(x, y):
         width /= 2 ** 64
 
 
-def qb_sign(x):
-    return qb_compare(x, x.field.zero)
-
-
 def qb_floor(x):
     """Exact floor of a field element."""
     if x.is_rational():
@@ -690,8 +683,3 @@ def phi(x, precision=53):
             coords.append(-2 * enc.center.imag)
             err += 8 * enc.radius ** 2
     return HPoint(tuple(coords), math.sqrt(err) * (1 + 1e-12) + _FLOAT_SLACK)
-
-
-def hpoint_ambient(p, field):
-    """Embed hyperplane coordinates back into R^d (numpy float vector)."""
-    return field.hmat.T @ np.asarray(p.coords if isinstance(p, HPoint) else p)

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .betamap import IntervalQB, Expansion, expand
-from .errors import (BudgetExceeded, DigitsNotIntegral, UnrenderableDimension,
-                     ValidationError)
+from .errors import (BudgetExceeded, DigitsNotIntegral, OutOfDomain,
+                     UnrenderableDimension, ValidationError)
 from .numfield import (GT, LT, gamma_abs_upper, phi, qb_compare)
 
 _FLOAT_STEP_SLACK = 1e-12
@@ -232,12 +232,6 @@ def lattice_candidates(field, g1_lo, g1_hi, block_bounds):
     coords = coords[keep]
     order = np.lexsort(coords.T[::-1])
     return [tuple(int(c) for c in row) for row in coords[order]]
-
-
-def _heights_iter(field, g1_lo, g1_hi, block_bounds, max_height):
-    """Lattice candidates ordered by coordinate height (sup norm), then lex."""
-    cands = lattice_candidates(field, g1_lo, g1_hi, block_bounds)
-    return sorted(cands, key=lambda c: (max(abs(x) for x in c), c))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +449,7 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
             seen_states.add(state)
             try:
                 cur = [t.step_index(c)[1] for c in cur]
-            except Exception:
+            except OutOfDomain:
                 break
             for ch, c in zip(chains, cur):
                 ch.append(c)

@@ -1,3 +1,6 @@
+import json
+import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -9,9 +12,9 @@ from betatiling.betamap import (Expansion, IntervalQB, build_transform,
                                 expansion_value, invariant_density,
                                 is_admissible, prefix_interval_set, preset,
                                 restrict_to_support, transfer_matrix,
-                                word_from_digits)
-from betatiling.errors import (NotSurjective, OutOfDomain, Overlap,
-                               PediciniGapViolated)
+                                transform_from_config, word_from_digits)
+from betatiling.errors import (BudgetExceeded, NotSurjective, OutOfDomain,
+                               Overlap, PediciniGapViolated, UnknownDigit)
 from betatiling.numfield import EQ, GT, LT, make_field, psi, qb_compare
 
 from conftest import stage_cache
@@ -301,3 +304,107 @@ def test_restrict_smallest_pisot(smallest_pisot, smallest_pisot_symmetric_r):
     assert comps[1].hi == b / 2 - f.one
     assert comps[2].lo == f.one - b / 2
     assert comps[3].hi == half
+
+
+# ---------------------------------------------------------------------------
+# integer orbit kernel against the Fraction reference
+
+def _ref_expand(t, x, max_steps=100000):
+    """Orbit loop on exact field elements through ``step_index``."""
+    seen, word, cur = {}, [], x
+    for k in range(max_steps):
+        if cur.coords in seen:
+            j = seen[cur.coords]
+            return Expansion(tuple(word[:j]), tuple(word[j:]))
+        seen[cur.coords] = k
+        a, cur = t.step_index(cur)
+        word.append(a)
+    raise BudgetExceeded("no period detected")
+
+
+def _ref_value(t, word):
+    """Horner form on Fraction field elements."""
+    f = t.field
+    acc = f.zero
+    for a in word.period:
+        acc = acc * f.beta + t.digits[a]
+    val = acc * (f.beta ** len(word.period) - f.one).inv()
+    for a in reversed(word.preperiod):
+        val = (val + t.digits[a]).div_beta()
+    return val
+
+
+def _ref_admissible(t, word):
+    """Definition: every tail's value lies in the piece of its first digit."""
+    for k in range(len(word)):
+        tail = word.tail(k)
+        a = tail.preperiod[0] if tail.preperiod else tail.period[0]
+        if t.digit_index_of(_ref_value(t, tail)) != a:
+            return False
+    return True
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except (OutOfDomain, BudgetExceeded) as exc:
+        return type(exc)
+
+
+def _kernel_transforms():
+    root = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    out = {p.stem: transform_from_config(json.loads(p.read_text()))
+           for p in sorted(root.glob("*.json"))}
+    golden, tribonacci = make_field(1, 1), make_field(1, 1, 1)
+    out["golden_mod1"] = preset("linear_mod1", golden, alpha=golden.qb(["2/5"]))
+    out["tribonacci_mod1"] = preset("linear_mod1", tribonacci, alpha=tribonacci.qb(["1/3"]))
+    out["tribonacci_lazy"] = preset("lazy", tribonacci)
+    return out
+
+
+def test_orbit_kernel_matches_fraction_reference():
+    # the quadratic admissibility reference runs on words of at most 64
+    # letters; longer orbits are still checked by expand and value
+    rng = random.Random(11)
+    for name, t in _kernel_transforms().items():
+        f = t.field
+        b = float(f.beta)
+        pts = [iv.lo for iv, _ in t.pieces] + [iv.hi for iv, _ in t.pieces]
+        pts.append(t.xmax + f.one)
+        while len(pts) < 2 * len(t.pieces) + 13:
+            q = rng.randint(1, 6)
+            rest = [rng.randint(-2 * q, 2 * q) for _ in range(f.degree - 1)]
+            shift = sum(c * b ** (k + 1) for k, c in enumerate(rest))
+            a0 = math.floor(q * rng.uniform(float(t.xmin), float(t.xmax)) - shift)
+            x = f.qb([Fraction(a0, q)] + [Fraction(c, q) for c in rest])
+            if t.contains(x):
+                pts.append(x)
+        words = []
+        for x in pts:
+            w = _outcome(expand, t, x)
+            assert w == _outcome(_ref_expand, t, x), (name, x)
+            if not isinstance(w, Expansion):
+                assert w is OutOfDomain, (name, x)
+                continue
+            assert expansion_value(t, w) == x, (name, x)
+            assert is_admissible(t, w), (name, x)
+            with pytest.raises(BudgetExceeded):
+                expand(t, x, max_steps=len(w))
+            assert expand(t, x, max_steps=len(w) + 1) == w
+            k = rng.randrange(len(w))
+            letters = list(w.preperiod + w.period)
+            letters[k] = rng.randrange(len(t.digits))
+            n = len(w.preperiod)
+            words.append(Expansion(tuple(letters[:n]), tuple(letters[n:])))
+        for _ in range(12):
+            words.append(Expansion(
+                tuple(rng.randrange(len(t.digits)) for _ in range(rng.randint(0, 3))),
+                tuple(rng.randrange(len(t.digits)) for _ in range(rng.randint(1, 4)))))
+        assert any(not is_admissible(t, w) for w in words), name
+        for w in words:
+            assert expansion_value(t, w) == _ref_value(t, w), (name, w)
+            if len(w) <= 64:
+                assert is_admissible(t, w) == _ref_admissible(t, w), (name, w)
+        for bad in (-1, len(t.digits)):
+            with pytest.raises(UnknownDigit):
+                is_admissible(t, Expansion((bad,), (0,)))
