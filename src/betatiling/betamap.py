@@ -496,16 +496,24 @@ class VData:
     J: dict            # V point -> IntervalQB
     m: dict            # discontinuity -> merge time (None if the orbits never merge)
     order: dict = dfield(default_factory=dict)
+    intervals: list = dfield(default_factory=list)     # J in the order of V
 
     def __post_init__(self):
         self.order = {v.coords: i for i, v in enumerate(self.V)}
+        self.intervals = [self.J[v] for v in self.V]
 
     def index_of_point(self, x):
         """Index of the interval containing x (exact, right-continuous)."""
-        i = bisect.bisect_right(self.V, x) - 1
-        if i < 0 or qb_compare(x, self.J[self.V[i]].hi) != LT:
-            return None
-        return i
+        return interval_index(self.intervals, x)
+
+
+def interval_index(intervals, x):
+    """Index of the interval [lo, hi) of a sorted disjoint list that contains
+    x, or None; one bisection and one exact comparison."""
+    i = bisect.bisect_right(intervals, x, key=lambda iv: iv.lo) - 1
+    if i < 0 or qb_compare(x, intervals[i].hi) != LT:
+        return None
+    return i
 
 
 def compute_v(t, budget=20000):

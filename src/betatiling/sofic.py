@@ -6,12 +6,15 @@ tail of a word must lie, lexicographically, between the lower and upper
 endpoint words of one piece of its leading digit.  States are sets of pending
 boundary comparisons.
 
-The tiling decision runs a two-tape difference machine per candidate tile
-pair: states carry the exact value difference of the two remaining rays plus
-the alive-state sets of both tapes, transitions prepend one digit per tape
-and divide the difference by beta.  A pair of tiles overlaps on positive
-measure exactly when beta is an eigenvalue of the adjacency matrix of a
-recurrent component, which is tested exactly over the integers.
+The tiling decision runs one two-tape difference graph per decision, shared
+by every candidate tile pair: states carry the exact value difference of the
+two remaining rays plus the alive-state sets of both tapes, transitions
+prepend one digit per tape and divide the difference by beta.  A state and
+its out-edges do not depend on which candidate reached it, so each candidate
+is one start state of the graph.  A pair of tiles overlaps on positive
+measure exactly when its start reaches a recurrent component whose adjacency
+matrix has beta as an eigenvalue, which is tested exactly over the integers,
+once per component.
 """
 
 from __future__ import annotations
@@ -429,43 +432,31 @@ def difference_candidates(t, g, depth=10):
 
 @dataclass
 class DiffTransducer:
-    """Two-tape difference machine for one candidate pair of tiles."""
+    """Two-tape difference graph shared by a set of candidate tile pairs."""
     transform: object
     states: list        # (diff QBeta, in_alive, out_alive)
     edges: list         # (src, dst, a_in, a_out)
-    initial: int
-    delta0: object
-
-    def adjacency(self):
-        n = len(self.states)
-        m = [[0] * n for _ in range(n)]
-        for s, d, _, _ in self.edges:
-            m[s][d] += 1
-        return m
+    initials: list      # state index of each start, in the order given
 
 
-def build_diff_transducer(t, aut, delta0, in_ray, out_ray, state_budget=60000):
-    """Reachable good part of the difference machine for one candidate.
+def build_diff_transducer(t, aut, starts, state_budget=60000):
+    """Reachable good part of the difference graph from every start.
 
-    States combine the exact remaining-value difference with alive-state sets
-    for both tapes; a state is good when both current rays are admissible
-    from scratch.  Differences escape forever once a conjugate embedding
-    leaves the certified box, so those states are dropped.  Differences stay
-    in Z[beta], so the core runs on integer coordinate tuples.
+    Each start is a candidate (delta0, in_ray, out_ray).  States combine the
+    exact remaining-value difference with alive-state sets for both tapes; a
+    state is good when both current rays are admissible from scratch.  A state
+    and its out-edges do not depend on the start that reached it, so all
+    starts share one graph, bounded by ``state_budget`` states.  Differences
+    escape forever once a conjugate embedding leaves the certified box, so
+    those states are dropped.  Differences stay in Z[beta], so the core runs
+    on integer coordinate tuples.
     """
     f = t.field
     d = f.degree
     caps = [2 * b for b in conj_block_bounds(t)]
     diam = t.xmax - t.xmin
     q0 = aut.initial
-    p_in = aut.ray_alive_states(in_ray)
-    p_out = aut.ray_alive_states(out_ray)
-    if q0 not in p_in or q0 not in p_out:
-        raise ValidationError("candidate rays are not admissible")
-    if not delta0.is_integral():
-        raise DigitsNotIntegral("difference must lie in Z[beta]")
     minv = f.inv_beta_mat
-    d0 = tuple(int(c) for c in delta0.coords)
     digit_co = [tuple(int(c) for c in dg.coords) for dg in t.digits]
     na = len(t.digits)
     ddiff = {(a, b): tuple(digit_co[a][k] - digit_co[b][k] for k in range(d))
@@ -505,12 +496,31 @@ def build_diff_transducer(t, aut, delta0, in_ray, out_ray, state_budget=60000):
             inbox_cache[co] = _in_box_raw(co)
         return inbox_cache[co]
 
+    index = {}
+    states = []
+    queue = []
+
+    def intern(key):
+        if key not in index:
+            if len(states) >= state_budget:
+                raise BudgetExceeded("difference graph exceeded the state budget",
+                                     states=len(states), starts=len(starts))
+            index[key] = len(states)
+            states.append(key)
+            queue.append(index[key])
+        return index[key]
+
+    initials = []
+    for delta0, in_ray, out_ray in starts:
+        p_in = aut.ray_alive_states(in_ray)
+        p_out = aut.ray_alive_states(out_ray)
+        if q0 not in p_in or q0 not in p_out:
+            raise ValidationError("candidate rays are not admissible")
+        if not delta0.is_integral():
+            raise DigitsNotIntegral("difference must lie in Z[beta]")
+        initials.append(intern((tuple(int(c) for c in delta0.coords), p_in, p_out)))
     pre = aut.predecessor_set
-    start = (d0, p_in, p_out)
-    index = {start: 0}
-    states = [start]
     edges = []
-    queue = [0]
     rng = range(d)
     while queue:
         si = queue.pop()
@@ -528,16 +538,9 @@ def build_diff_transducer(t, aut, delta0, in_ray, out_ray, state_budget=60000):
                 nd = tuple(sum(minv[i][k] * s[k] for k in rng) for i in rng)
                 if not in_box(nd):
                     continue
-                key = (nd, npin, npout)
-                if key not in index:
-                    if len(states) >= state_budget:
-                        raise BudgetExceeded("difference machine exceeded the state budget")
-                    index[key] = len(states)
-                    states.append(key)
-                    queue.append(index[key])
-                edges.append((si, index[key], a_in, a_out))
+                edges.append((si, intern((nd, npin, npout)), a_in, a_out))
     qb_states = [(f.qb(co), pin, pout) for co, pin, pout in states]
-    return DiffTransducer(t, qb_states, edges, 0, delta0)
+    return DiffTransducer(t, qb_states, edges, initials)
 
 
 # ---------------------------------------------------------------------------
@@ -638,27 +641,60 @@ def _sccs(n, adj):
     return out
 
 
+def _component_walk(field, td):
+    """Per state: whether it reaches a recurrent component with beta as an
+    eigenvalue of its adjacency matrix, else the largest spectral radius it
+    reaches (0.0 for none).  Tarjan emits every component after all those it
+    reaches, so one pass tests each recurrent component at most once."""
+    n = len(td.states)
+    adj = [[] for _ in range(n)]
+    for s, d, _, _ in td.edges:
+        adj[s].append(d)
+    comp_of = [0] * n
+    hit, radius = [], []
+    for c, comp in enumerate(_sccs(n, adj)):
+        idx = {v: k for k, v in enumerate(comp)}
+        m = [[0] * len(comp) for _ in comp]
+        succ = set()
+        for u in comp:
+            comp_of[u] = c
+            for v in adj[u]:
+                if v in idx:
+                    m[idx[u]][idx[v]] += 1
+                else:
+                    succ.add(comp_of[v])
+        h = any(hit[s] for s in succ)
+        r = max((radius[s] for s in succ), default=0.0)
+        if not h and any(map(any, m)):       # recurrent: has an internal edge
+            h = beta_is_eigenvalue(field, m)
+            if not h:
+                r = max(r, max(abs(np.linalg.eigvals(np.array(m, dtype=float)))))
+        hit.append(h)
+        radius.append(r)
+    return [hit[c] for c in comp_of], [radius[c] for c in comp_of]
+
+
 @dataclass(frozen=True)
 class TilingDecision:
     verdict: str           # 'tiling' or 'multiple'
-    pairs: tuple           # (delta, vx, vy, spectral_gap) for overlapping pairs
+    pairs: tuple           # (delta, vx, vy) for overlapping pairs
     candidates_checked: int
-    spectral_gaps: tuple   # per candidate: numeric beta - spectral radius when no divisor
+    spectral_gaps: tuple   # per non-overlapping start: beta - reachable spectral radius
 
 
 def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     """Exact verdict: tiling, or a list of positive-measure overlapping pairs.
 
-    For every candidate difference and class pair, builds the two-tape
-    difference machine and tests whether beta is an eigenvalue of the
-    adjacency matrix of any recurrent component reachable in it.
+    Every candidate difference and class pair gives one start of a single
+    shared two-tape difference graph.  Its components are walked sinks first,
+    so each recurrent one is tested once: a component is hit when a successor
+    is, or when beta is an eigenvalue of its adjacency matrix.  A pair
+    overlaps exactly when the component of its start is hit.
     """
     _require_integral_digits(t)
     f = t.field
     aut = automaton if automaton is not None else build_automaton(t)
     pairs, _ = difference_pairs(t, g, depth)
-    overlapping = []
-    gaps = []
     ray_cache = {}
 
     def ray(x):
@@ -666,9 +702,10 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
             ray_cache[x.coords] = expand(t, x)
         return ray_cache[x.coords]
 
-    beta_f = float(f.beta)
     rep_bounds = conj_block_bounds(t)
-    done = {}
+    start_of = {}        # (delta, xrep) coordinates -> start index
+    starts = []
+    pair_starts = []
     for delta, i, j in pairs:
         # any representative of the class pair gives the same tiles; a lattice
         # point with small conjugates keeps the endpoint orbits short
@@ -676,43 +713,18 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
         hi = min(g.J[i].hi, g.J[j].hi - delta)
         xrep = _small_orbit_rep(t, lo, hi, rep_bounds)
         key = (delta.coords, xrep.coords)
-        if key in done:
-            if done[key]:
-                overlapping.append((delta, g.vertices[i], g.vertices[j]))
-            continue
-        yrep = xrep + delta
-        td = build_diff_transducer(t, aut, delta, ray(yrep), ray(xrep),
-                                   state_budget=state_budget)
-        n = len(td.states)
-        adj_list = [[] for _ in range(n)]
-        counts = {}
-        for s, d, _, _ in td.edges:
-            adj_list[s].append(d)
-            counts[(s, d)] = counts.get((s, d), 0) + 1
-        hit = False
-        worst = None
-        for comp in _sccs(n, adj_list):
-            cset = set(comp)
-            internal = [(u, v) for u in comp for v in adj_list[u] if v in cset]
-            if not internal:
-                continue
-            idx = {v: k for k, v in enumerate(comp)}
-            m = [[0] * len(comp) for _ in comp]
-            for (u, v), c in counts.items():
-                if u in cset and v in cset:
-                    m[idx[u]][idx[v]] = c
-            if beta_is_eigenvalue(f, m):
-                hit = True
-                break
-            sr = max(abs(np.linalg.eigvals(np.array(m, dtype=float)))) if comp else 0.0
-            worst = sr if worst is None else max(worst, sr)
-        done[key] = hit
-        if hit:
-            overlapping.append((delta, g.vertices[i], g.vertices[j]))
-        else:
-            gaps.append(beta_f - (worst if worst is not None else 0.0))
+        if key not in start_of:
+            start_of[key] = len(starts)
+            starts.append((delta, ray(xrep + delta), ray(xrep)))
+        pair_starts.append(start_of[key])
+    td = build_diff_transducer(t, aut, starts, state_budget=state_budget)
+    hit, radius = _component_walk(f, td)
+    overlapping = tuple((delta, g.vertices[i], g.vertices[j])
+                        for (delta, i, j), k in zip(pairs, pair_starts)
+                        if hit[td.initials[k]])
+    gaps = tuple(float(f.beta) - radius[s] for s in td.initials if not hit[s])
     verdict = "multiple" if overlapping else "tiling"
-    return TilingDecision(verdict, tuple(overlapping), len(pairs), tuple(gaps))
+    return TilingDecision(verdict, overlapping, len(pairs), gaps)
 
 
 def _small_orbit_rep(t, lo, hi, bounds):

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 import numpy as np
 
-from .betamap import IntervalQB, Expansion, expand
-from .errors import (BudgetExceeded, DigitsNotIntegral, OutOfDomain,
+from .betamap import _from_num, _num_frame, _num_step, expand, interval_index
+from .errors import (BudgetExceeded, DigitsNotIntegral,
                      UnrenderableDimension, ValidationError)
-from .numfield import (GT, LT, gamma_abs_upper, phi, qb_compare)
+from .numfield import LT, gamma_abs_upper, phi, qb_compare
 
 _FLOAT_STEP_SLACK = 1e-12
 
@@ -63,10 +62,7 @@ class GifsGraph:
         return self.transform.field
 
     def vertex_index(self, x):
-        for i, v in enumerate(self.vertices):
-            if qb_compare(x, v) != LT and qb_compare(x, self.J[i].hi) == LT:
-                return i
-        return None
+        return interval_index(self.J, x)
 
 
 def gifs_build(t, vdata):
@@ -304,6 +300,8 @@ def tiles_containing(t, pset, z, k_budget=400):
     point valid, then re-checks at k plus the full period round for stability.
     """
     _require_integral_digits(t)
+    if t.side != "right":
+        raise ValidationError("tile membership expects the right-continuous map")
     f = t.field
     if not z.is_integral():
         raise DigitsNotIntegral("z must lie in Z[beta]")
@@ -381,6 +379,8 @@ class WitnessReport:
 def weak_finiteness_epsilon(t, pset):
     """Exact search radius: min over periodic points of the scaled distance to
     the right end of the containing piece."""
+    if t.side != "right":
+        raise ValidationError("weak-finiteness search expects the right-continuous map")
     f = t.field
     eps = None
     for y in pset.points:
@@ -412,13 +412,19 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     shift k sending every periodic point plus z to one common periodic point.
 
     A found witness certifies the tiling property.  Exhausting the budget is
-    reported as such, never as a refutation.
+    reported as such, never as a refutation.  The chains run on the integer
+    orbit kernel of :mod:`betamap`: the periodic points, z and the digits lie
+    in Z[beta], so every chain point is an integer coordinate tuple.
     """
     _require_integral_digits(t)
     f = t.field
     eps = weak_finiteness_epsilon(t, pset)
     cands = _height_ordered_range(f, 0.0, float(eps), z_height)
     pts = list(pset.points)
+    q, _, qd = _num_frame(t, f.zero)
+    ys = [_num_frame(t, y)[1] for y in pts]
+    periodic = set(ys)
+    row = f._pow_coords[f.degree]
     tried = 0
     for coords in cands:
         z = f.qb(coords)
@@ -427,30 +433,24 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
         tried += 1
         if tried > max_candidates:
             break
-        cur = [y + z for y in pts]
-        if not all(t.contains(c) for c in cur):
-            continue
+        cur = [tuple(a + b for a, b in zip(y, coords)) for y in ys]
         chains = [[c] for c in cur]
         seen_states = set()
         for k in range(k_budget + 1):
-            vals = {c.coords for c in cur}
-            if len(vals) == 1:
-                x = cur[0]
-                idx = next((i for i, y in enumerate(pts) if y == x), None)
-                if idx is not None:
-                    return WitnessReport(
-                        "holds", x,
-                        {y: (z, k) for y in pts},
-                        eps,
-                        {pts[i]: list(chains[i]) for i in range(len(pts))})
-            state = tuple(c.coords for c in cur)
+            idx = [t._index_num(c, q) for c in cur]
+            if None in idx:
+                break
+            state = tuple(cur)
+            if len(set(state)) == 1 and state[0] in periodic:
+                return WitnessReport(
+                    "holds", _from_num(f, state[0], q),
+                    {y: (z, k) for y in pts},
+                    eps,
+                    {y: [_from_num(f, c, q) for c in ch] for y, ch in zip(pts, chains)})
             if state in seen_states:
                 break
             seen_states.add(state)
-            try:
-                cur = [t.step_index(c)[1] for c in cur]
-            except OutOfDomain:
-                break
+            cur = [_num_step(row, c, qd[a]) for c, a in zip(cur, idx)]
             for ch, c in zip(chains, cur):
                 ch.append(c)
     return WitnessReport("fails_by_budget", None, {}, eps, {})

@@ -299,7 +299,7 @@ def test_criterion_8e_path_sums(tribonacci, tribonacci_symmetric_r):
                 break
         if xrep is not None:
             break
-    td = build_diff_transducer(t, aut, delta, expand(t, xrep + delta), expand(t, xrep))
+    td = build_diff_transducer(t, aut, [(delta, expand(t, xrep + delta), expand(t, xrep))])
     out_edges = {}
     for s, d, ain, aout in td.edges:
         out_edges.setdefault(s, []).append((d, ain, aout))
@@ -309,7 +309,7 @@ def test_criterion_8e_path_sums(tribonacci, tribonacci_symmetric_r):
     tries = 0
     while done < 1000 and tries < 40000:
         tries += 1
-        s = td.initial
+        s = td.initials[0]
         u, v = [], []
         for _ in range(rng.randint(1, 9)):
             if s not in out_edges:

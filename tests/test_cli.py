@@ -63,6 +63,14 @@ def test_check_commands():
     assert all(w["z"] == [-8, 5] and w["k"] == 3 for w in rep["witnesses"])
 
 
+def test_check_w_left_continuous_exit_2():
+    r = run_cli("check-w", "--config", str(CFG / "golden_lazy.json"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.strip().splitlines() == [
+        "error: ValidationError: weak-finiteness search expects the right-continuous map"]
+
+
 def test_natext_svg(tmp_path):
     svg = tmp_path / "n.svg"
     out = tmp_path / "n.json"

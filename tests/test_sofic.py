@@ -1,15 +1,21 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from betatiling.betamap import (expand, is_admissible, prefix_interval_set,
-                                preset, word_from_digits)
+                                preset, transform_from_config, word_from_digits)
+from betatiling.errors import BudgetExceeded
 from betatiling.numfield import make_field, qb_compare
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
-                              forbidden_words, soficity_check)
+                              forbidden_words, soficity_check, DiffTransducer,
+                              _component_walk, _sccs, _small_orbit_rep)
+from betatiling.tiling import conj_block_bounds
 
 from conftest import stage_cache
 
@@ -164,7 +170,7 @@ def test_transducer_path_sum_identity(tribonacci, tribonacci_symmetric_r):
             break
     xrep = found
     yrep = xrep + delta
-    td = build_diff_transducer(t, aut, delta, expand(t, yrep), expand(t, xrep))
+    td = build_diff_transducer(t, aut, [(delta, expand(t, yrep), expand(t, xrep))])
     out_edges = {}
     for s, d, ain, aout in td.edges:
         out_edges.setdefault(s, []).append((d, ain, aout))
@@ -174,7 +180,7 @@ def test_transducer_path_sum_identity(tribonacci, tribonacci_symmetric_r):
     attempts = 0
     while checked < 1000 and attempts < 30000:
         attempts += 1
-        s = td.initial
+        s = td.initials[0]
         u, v = [], []
         n = rng.randint(1, 10)
         ok = True
@@ -238,3 +244,77 @@ def test_cross_validation_w_vs_decision(golden_greedy, golden_symmetric_r):
         w = check_w(t, pset)
         dec = decide_tiling(t, g, pset, depth=20)
         assert (w.status == "holds") == (dec.verdict == "tiling")
+
+
+def test_component_walk_reaches_downstream(golden):
+    # 0 -> {1, 2} (adjacency [[1, 1], [1, 0]], eigenvalue beta) and 0 -> 3 ->
+    # 4 (a loop, eigenvalue 1); 5 has no edge; 6 <-> 7 is a 2-cycle (+-1)
+    edges = [(0, 1), (1, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 4), (6, 7), (7, 6)]
+    td = DiffTransducer(None, [None] * 8, [(s, d, 0, 0) for s, d in edges], [0])
+    hit, radius = _component_walk(golden, td)
+    assert hit == [True, True, True, False, False, False, False, False]
+    assert radius[3:] == pytest.approx([1.0, 1.0, 0.0, 1.0, 1.0])
+
+
+def _decide_per_pair(t, g, aut, depth):
+    """Reference decision: one difference machine per (delta, xrep) key, each
+    with its own component loop, stopping at the first passing component."""
+    pairs, _ = difference_pairs(t, g, depth)
+    bounds = conj_block_bounds(t)
+    beta_f = float(t.field.beta)
+    done, overlapping, gaps = {}, [], []
+    for delta, i, j in pairs:
+        lo = max(g.J[i].lo, g.J[j].lo - delta)
+        hi = min(g.J[i].hi, g.J[j].hi - delta)
+        xrep = _small_orbit_rep(t, lo, hi, bounds)
+        key = (delta.coords, xrep.coords)
+        if key not in done:
+            td = build_diff_transducer(t, aut, [(delta, expand(t, xrep + delta),
+                                                 expand(t, xrep))])
+            n = len(td.states)
+            adj = [[] for _ in range(n)]
+            for s, d, _, _ in td.edges:
+                adj[s].append(d)
+            hit, worst = False, 0.0
+            for comp in _sccs(n, adj):
+                idx = {v: k for k, v in enumerate(comp)}
+                m = [[0] * len(comp) for _ in comp]
+                for u in comp:
+                    for v in adj[u]:
+                        if v in idx:
+                            m[idx[u]][idx[v]] += 1
+                if not any(map(any, m)):
+                    continue
+                if beta_is_eigenvalue(t.field, m):
+                    hit = True
+                    break
+                worst = max(worst, max(abs(np.linalg.eigvals(np.array(m, dtype=float)))))
+            done[key] = hit
+            if not hit:
+                gaps.append(beta_f - worst)
+        if done[key]:
+            overlapping.append((delta, g.vertices[i], g.vertices[j]))
+    return ("multiple" if overlapping else "tiling"), overlapping, len(pairs), gaps
+
+
+@pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "tribonacci_symmetric"])
+def test_shared_graph_matches_per_pair_machines(name):
+    cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    t = transform_from_config(json.loads(cfg.read_text()))
+    vd, g, pset = stage_cache(t)
+    aut = build_automaton(t)
+    dec = decide_tiling(t, g, pset, depth=12, automaton=aut)
+    verdict, overlapping, checked, gaps = _decide_per_pair(t, g, aut, 12)
+    assert dec.verdict == verdict
+    assert list(dec.pairs) == overlapping
+    assert dec.candidates_checked == checked
+    # the same component under another state numbering gives a float spectral
+    # radius that may differ in the last bits
+    assert list(dec.spectral_gaps) == pytest.approx(gaps, rel=1e-12)
+
+
+def test_shared_graph_state_budget(golden_pm1):
+    vd, g, pset = stage_cache(golden_pm1)
+    with pytest.raises(BudgetExceeded) as err:
+        decide_tiling(golden_pm1, g, pset, depth=12, state_budget=5)
+    assert err.value.info["states"] == 5 and err.value.info["starts"] > 0

@@ -1,19 +1,22 @@
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from betatiling.betamap import compute_v, expand, invariant_density, preset
-from betatiling.errors import DigitsNotIntegral
+from betatiling.betamap import (compute_v, expand, invariant_density, preset,
+                                transform_from_config)
+from betatiling.errors import DigitsNotIntegral, OutOfDomain, ValidationError
 from betatiling.numfield import phi, psi, qb_compare
 from betatiling.tiling import (box_count_measure, check_f, check_w,
                                clouds_at_depth, covering_degree_estimate,
                                gifs_build, natext_domain,
                                purely_periodic_points, tile_cloud,
                                tiles_containing, torus_translates,
-                               weak_finiteness_epsilon)
+                               weak_finiteness_epsilon, _height_ordered_range)
 
 from conftest import stage_cache
 
@@ -243,6 +246,63 @@ def test_check_w_tribonacci_budget(tribonacci_symmetric_r):
     rep = check_w(tribonacci_symmetric_r, pset, z_height=12, k_budget=60,
                   max_candidates=400)
     assert rep.status == "fails_by_budget"
+
+
+def _check_w_reference(t, pset, z_height=40, k_budget=300, max_candidates=20000):
+    """The (W) search with exact QBeta chains stepped by ``step_index``."""
+    f = t.field
+    eps = weak_finiteness_epsilon(t, pset)
+    pts = list(pset.points)
+    tried = 0
+    for coords in _height_ordered_range(f, 0.0, float(eps), z_height):
+        z = f.qb(coords)
+        if qb_compare(z, f.zero) < 0 or qb_compare(z, eps) >= 0:
+            continue
+        tried += 1
+        if tried > max_candidates:
+            break
+        cur = [y + z for y in pts]
+        chains = [[c] for c in cur]
+        seen = set()
+        for k in range(k_budget + 1):
+            if len({c.coords for c in cur}) == 1 and cur[0] in pts:
+                return "holds", cur[0], {y: (z, k) for y in pts}, eps, dict(zip(pts, chains))
+            state = tuple(c.coords for c in cur)
+            if state in seen:
+                break
+            seen.add(state)
+            try:
+                cur = [t.step_index(c)[1] for c in cur]
+            except OutOfDomain:
+                break
+            for ch, c in zip(chains, cur):
+                ch.append(c)
+    return "fails_by_budget", None, {}, eps, {}
+
+
+def test_check_w_matches_step_index_reference():
+    # every right-continuous bundled config, at the default budgets
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    outcomes = set()
+    for path in sorted(root.glob("*.json")):
+        t = transform_from_config(json.loads(path.read_text()))
+        if t.side != "right":
+            continue
+        pset = purely_periodic_points(t)
+        rep = check_w(t, pset)
+        ref = _check_w_reference(t, pset)
+        assert (rep.status, rep.x, rep.witnesses, rep.epsilon, rep.chains) == ref, path.name
+        outcomes.add(rep.status)
+    assert outcomes == {"holds", "fails_by_budget"}
+
+
+def test_left_continuous_map_rejected(golden):
+    t = preset("lazy", golden)
+    pset = purely_periodic_points(t)
+    with pytest.raises(ValidationError, match="right-continuous"):
+        check_w(t, pset)
+    with pytest.raises(ValidationError, match="right-continuous"):
+        tiles_containing(t, pset, golden.one)
 
 
 # ---------------------------------------------------------------------------
