@@ -12,6 +12,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from betatiling import betamap, sofic, tiling  # noqa: E402
 from betatiling.cli import default_samples  # noqa: E402
+from betatiling.errors import BudgetExceeded  # noqa: E402
 
 CASES = {
     "golden_greedy": 22,
@@ -38,9 +39,12 @@ def main():
         w = tiling.check_w(t, pset)
         wtag = "holds" if w.status == "holds" else "budget"
         mn, _ = tiling.covering_degree_estimate(t, pset, default_samples(t.field, 20))
-        dec = sofic.decide_tiling(t, g, pset, depth=depth)
+        try:
+            verdict = sofic.decide_tiling(t, g, pset, depth=depth).verdict
+        except BudgetExceeded:
+            verdict = "budget"
         print(f"{name:28s} {len(pset):4d} {str(tiling.check_f(pset)):>4s} "
-              f"{wtag:>12s} {mn:5d} {dec.verdict:>9s} {time.time() - t0:6.1f}")
+              f"{wtag:>12s} {mn:5d} {verdict:>9s} {time.time() - t0:6.1f}")
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ import numpy as np
 from .betamap import Expansion, endpoint_words, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral, NotSofic,
                      ValidationError)
-from .numfield import GT, LT, gamma_abs_upper, qb_compare, simple_rational_in
-from .tiling import clouds_at_depth, conj_block_bounds, _require_integral_digits
+from .numfield import GT, LT, gamma_abs_upper, phi, qb_compare, simple_rational_in
+from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
+                     lattice_candidates, unique_cells, _require_integral_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +345,6 @@ def difference_pairs(t, g, depth=10):
     """
     _require_integral_digits(t)
     f = t.field
-    from .tiling import lattice_candidates
-    from .numfield import phi
     bounds = [2 * b for b in conj_block_bounds(t)]
     diam = t.xmax - t.xmin
     dfhi = float(diam)
@@ -358,30 +357,19 @@ def difference_pairs(t, g, depth=10):
     dim = f.degree - 1
     offs = np.array(list(itertools.product(range(-reach, reach + 1), repeat=dim)),
                     dtype=np.int64)
-    enc_base = np.int64(1) << 21
-
-    def encode(cells):
-        out = cells[:, 0].astype(np.int64)
-        for k in range(1, cells.shape[1]):
-            out = out * enc_base + cells[:, k]
-        return out
-
-    centers = []
-    enc_sets = []
-    boxes = []
-    for cl in clouds:
-        cells = np.unique(np.floor(cl / cell).astype(np.int64), axis=0)
-        centers.append((cells + 0.5) * cell)
-        enc_sets.append(np.sort(encode(cells)))
-        boxes.append((cl.min(axis=0), cl.max(axis=0)))
+    cellsets = [unique_cells(np.floor(cl / cell).astype(np.int64)) for cl in clouds]
+    stored = np.vstack(cellsets)    # widened so that a query cell in reach dilates inside
+    base, span = frame = cell_frame(np.vstack([stored - 2 * reach, stored + 2 * reach]))
+    keysets = [cell_keys(c, frame) for c in cellsets]
+    centers = [(c + 0.5) * cell for c in cellsets]
+    boxes = [(cl.min(axis=0), cl.max(axis=0)) for cl in clouds]
 
     def cells_touch(i, pts):
-        cells = np.floor(pts / cell).astype(np.int64)
-        dil = (cells[:, None, :] + offs[None, :, :]).reshape(-1, dim)
-        codes = encode(dil)
-        pos = np.searchsorted(enc_sets[i], codes)
-        pos = np.clip(pos, 0, len(enc_sets[i]) - 1)
-        return bool(np.any(enc_sets[i][pos] == codes))
+        c = np.floor(pts / cell).astype(np.int64)
+        c = c[np.all((c >= base + reach) & (c < base + span - reach), axis=1)]  # others miss
+        codes = cell_keys((c[:, None, :] + offs).reshape(-1, dim), frame)
+        pos = np.clip(np.searchsorted(keysets[i], codes), 0, len(keysets[i]) - 1)
+        return bool(np.any(keysets[i][pos] == codes))
     jlo = [float(iv.lo) for iv in g.J]
     jhi = [float(iv.hi) for iv in g.J]
     out = []
@@ -411,9 +399,7 @@ def difference_pairs(t, g, depth=10):
                 bmin, bmax = boxes[j]
                 amin, amax = boxes[i]
                 gap = np.maximum(bmin + pd - amax, amin - (bmax + pd)).max()
-                if gap > 2 * err + slack:
-                    continue
-                if cells_touch(i, centers[j] + pd):
+                if gap <= 2 * err + slack and cells_touch(i, centers[j] + pd):
                     out.append((delta, i, j))
     return out, err
 
@@ -730,7 +716,6 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
 def _small_orbit_rep(t, lo, hi, bounds):
     """A field element in [lo, hi) whose forward orbit is short: a lattice
     point with bounded conjugates when one exists, else the simplest rational."""
-    from .tiling import lattice_candidates
     f = t.field
     flo, fhi = float(lo), float(hi)
     pad = (fhi - flo) * 1e-6 + 1e-12

@@ -1,15 +1,19 @@
+import itertools
 import json
 import math
 import pathlib
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from betatiling import tiling
 from betatiling.betamap import (compute_v, expand, invariant_density, preset,
                                 transform_from_config)
-from betatiling.errors import DigitsNotIntegral, OutOfDomain, ValidationError
+from betatiling.errors import (BudgetExceeded, DigitsNotIntegral, OutOfDomain,
+                               ValidationError)
 from betatiling.numfield import phi, psi, qb_compare
 from betatiling.tiling import (box_count_measure, check_f, check_w,
                                clouds_at_depth, covering_degree_estimate,
@@ -328,6 +332,138 @@ def test_torus_golden_symmetric(golden_symmetric_r):
     vd, g, _ = stage_cache(golden_symmetric_r)
     scene = torus_translates(golden_symmetric_r, vd, g, 18, resolution=100)
     assert scene.coverage.get(1, 0) > 0.85
+
+
+# ---------------------------------------------------------------------------
+# integer cell keys and the one-pass translates against the row kernels they
+# replaced: np.unique(axis=0) on snapped float rows and on floored cells, and
+# one shifted copy of the scene per lattice translate
+
+def _clouds_reference(g, depth, snap_threshold=4000):
+    f = g.field
+    dim = f.degree - 1
+    clouds, err = [np.zeros((1, dim)) for _ in g.vertices], g.cloud_constant
+    for _ in range(depth):
+        err = f.rho * err + g.phi_err + tiling._FLOAT_STEP_SLACK
+        grid = max(err / 128, 1e-9)
+        nxt = []
+        for i in range(len(g.vertices)):
+            pts = np.vstack([clouds[j] @ f.contract_mat.T + g.phi_digits[a] for j, a in g.edges[i]])
+            if len(pts) > snap_threshold:
+                pts = np.unique(np.round(pts / grid) * grid, axis=0)
+            nxt.append(np.unique(pts, axis=0))
+        clouds = nxt
+        err += grid * math.sqrt(dim) * 0.5
+    return clouds, err
+
+
+def _box_count_reference(points, cell):
+    cells = np.unique(np.floor(points / cell).astype(np.int64), axis=0)
+    return len(cells) * cell ** points.shape[1]
+
+
+def _translates_reference(scene, lattice_box, scale, resolution):
+    d = scene.shape[1]
+    h = scale / resolution
+    if lattice_box is None:
+        lo_m = np.floor(-scene.max(axis=0) / scale).astype(int) - 1
+        hi_m = np.ceil((scale - scene.min(axis=0)) / scale).astype(int) + 1
+    else:
+        lo_m = np.full(d, -lattice_box, dtype=int)
+        hi_m = np.full(d, lattice_box, dtype=int)
+    counts = np.zeros((resolution,) * d, dtype=np.int16)
+    translates = []
+    for mv in itertools.product(*[range(int(lo_m[i]), int(hi_m[i]) + 1) for i in range(d)]):
+        shifted = scene + np.array(mv, dtype=float) * scale
+        inside = np.all((shifted >= 0) & (shifted < scale), axis=1)
+        if not inside.any():
+            continue
+        translates.append(mv)
+        idx = np.clip(np.floor(shifted[inside] / h).astype(int), 0, resolution - 1)
+        flat = np.zeros((resolution,) * d, dtype=bool)
+        flat[tuple(idx.T)] = True
+        counts += flat.astype(np.int16)
+    vals, freq = np.unique(counts, return_counts=True)
+    return tuple(translates), {int(v): c / counts.size for v, c in zip(vals, freq)}
+
+
+def _assert_translates_match(t, vd, g, depth, **kw):
+    scene = torus_translates(t, vd, g, depth, **kw)
+    ref = _translates_reference(scene.scene_points, kw.get("lattice_box"),
+                                kw.get("scale", 1), kw.get("resolution", 120))
+    assert (scene.translates, scene.coverage) == ref, kw
+    return scene
+
+
+@pytest.mark.parametrize("name,depth", [("golden_greedy", 20), ("golden_pm1", 20),
+                                        ("tribonacci_symmetric", 15),
+                                        ("cubic_2m11_symmetric", 15)])
+def test_cell_keys_match_row_reference(name, depth):
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    t = transform_from_config(json.loads(path.read_text()))
+    vd = compute_v(t)
+    g = gifs_build(t, vd)
+    clouds, err = clouds_at_depth(g, depth)
+    ref, ref_err = _clouds_reference(g, depth)
+    assert err == ref_err
+    assert len(clouds) == len(ref) and all(map(np.array_equal, clouds, ref))
+    for cell in (2 * err, 0.01):
+        assert [box_count_measure(c, cell) for c in clouds] == \
+            [_box_count_reference(c, cell) for c in ref]
+    area = sum(float(iv.length()) * _box_count_reference(c, 2 * err) for iv, c in zip(g.J, ref))
+    assert natext_domain(t, vd, g, depth).area == area * g.field.det_factor
+    if g.field.degree == 2:
+        for kw in ({}, {"scale": 2, "resolution": 100}, {"scale": 0.7}, {"lattice_box": 1},
+                   {"lattice_box": 0}):
+            _assert_translates_match(t, vd, g, 11, **kw)
+    else:
+        _assert_translates_match(t, vd, g, 6, resolution=30)
+
+
+def test_translates_match_loop_where_x_over_scale_rounds():
+    # a stand-in graph whose scene is every pair of the given coordinates:
+    # the interval [x, x] and v1 = (1, 0) give the first, the cloud the second
+    xs = []
+    for scale in (0.7, 1.5, 0.3):
+        for k in range(-3, 4):
+            x = k * scale
+            for _ in range(4):
+                xs.append(x)
+                x = np.nextafter(x, -np.inf)
+    field = types.SimpleNamespace(degree=2, v=[np.array([1.0, 0.0])],
+                                  hmat=np.array([[0.0, -1.0]]))
+    cloud = np.array(xs)[:, None]
+    g = types.SimpleNamespace(field=field, J=[types.SimpleNamespace(lo=x, hi=x) for x in xs],
+                              _cloud_cache={1: ([cloud] * len(xs), 0.0)})
+    rounded = 0
+    for scale in (0.7, 1.5, 0.3):
+        m = -np.floor(np.array(xs) / scale)
+        rounded += int(np.sum(np.array(xs) + m * scale < 0))
+        for kw in ({}, {"lattice_box": 2}, {"resolution": 7}):
+            scene = _assert_translates_match(None, None, g, 1, scale=scale, **kw)
+            assert len(scene.translates) > 1
+    assert rounded > 0      # the scene does hold points where x/scale rounds up
+
+
+def test_byte_budget_stops_large_allocations(monkeypatch, golden_pm1, tribonacci):
+    t = golden_pm1
+    vd = compute_v(t)
+    g = gifs_build(t, vd)
+    limit = 8000 * 8        # depth 16 stacks 5778 one-coordinate points, depth 17 9349
+    monkeypatch.setattr(tiling, "_BYTE_LIMIT", limit)
+    with pytest.raises(BudgetExceeded, match="cloud level") as ei:
+        clouds_at_depth(g, 20)
+    assert ei.value.info == {"points": 9349, "bytes": 9349 * 8, "limit": limit}
+    assert max(g._cloud_cache) == 16
+    assert sum(len(c) for c in clouds_at_depth(g, 16)[0]) == 5778
+    with pytest.raises(BudgetExceeded, match="translate scene") as ei:
+        torus_translates(t, vd, g, 16)
+    assert ei.value.info["bytes"] > limit
+    assert torus_translates(t, vd, g, 6, resolution=10).coverage
+    monkeypatch.setattr(tiling, "_BYTE_LIMIT", 1000)
+    with pytest.raises(BudgetExceeded, match="lattice box") as ei:
+        purely_periodic_points(preset("symmetric", tribonacci))
+    assert set(ei.value.info) == {"points", "bytes", "limit"}
 
 
 # ---------------------------------------------------------------------------
