@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of two checkouts, judged by BENCHMARK.json.
+
+    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+
+Each pair runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``)
+once from each checkout, for ``run_seconds`` each; even pairs run the parent
+first, odd pairs the change first, so drift in machine speed falls on both
+sides.  For every end-to-end metric it prints the median and quartiles of
+both sides, the pairs the change wins, the change/parent ratio of the
+medians, and a verdict against the metric's bound:
+
+- ``unresolved``: the parent's quartile spread exceeds the bound times its
+  median, so the runs cannot tell a change of that size;
+- ``worse``: the change's median is worse than the parent's by more than the
+  bound;
+- ``gain``: the change wins at least nine pairs in ten and its median is
+  better by more than the parent's quartile spread;
+- ``ok``: none of these.
+
+Failed ops are summed per side.  The script reads ``BENCHMARK.json`` from
+CHANGE_DIR and writes nothing.
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+
+def run(checkout, bench, workload, seed):
+    cmd = list(bench["command"])
+    if cmd[0] == "python3":
+        cmd[0] = sys.executable
+    cmd += ["--workload", workload, "--seed", str(seed),
+            "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def judge(metric, parent, change):
+    """Summary row of one end-to-end metric over paired runs."""
+    lower = metric["better"] == "lower"
+    bound = metric["bound"]
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    gain = (pm - cm) if lower else (cm - pm)
+    if pm and (p3 - p1) / abs(pm) > bound:
+        verdict = "unresolved"
+    elif pm and -gain / abs(pm) > bound:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(parent) and gain > p3 - p1:
+        verdict = "gain"
+    else:
+        verdict = "ok"
+    return {"name": metric["name"], "parent": (pm, p1, p3), "change": (cm, c1, c3),
+            "wins": wins, "ratio": cm / pm if pm else float("nan"),
+            "bound": bound, "verdict": verdict}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=pathlib.Path)
+    ap.add_argument("change", type=pathlib.Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    args = ap.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in bench["end_to_end"]]
+    values = {side: {n: [] for n in names} for side in ("parent", "change")}
+    failed = {"parent": [0, 0], "change": [0, 0]}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run(getattr(args, side), bench, args.workload, args.seed)
+            for n in names:
+                values[side][n].append(res["metrics"][n]["value"])
+            failed[side][0] += res["failed"]
+            failed[side][1] += res["attempted"]
+        print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
+            f"{n} {values['parent'][n][-1]:.4g}->{values['change'][n][-1]:.4g}"
+            for n in names), file=sys.stderr, flush=True)
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
+          f"{bench['run_seconds']} s runs; median [q1, q3]")
+    print(f"{'metric':18s} {'parent':>26s} {'change':>26s} {'wins':>6s} "
+          f"{'ratio':>6s} {'bound':>5s}  verdict")
+    for metric in bench["end_to_end"]:
+        r = judge(metric, values["parent"][metric["name"]], values["change"][metric["name"]])
+        cell = lambda q: f"{q[0]:.4g} [{q[1]:.4g}, {q[2]:.4g}]"
+        print(f"{r['name']:18s} {cell(r['parent']):>26s} {cell(r['change']):>26s} "
+              f"{r['wins']:>3d}/{args.pairs:<2d} {r['ratio']:6.3f} {r['bound']:5.2f}  {r['verdict']}")
+    for side in ("parent", "change"):
+        print(f"failed ops, {side}: {failed[side][0]} of {failed[side][1]}")
+    return 1 if failed["change"][0] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .errors import (BadAlpha, BudgetExceeded, EmptyPart, NoFixedPoint,
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
-from .numfield import (EQ, GT, LT, QBeta, make_field, qb_ceil, qb_compare,
-                       qb_floor)
+from .numfield import (EQ, GT, LT, QBeta, _float_span, make_field, qb_ceil,
+                       qb_compare, qb_floor)
 
 
 @dataclass(frozen=True)
@@ -84,37 +84,38 @@ class BetaTransform:
             else:
                 comps.append(IntervalQB(iv.lo, iv.hi))
         self.components = comps
-        lo, hi = self.field.beta1_interval()
-        b1 = float((lo + hi) / 2)
-        self._b1_pows = tuple(b1 ** k for k in range(self.field.degree))
-        self._float_pieces = tuple((float(iv.lo), float(iv.hi)) for iv, _ in self.pieces)
+        self._float_pieces = tuple(
+            (*_float_span(field, iv.lo.coords), *_float_span(field, iv.hi.coords), a)
+            for iv, a in self.pieces)
         self._digit_den = math.lcm(*(c.denominator for d in self.digits for c in d.coords))
 
     # -- membership --------------------------------------------------------
 
-    def _screen(self, cfs):
-        """Float screen of a point given by its coordinate floats.
+    def _screen(self, coords, q=1):
+        """Float screen of the point sum_k c_k beta^k / q.
 
-        Returns (digit index, False) for a point inside a piece by a wide
-        exactness band, else (None, whether the point lies within the band of
-        a piece boundary and so needs the exact test).
+        The point and every piece endpoint are held as float intervals
+        [v - e, v + e], rounded outwards, around their float values v with
+        the certified bounds e of :func:`numfield._float_value`.  Returns
+        (digit index, False) when the point's interval lies inside a piece
+        by these intervals, else (None, whether it meets a piece endpoint's
+        interval and so needs the exact test).
         """
-        xf = scale = 0.0
-        for cf, p in zip(cfs, self._b1_pows):
-            xf += cf * p
-            scale += abs(cf) * p
-        band = 1e-9 * (1.0 + scale)
+        lo, hi = _float_span(self.field, coords, q)
         right = self.side == "right"
         near = False
-        for (lof, hif), (iv, a) in zip(self._float_pieces, self.pieces):
+        for llo, lhi, rlo, rhi, a in self._float_pieces:
             if right:
-                if lof + band <= xf < hif - band:
+                if lo >= lhi and hi < rlo:
                     return a, False
+                if hi < llo or lo >= rhi:
+                    continue
             else:
-                if lof + band < xf <= hif - band:
+                if lo > lhi and hi <= rlo:
                     return a, False
-            if lof - band <= xf <= lof + band or hif - band <= xf <= hif + band:
-                near = True
+                if hi <= llo or lo > rhi:
+                    continue
+            near = True
         return None, near
 
     def _exact_index(self, x):
@@ -131,19 +132,21 @@ class BetaTransform:
     def digit_index_of(self, x):
         """Index of the digit whose piece contains x, or None.
 
-        Uses a float screen with a wide exactness band; only points near a
-        piece boundary fall through to exact comparisons.
+        The float screen of :meth:`_screen` decides every point whose
+        certified float interval lies inside a piece or clear of all pieces;
+        only a point whose interval meets a piece endpoint's falls through
+        to the exact comparisons of :meth:`_exact_index`.
         """
-        a, near = self._screen([c.numerator / c.denominator for c in x.coords])
+        a, near = self._screen(x.coords)
         return self._exact_index(x) if near else a
 
     def _index_num(self, n, q):
         """:meth:`digit_index_of` for the point n/q given by integer numerators.
 
-        n_i / q is the correctly rounded float of the coordinate, as in
-        :meth:`digit_index_of`, so the screen decides the same way.
+        n_i / q rounds to the same float as the reduced coordinate, so the
+        screen decides as in :meth:`digit_index_of`.
         """
-        a, near = self._screen([c / q for c in n])
+        a, near = self._screen(n, q)
         return self._exact_index(_from_num(self.field, n, q)) if near else a
 
     def contains(self, x):

@@ -3,8 +3,15 @@
 A field element is a rational coordinate vector in the power basis
 {1, beta, ..., beta^(d-1)}.  All arithmetic (including division by beta,
 which stays in Z[beta] because the norm of beta is a unit) is exact.
-Comparisons go through certified rational enclosures of the real embedding
-and refine until the sign is decided, so they are exact as well.
+Comparisons and floors are exact as well.  A float filter runs first: the
+float Horner value v of sum c_k beta^k comes with a certified bound
+e >= |v - sum c_k beta^k| made of the beta term d*delta*S, the coordinate
+rounding u*S and the Horner rounding gamma_2d*S (Higham), where
+S = sum |c_k| B^k, delta bounds |beta - float beta|, B >= beta and u = 2^-53;
+the sum is doubled to cover the rounding of the bound itself.  Only when v is
+within e of zero (or of an integer, for the floor) does the exact path run:
+certified rational enclosures of the real embedding, refined until the sign
+is decided.
 
 The geometric side lives in R^d: the companion matrix, its eigenvectors
 v_1..v_d normalized so that v_1 + ... + v_d = e_1, the lattice map psi,
@@ -31,6 +38,7 @@ from .rootiso import (RootDisk, certified_complex_roots, is_irreducible_monic,
 LT, EQ, GT = -1, 0, 1
 
 _FLOAT_SLACK = 1e-13
+_FLOAT_SUM_MAX = 2.0 ** 1000     # above it the float filter gives no bound
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +106,7 @@ class PisotField:
                 f"{c}*x^{d - i - 1}" for i, c in enumerate(coeffs)) + " factors over Q")
         self._dps = 60
         self._init_conjugates()
+        self._init_float_filter()
         self._init_linear_data()
         self._init_geometry()
 
@@ -155,6 +164,21 @@ class PisotField:
             raise NotPisot("contraction ratio not below 1")
         self.rho = _to_float_up(rho) * (1 + 1e-12)
 
+    def _init_float_filter(self):
+        # beta-hat, delta >= |beta - beta-hat| and a float B >= beta-hat + delta
+        # for the bound of _float_value, from the current beta enclosure
+        lo, hi = self._refine_real(0, Fraction(1, 2 ** 64))
+        b = float((lo + hi) / 2)
+        delta = _to_float_up(max(hi - Fraction(b), Fraction(b) - lo))
+        big = Fraction(b) + Fraction(delta)
+        d = self.degree
+        u = 2.0 ** -53
+        self._float_beta = b
+        self._float_big = _to_float_up(big)
+        self._float_rel = 2 * (d * delta + u + 2 * d * u / (1 - 2 * d * u))
+        # underflow: each of the at most 4d roundings adds at most 2^-1075
+        self._float_abs = _to_float_up(sum(big ** k for k in range(d)) / 2 ** 1000)
+
     def _refine_real(self, j, width):
         lo, hi = self._real_encl[j]
         if hi - lo > width:
@@ -191,9 +215,6 @@ class PisotField:
             lo, hi = self._real_encl[j]
             return max(abs(lo), abs(hi))
         return self._disks[j].abs_upper()
-
-    def beta1_interval(self, width=Fraction(1, 2 ** 60)):
-        return self._refine_real(0, width)
 
     # -- linear data --------------------------------------------------------
 
@@ -564,15 +585,56 @@ def gamma_abs_upper(x, j):
     return sqrt_upper(re * re + im * im) + rad
 
 
+def _float_value(fld, coords, q=1):
+    """Float value v of sum_k c_k beta^k / q and the certified bound
+    e >= |v - sum_k c_k beta^k / q| of the module docstring, plus an
+    underflow term.
+
+    ``coords`` are Fractions or ints; each c_k / q is rounded once to the
+    nearest float.  e is infinite when a coordinate has no finite float or
+    S overflows.
+    """
+    try:
+        cs = [c.numerator / (c.denominator * q) for c in coords]
+    except OverflowError:
+        return 0.0, math.inf
+    b, big = fld._float_beta, fld._float_big
+    v = s = 0.0
+    for c in reversed(cs):
+        v = v * b + c
+        s = s * big + abs(c)
+    if not s < _FLOAT_SUM_MAX:
+        return v, math.inf
+    return v, fld._float_rel * s + fld._float_abs
+
+
+def _float_span(fld, coords, q=1):
+    """[v - e, v + e] from :func:`_float_value`, rounded outwards: a float
+    interval certified to hold the real value of sum_k c_k beta^k / q."""
+    v, e = _float_value(fld, coords, q)
+    return math.nextafter(v - e, -math.inf), math.nextafter(v + e, math.inf)
+
+
 def qb_compare(x, y):
-    """Exact three-way comparison; -1, 0, 1 for <, =, >."""
+    """Exact three-way comparison; -1, 0, 1 for <, =, >.
+
+    Equal coordinates are EQ.  Otherwise the sign of the float value v of
+    x - y is returned when |v| exceeds its certified bound e from
+    :func:`_float_value`; only inside that band does the exact loop run, an
+    interval Horner evaluation on beta enclosures narrowed by 2^-64 per round.
+    """
     if x.field != y.field:
         raise FieldMismatch("cannot compare elements of different fields")
     if x.coords == y.coords:
         return EQ
     diff = tuple(a - b for a, b in zip(x.coords, y.coords))
-    width = Fraction(1, 2 ** 64)
     fld = x.field
+    v, e = _float_value(fld, diff)
+    if v > e:
+        return GT
+    if -v > e:
+        return LT
+    width = Fraction(1, 2 ** 64)
     while True:
         lo, hi = fld._refine_real(0, width)
         vlo, vhi = _horner_interval(diff, lo, hi)
@@ -584,9 +646,17 @@ def qb_compare(x, y):
 
 
 def qb_floor(x):
-    """Exact floor of a field element."""
+    """Exact floor of a field element.
+
+    Returns the floor of the float interval of :func:`_float_span` when both
+    its ends have the same floor; otherwise refines rational enclosures of x
+    until their floors agree.
+    """
     if x.is_rational():
         return math.floor(x.coords[0])
+    lo, hi = _float_span(x.field, x.coords)
+    if hi - lo < 1 and math.floor(lo) == math.floor(hi):
+        return math.floor(lo)
     width = Fraction(1, 16)
     while True:
         lo, hi = gamma_interval(x, 0, width)

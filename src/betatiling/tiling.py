@@ -320,13 +320,6 @@ class MembershipReport:
     count: int
 
 
-def _piece_right_end(t, x):
-    for iv, a in t.pieces:
-        if qb_compare(x, iv.lo) != LT and qb_compare(x, iv.hi) == LT:
-            return iv.hi
-    return None
-
-
 def tiles_containing(t, pset, z, k_budget=400):
     """The exact set of tiles whose translate contains the projection of z.
 
@@ -343,16 +336,17 @@ def tiles_containing(t, pset, z, k_budget=400):
         raise ValidationError("z must be nonnegative")
     if not len(pset):
         raise ValidationError("empty periodic set")
+    ivs = t.domain_union()
+    ends = [ivs[interval_index(ivs, y)].hi for y in pset.points]
 
     def owners_at(k):
         zk = z
         for _ in range(k):
             zk = zk.div_beta()
         res = []
-        for y in pset.points:
+        for y, r in zip(pset.points, ends):
             if not t.contains(y + zk):
                 return None
-            r = _piece_right_end(t, y)
             if qb_compare(y + zk.div_beta(), r) != LT:
                 return None
             cur = y + zk
@@ -410,10 +404,10 @@ def weak_finiteness_epsilon(t, pset):
     if t.side != "right":
         raise ValidationError("weak-finiteness search expects the right-continuous map")
     f = t.field
+    ivs = t.domain_union()
     eps = None
     for y in pset.points:
-        r = _piece_right_end(t, y)
-        cand = (r - y) * f.beta
+        cand = (ivs[interval_index(ivs, y)].hi - y) * f.beta
         if eps is None or qb_compare(cand, eps) == LT:
             eps = cand
     return eps

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betatiling.betamap import (Expansion, IntervalQB, build_transform,
-                                compute_v, endpoint_words, expand,
-                                expansion_value, invariant_density,
+from betatiling.betamap import (Expansion, IntervalQB, _num_frame,
+                                build_transform, compute_v, endpoint_words,
+                                expand, expansion_value, invariant_density,
                                 is_admissible, prefix_interval_set, preset,
                                 restrict_to_support, transfer_matrix,
                                 transform_from_config, word_from_digits)
@@ -408,3 +408,33 @@ def test_orbit_kernel_matches_fraction_reference():
         for bad in (-1, len(t.digits)):
             with pytest.raises(UnknownDigit):
                 is_admissible(t, Expansion((bad,), (0,)))
+
+
+# ---------------------------------------------------------------------------
+# the certified float screen against the exact piece lookup
+
+def test_screen_matches_exact_index():
+    root = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    configs = {p.stem: transform_from_config(json.loads(p.read_text()))
+               for p in sorted(root.glob("*.json"))}
+    assert len(configs) == 11 and configs["golden_lazy"].side == "left"
+    # mod-1 maps with alpha = beta^-k have a breakpoint (1 - alpha)/beta with
+    # large coordinates within beta^-(k+1) of 1/beta, whose coordinates are
+    # small: there the endpoint's own float error decides the screen
+    extra = {}
+    for f in (make_field(1, 1), make_field(1, 1, 1)):
+        for k in range(30, 51, 2):
+            alpha = f.one.div_beta() ** k
+            extra[f"mod1_{f.degree}_{k}"] = (preset("linear_mod1", f, alpha=alpha),
+                                             [f.one.div_beta()])
+    cases = {name: (t, []) for name, t in configs.items()} | extra
+    for name, (t, pts) in cases.items():
+        eps = t.field.one.div_beta() ** 40
+        for iv, _ in t.pieces:
+            for e in (iv.lo, iv.hi):
+                pts += [e, e + eps, e - eps]
+        for x in pts:
+            want = t._exact_index(x)
+            assert t.digit_index_of(x) == want, (name, x)
+            q, n, _ = _num_frame(t, x)
+            assert t._index_num(n, q) == want, (name, x)

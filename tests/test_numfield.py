@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit
-from betatiling.numfield import (EQ, GT, LT, gamma, gamma_interval, make_field,
-                                 phi, pi1, psi, qb_compare, qb_floor,
-                                 simple_rational_in)
+from betatiling.numfield import (EQ, GT, LT, _float_value, _horner_interval,
+                                 gamma, gamma_interval, make_field, phi, pi1,
+                                 psi, qb_compare, qb_floor, simple_rational_in)
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -191,3 +192,100 @@ def test_floor_and_simple_rational(golden):
     assert x.is_rational()
     assert qb_compare(x, lo) != LT and qb_compare(x, hi) == LT
     assert x.coords[0].denominator <= 2
+
+
+# ---------------------------------------------------------------------------
+# float filter against the exact interval loop
+
+def _ref_compare(x, y):
+    """qb_compare without the float filter: the exact interval Horner loop."""
+    if x.coords == y.coords:
+        return EQ
+    diff = tuple(a - b for a, b in zip(x.coords, y.coords))
+    width = Fraction(1, 2 ** 64)
+    while True:
+        lo, hi = x.field._refine_real(0, width)
+        vlo, vhi = _horner_interval(diff, lo, hi)
+        if vlo > 0:
+            return GT
+        if vhi < 0:
+            return LT
+        width /= 2 ** 64
+
+
+def _ref_floor(x):
+    width = Fraction(1, 16)
+    while True:
+        lo, hi = x.field._refine_real(0, width)
+        vlo, vhi = _horner_interval(x.coords, lo, hi)
+        if math.floor(vlo) == math.floor(vhi):
+            return math.floor(vlo)
+        width /= 2 ** 16
+
+
+def _near_ties(f):
+    """Pairs (x, y) whose difference lies in or near the float band."""
+    zero, one, b = f.zero, f.one, f.beta
+    inv = one.div_beta()
+    pows = [one]
+    for _ in range(60):
+        pows.append(pows[-1] * inv)
+    pairs = [(p, zero) for p in pows] + [(-p, zero) for p in pows]
+    pairs += [(p, r) for p, r in zip(pows, pows[1:])]
+    pairs += [(pows[k], pows[k] + pows[60]) for k in range(0, 61, 5)]
+    # F_(n+1) - F_n beta on golden, T_(n+1) - T_n beta on Tribonacci
+    seq = [0, 1] if f.degree == 2 else [0, 0, 1]
+    while len(seq) < 84:
+        seq.append(sum(seq[-f.degree:]))
+    for n in range(1, 81):
+        x = f.qb([seq[n + 1]]) - f.qb([seq[n]]) * b
+        pairs += [(x, zero), (x + pows[40], zero), (x, x + pows[60])]
+    # consecutive points of a 200-step orbit under x -> (x + a) / beta, whose
+    # coordinates grow like beta^k while the values stay bounded
+    rng = random.Random(5)
+    orbit = [f.qb(["1/3"])]
+    for _ in range(200):
+        orbit.append((orbit[-1] + rng.randint(0, 1)).div_beta())
+    pairs += list(zip(orbit, orbit[1:])) + list(zip(orbit, orbit[2:]))
+    pairs += [(p - q + one, one) for p, q in zip(orbit, orbit[1:])]
+    # equal values with different denominators
+    x = f.qb(["1/3", "2/7"])
+    pairs += [(x, f.qb([Fraction(2, 6), Fraction(4, 14)])), (x * 3 / 3, x)]
+    return pairs
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1)])
+def test_float_filter_matches_exact_loop(coeffs):
+    f = make_field(*coeffs)
+    pairs = _near_ties(f)
+    banded = 0
+    for x, y in pairs:
+        assert qb_compare(x, y) == _ref_compare(x, y), (x, y)
+        assert qb_compare(y, x) == _ref_compare(y, x), (x, y)
+        d = x - y
+        for z in (d, d + f.one, -d, d * 2 + f.one):
+            if not z.is_rational():
+                assert qb_floor(z) == _ref_floor(z), z
+        v, e = _float_value(f, d.coords)
+        banded += not abs(v) > e
+    assert banded > len(pairs) // 4
+
+
+def test_float_filter_huge_coordinates_take_exact_path(golden, tribonacci):
+    big = 10 ** 400
+    for f in (golden, tribonacci):
+        eps = f.one.div_beta() ** 60
+        tiny = f.qb([0] * (f.degree - 1) + [Fraction(1, big)])
+        for x in (f.qb([big + 1, -big]), f.qb([Fraction(big, 3), 1]),
+                  f.qb([big]) * (f.beta - f.qb([Fraction(big + 1, big)]))):
+            assert _float_value(f, x.coords)[1] == math.inf
+            for y in (f.zero, x + eps, x - eps, x + f.one, x + tiny):
+                assert qb_compare(x, y) == _ref_compare(x, y), (x, y)
+                assert qb_compare(y, x) == _ref_compare(y, x), (x, y)
+            if not x.is_rational():
+                assert qb_floor(x) == _ref_floor(x), x
+        # a coordinate whose float underflows to zero is covered by the bound
+        for x in (tiny, -tiny, f.one + tiny, f.one - tiny):
+            for y in (f.zero, f.one):
+                assert qb_compare(x, y) == _ref_compare(x, y), (x, y)
+            assert qb_floor(x) == _ref_floor(x), x
