@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two checkouts, judged by BENCHMARK.json.
 
-    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W [W ...] --seed S --pairs N
 
-Each pair runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``)
-once from each checkout, for ``run_seconds`` each; even pairs run the parent
-first, odd pairs the change first, so drift in machine speed falls on both
-sides.  For every end-to-end metric it prints the median and quartiles of
-both sides, the pairs the change wins, the change/parent ratio of the
-medians, and a verdict against the metric's bound:
+The workloads are measured one after the other, each with its own pairs and
+table.  Each pair runs the benchmark command of ``BENCHMARK.json``
+(``perfbench/run.py``) once from each checkout, for ``run_seconds`` each; even
+pairs run the parent first, odd pairs the change first, so drift in machine
+speed falls on both sides.  For every end-to-end metric it prints the median
+and quartiles of both sides, the pairs the change wins, the change/parent
+ratio of the medians, and a verdict against the metric's bound:
 
 - ``unresolved``: the parent's quartile spread exceeds the bound times its
   median, so the runs cannot tell a change of that size;
@@ -71,30 +72,24 @@ def judge(metric, parent, change):
             "bound": bound, "verdict": verdict}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=pathlib.Path)
-    ap.add_argument("change", type=pathlib.Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    args = ap.parse_args(argv)
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+def compare(args, bench, workload):
+    """Run the pairs of one workload and print its table; returns the
+    change's failed op count."""
     names = [m["name"] for m in bench["end_to_end"]]
     values = {side: {n: [] for n in names} for side in ("parent", "change")}
     failed = {"parent": [0, 0], "change": [0, 0]}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            res = run(getattr(args, side), bench, args.workload, args.seed)
+            res = run(getattr(args, side), bench, workload, args.seed)
             for n in names:
                 values[side][n].append(res["metrics"][n]["value"])
             failed[side][0] += res["failed"]
             failed[side][1] += res["attempted"]
-        print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
+        print(f"{workload} pair {i + 1}/{args.pairs}: " + "  ".join(
             f"{n} {values['parent'][n][-1]:.4g}->{values['change'][n][-1]:.4g}"
             for n in names), file=sys.stderr, flush=True)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
+    print(f"{workload} seed {args.seed}, {args.pairs} pairs of "
           f"{bench['run_seconds']} s runs; median [q1, q3]")
     print(f"{'metric':18s} {'parent':>26s} {'change':>26s} {'wins':>6s} "
           f"{'ratio':>6s} {'bound':>5s}  verdict")
@@ -105,7 +100,21 @@ def main(argv=None):
               f"{r['wins']:>3d}/{args.pairs:<2d} {r['ratio']:6.3f} {r['bound']:5.2f}  {r['verdict']}")
     for side in ("parent", "change"):
         print(f"failed ops, {side}: {failed[side][0]} of {failed[side][1]}")
-    return 1 if failed["change"][0] else 0
+    print(flush=True)
+    return failed["change"][0]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=pathlib.Path)
+    ap.add_argument("change", type=pathlib.Path)
+    ap.add_argument("--workload", required=True, nargs="+", action="extend")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    args = ap.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    failed = [compare(args, bench, w) for w in args.workload]
+    return 1 if any(failed) else 0
 
 
 if __name__ == "__main__":

@@ -174,22 +174,18 @@ def _load_samples(pipe, args):
 def default_samples(field, count):
     """Deterministic positive lattice sample list, ordered by height.
 
-    Only integer points z with z > 0 are kept; zero itself is left out.
+    Only integer points z with z > 0 and sup norm at most 7 are kept; zero
+    itself is left out.
     """
     out = []
-    h = 1
     zero = field.zero
-    while len(out) < count and h < 8:
-        rows = tiling._height_ordered_range(field, 0.0, float("inf"), h)
-        out = []
-        for coords in rows:
-            z = field.qb(coords)
-            if qb_compare(z, zero) == GT:
-                out.append(z)
-            if len(out) >= count:
-                break
-        h += 1
-    return out[:count]
+    for coords in tiling._height_ordered_range(field, 0.0, float("inf"), 7):
+        if len(out) >= count:
+            break
+        z = field.qb(coords)
+        if qb_compare(z, zero) == GT:
+            out.append(z)
+    return out
 
 
 def cmd_degree(pipe, args):

@@ -29,7 +29,8 @@ import numpy as np
 from .betamap import Expansion, endpoint_words, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral, NotSofic,
                      ValidationError)
-from .numfield import GT, LT, gamma_abs_upper, phi, qb_compare, simple_rational_in
+from .numfield import (GT, LT, _float_span, gamma_abs_upper, phi, qb_compare,
+                       simple_rational_in)
 from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
                      lattice_candidates, unique_cells, _require_integral_digits)
 
@@ -334,6 +335,12 @@ def forbidden_words(aut, maxlen=6):
 # ---------------------------------------------------------------------------
 # candidate differences between tile translates
 
+def _span_sub(a, b):
+    """Float interval a - b of two float intervals (ends stacked on the first
+    axis), rounded outwards."""
+    return np.array([np.nextafter(a[0] - b[1], -np.inf), np.nextafter(a[1] - b[0], np.inf)])
+
+
 def difference_pairs(t, g, depth=10):
     """Triples (delta, i, j) of candidate overlapping tile classes.
 
@@ -342,19 +349,34 @@ def difference_pairs(t, g, depth=10):
     meet both arithmetically (interval intersection) and geometrically (cloud
     distance at the given depth).  Pruning only ever discards pairs whose
     clouds are provably farther apart than the certified error allows.
+
+    The interval gate holds delta and the interval ends as certified float
+    spans and runs an exact comparison only when the span of an intersection's
+    length straddles zero.  delta's hyperplane coordinates are its coordinates
+    times the rows phi(beta^k), widened by their errors and the rounding of
+    the product.
     """
     _require_integral_digits(t)
     f = t.field
+    d = f.degree
     bounds = [2 * b for b in conj_block_bounds(t)]
     diam = t.xmax - t.xmin
-    dfhi = float(diam)
-    cands = lattice_candidates(f, -dfhi, dfhi, bounds)
+    dfhi = _float_span(f, diam.coords)[1]
+    deltas = []
+    for coords in lattice_candidates(f, -dfhi, dfhi, bounds):
+        if all(c == 0 for c in coords):
+            continue
+        delta = f.qb(coords)
+        if qb_compare(delta, f.zero) == GT and qb_compare(delta, diam) == LT:
+            deltas.append(delta)
     clouds, err = clouds_at_depth(g, depth)
+    if not deltas:
+        return [], err
     nv = len(g.vertices)
     cell = 2 * err
     slack = cell * 0.75 + 1e-9          # decimation displacement bound
     reach = int(math.ceil((2 * err + slack) / cell)) + 1
-    dim = f.degree - 1
+    dim = d - 1
     offs = np.array(list(itertools.product(range(-reach, reach + 1), repeat=dim)),
                     dtype=np.int64)
     cellsets = [unique_cells(np.floor(cl / cell).astype(np.int64)) for cl in clouds]
@@ -362,7 +384,6 @@ def difference_pairs(t, g, depth=10):
     base, span = frame = cell_frame(np.vstack([stored - 2 * reach, stored + 2 * reach]))
     keysets = [cell_keys(c, frame) for c in cellsets]
     centers = [(c + 0.5) * cell for c in cellsets]
-    boxes = [(cl.min(axis=0), cl.max(axis=0)) for cl in clouds]
 
     def cells_touch(i, pts):
         c = np.floor(pts / cell).astype(np.int64)
@@ -370,37 +391,35 @@ def difference_pairs(t, g, depth=10):
         codes = cell_keys((c[:, None, :] + offs).reshape(-1, dim), frame)
         pos = np.clip(np.searchsorted(keysets[i], codes), 0, len(keysets[i]) - 1)
         return bool(np.any(keysets[i][pos] == codes))
-    jlo = [float(iv.lo) for iv in g.J]
-    jhi = [float(iv.hi) for iv in g.J]
+
+    # interval gate over (delta, i, j): lo = max(J_i.lo, J_j.lo - delta) and
+    # hi = min(J_i.hi, J_j.hi - delta) must satisfy lo < hi
+    jlo = np.array([_float_span(f, iv.lo.coords) for iv in g.J]).T
+    jhi = np.array([_float_span(f, iv.hi.coords) for iv in g.J]).T
+    ds = np.array([_float_span(f, x.coords) for x in deltas]).T[:, :, None]
+    lo = np.maximum(jlo[:, None, :, None], _span_sub(jlo[:, None, :], ds)[:, :, None, :])
+    hi = np.minimum(jhi[:, None, :, None], _span_sub(jhi[:, None, :], ds)[:, :, None, :])
+    gap = _span_sub(hi, lo)
+    # hyperplane coordinates and their certified error, one row per delta
+    basis = [phi(f.qb([0] * k + [1] + [0] * (dim - k)), 60) for k in range(d)]
+    gam = d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
+    cmat = np.array([x.coords for x in deltas], dtype=float)
+    pds = cmat @ np.array([b.coords for b in basis])
+    perr = np.abs(cmat) @ np.array([b.err + gam * sum(map(abs, b.coords)) for b in basis])
+    amin = np.array([cl.min(axis=0) for cl in clouds])
+    amax = np.array([cl.max(axis=0) for cl in clouds])
     out = []
-    for coords in cands:
-        if all(c == 0 for c in coords):
-            continue
-        delta = f.qb(coords)
-        if qb_compare(delta, f.zero) != GT:
-            continue
-        if qb_compare(delta, diam) != LT:
-            continue
-        df = float(delta)
-        pd = np.array(phi(delta, 60).coords)
-        for i in range(nv):
-            for j in range(nv):
-                # interval translates must meet (float gate, exact confirm
-                # only inside the narrow ambiguity band)
-                lo = max(jlo[i], jlo[j] - df)
-                hi = min(jhi[i], jhi[j] - df)
-                if hi - lo < -1e-9:
-                    continue
-                if hi - lo < 1e-9:
-                    lo_q = max(g.J[i].lo, g.J[j].lo - delta)
-                    hi_q = min(g.J[i].hi, g.J[j].hi - delta)
-                    if qb_compare(lo_q, hi_q) != LT:
-                        continue
-                bmin, bmax = boxes[j]
-                amin, amax = boxes[i]
-                gap = np.maximum(bmin + pd - amax, amin - (bmax + pd)).max()
-                if gap <= 2 * err + slack and cells_touch(i, centers[j] + pd):
-                    out.append((delta, i, j))
+    for c, i, j in zip(*np.nonzero(gap[1] > 0)):
+        delta = deltas[c]
+        if gap[0][c, i, j] <= 0:
+            lo_q = max(g.J[i].lo, g.J[j].lo - delta)
+            hi_q = min(g.J[i].hi, g.J[j].hi - delta)
+            if qb_compare(lo_q, hi_q) != LT:
+                continue
+        pd = pds[c]
+        bgap = np.maximum(amin[j] + pd - amax[i], amin[i] - (amax[j] + pd)).max()
+        if bgap <= 2 * err + slack + perr[c] and cells_touch(i, centers[j] + pd):
+            out.append((delta, int(i), int(j)))
     return out, err
 
 
@@ -554,20 +573,26 @@ def _bareiss_det(m):
 
 
 def _minpoly_at_matrix(field, m):
-    """q(M) for the minimal polynomial q, over the integers."""
+    """q(M) for the minimal polynomial q, over the integers.
+
+    q(M) = M^d - c1 M^(d-1) - ... - cd I is built by Horner; each product
+    with M adds multiples of M's rows, holding only their nonzero entries.
+    """
     n = len(m)
     c = field.coeffs
-
-    def matmul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    # q(M) = M^d - c1 M^(d-1) - ... - cd I, built by Horner
+    rows = [[(j, v) for j, v in enumerate(r) if v] for r in m]
     out = [[m[i][j] - (c[0] if i == j else 0) for j in range(n)] for i in range(n)]
     for k in range(1, field.degree):
-        out = matmul(out, m)
-        for i in range(n):
-            out[i][i] -= c[k]
+        prod = []
+        for i, r in enumerate(out):
+            acc = [0] * n
+            for l, a in enumerate(r):
+                if a:
+                    for j, v in rows[l]:
+                        acc[j] += a * v
+            acc[i] -= c[k]
+            prod.append(acc)
+        out = prod
     return out
 
 
@@ -708,20 +733,23 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     overlapping = tuple((delta, g.vertices[i], g.vertices[j])
                         for (delta, i, j), k in zip(pairs, pair_starts)
                         if hit[td.initials[k]])
-    gaps = tuple(float(f.beta) - radius[s] for s in td.initials if not hit[s])
+    beta_f = float(f.beta)
+    gaps = tuple(beta_f - radius[s] for s in td.initials if not hit[s])
     verdict = "multiple" if overlapping else "tiling"
     return TilingDecision(verdict, overlapping, len(pairs), gaps)
 
 
 def _small_orbit_rep(t, lo, hi, bounds):
-    """A field element in [lo, hi) whose forward orbit is short: a lattice
-    point with bounded conjugates when one exists, else the simplest rational."""
+    """A field element in [lo, hi) whose forward orbit is short: the
+    lexicographically first lattice point with bounded conjugates when one
+    exists, else the simplest rational.  The lattice window is the certified
+    float span from lo to hi."""
     f = t.field
-    flo, fhi = float(lo), float(hi)
-    pad = (fhi - flo) * 1e-6 + 1e-12
+    flo = _float_span(f, lo.coords)[0]
+    fhi = _float_span(f, hi.coords)[1]
     scale = 1
     while scale <= 4:
-        for coords in lattice_candidates(f, flo - pad, fhi + pad, [b * scale for b in bounds]):
+        for coords in lattice_candidates(f, flo, fhi, [b * scale for b in bounds]):
             x = f.qb(coords)
             if qb_compare(x, lo) != LT and qb_compare(x, hi) == LT:
                 return x

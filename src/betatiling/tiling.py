@@ -232,14 +232,39 @@ def _conj_matrix(field):
     return np.array([[c ** k for k in range(d)] for c in cs])
 
 
+def _slab_rows(vand, r0, axes, g1_lo, g1_hi):
+    """Integer rows (c_0, c_1, ..., c_{d-1}) with |c_0| <= r0 and c_k over
+    axes[k-1] whose float real embedding c_0 + sum_k c_k beta^k lies in
+    [g1_lo - 1e-9, g1_hi + 1e-9], in lexicographic order.
+
+    Only the grid of c_1..c_{d-1} is enumerated: on each of its slabs the
+    window fixes c_0 to an integer range, solved directly and widened by one
+    on either side for float rounding, before the window test itself.
+    """
+    b0 = vand[0].real
+    _check_bytes(math.prod(len(a) for a in axes), len(axes), "lattice box")
+    rest = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    s = rest.astype(float) @ b0[1:]
+    lo = np.clip(np.ceil(g1_lo - 1e-9 - s) - 1, -r0, r0 + 1).astype(np.int64)
+    hi = np.clip(np.floor(g1_hi + 1e-9 - s) + 1, -r0 - 1, r0).astype(np.int64)
+    n = np.maximum(hi - lo + 1, 0)
+    total = int(n.sum())
+    _check_bytes(total, len(b0), "lattice box")
+    c0 = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(total)
+    coords = np.column_stack([c0, np.repeat(rest, n, axis=0)])
+    vals = coords.astype(float) @ b0
+    coords = coords[(vals >= g1_lo - 1e-9) & (vals <= g1_hi + 1e-9)]
+    return coords[np.lexsort(coords.T[::-1])]
+
+
 def lattice_candidates(field, g1_lo, g1_hi, block_bounds):
-    """Integer coordinate vectors whose embeddings fit the given box.
+    """Integer coordinate vectors whose embeddings fit the given box, in
+    lexicographic order.
 
     The real embedding is confined to [g1_lo, g1_hi] and each conjugate block
     to the corresponding radius.  The float prefilter is inflated so that no
     true solution is excluded; callers re-check exactly.
     """
-    d = field.degree
     vand = _conj_matrix(field)
     vinv = np.linalg.inv(vand)
     bvec = [max(abs(g1_lo), abs(g1_hi))]
@@ -248,20 +273,15 @@ def lattice_candidates(field, g1_lo, g1_hi, block_bounds):
         if kind == "pair":
             bvec.append(float(r))
     bvec = np.array(bvec)
-    ranges = np.abs(vinv) @ bvec * (1 + 1e-9) + 0.5001
-    axes = [np.arange(-int(r), int(r) + 1) for r in ranges]
-    _check_bytes(math.prod(len(a) for a in axes), d, "lattice box")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    vals0 = coords.astype(float) @ vand[0].real
-    keep = (vals0 >= g1_lo - 1e-9) & (vals0 <= g1_hi + 1e-9)
+    ranges = [int(r) for r in np.abs(vinv) @ bvec * (1 + 1e-9) + 0.5001]
+    coords = _slab_rows(vand, ranges[0], [np.arange(-r, r + 1) for r in ranges[1:]],
+                        g1_lo, g1_hi)
+    keep = np.ones(len(coords), dtype=bool)
     for (kind, j), r in zip(field.hblocks, block_bounds):
         row = vand[j]
         zj = coords.astype(float) @ row.real + 1j * (coords.astype(float) @ row.imag)
         keep &= np.abs(zj) <= float(r) * (1 + 1e-9) + 1e-9
-    coords = coords[keep]
-    order = np.lexsort(coords.T[::-1])
-    return [tuple(int(c) for c in row) for row in coords[order]]
+    return [tuple(int(c) for c in row) for row in coords[keep]]
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +436,10 @@ def weak_finiteness_epsilon(t, pset):
 def _height_ordered_range(field, g1_lo, g1_hi, height):
     """Integer coordinate tuples with sup norm <= height whose real embedding
     lies in [g1_lo, g1_hi], ordered by (height, lex)."""
-    d = field.degree
-    vand = _conj_matrix(field)
     ax = np.arange(-height, height + 1)
-    mesh = np.meshgrid(*([ax] * d), indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = coords.astype(float) @ vand[0].real
-    keep = (vals >= g1_lo - 1e-9) & (vals <= g1_hi + 1e-9)
-    coords = coords[keep]
-    rows = [tuple(int(c) for c in r) for r in coords]
-    rows.sort(key=lambda c: (max(abs(x) for x in c), c))
-    return rows
+    coords = _slab_rows(_conj_matrix(field), height, [ax] * (field.degree - 1), g1_lo, g1_hi)
+    order = np.lexsort(tuple(coords.T[::-1]) + (np.abs(coords).max(axis=1),))
+    return [tuple(int(c) for c in row) for row in coords[order]]
 
 
 def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):

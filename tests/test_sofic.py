@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from betatiling import sofic
 from betatiling.betamap import (expand, is_admissible, prefix_interval_set,
                                 preset, transform_from_config, word_from_digits)
 from betatiling.errors import BudgetExceeded
@@ -14,7 +15,8 @@ from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
-                              _component_walk, _sccs, _small_orbit_rep)
+                              _component_walk, _minpoly_at_matrix, _sccs,
+                              _small_orbit_rep)
 from betatiling.tiling import conj_block_bounds
 
 from conftest import stage_cache
@@ -212,6 +214,65 @@ def test_beta_eigenvalue_exact(golden):
     assert beta_is_eigenvalue(golden, m)
     assert not beta_is_eigenvalue(golden, [[1, 0], [0, 1]])
     assert not beta_is_eigenvalue(golden, [[0, 0], [0, 0]])
+
+
+def _minpoly_dense_reference(field, m):
+    """q(M) by Horner with dense matrix products."""
+    n = len(m)
+    c = field.coeffs
+
+    def matmul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    out = [[m[i][j] - (c[0] if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, field.degree):
+        out = matmul(out, m)
+        for i in range(n):
+            out[i][i] -= c[k]
+    return out
+
+
+def test_minpoly_sparse_rows_match_dense_product(monkeypatch, golden, tribonacci,
+                                                 smallest_pisot):
+    # the components a decision tests, recorded from two multiple verdicts
+    cases = []
+    real = sofic.beta_is_eigenvalue
+    monkeypatch.setattr(sofic, "beta_is_eigenvalue",
+                        lambda field, m: cases.append((field, m)) or real(field, m))
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    for name in ("golden_pm1", "tribonacci_symmetric"):
+        t = transform_from_config(json.loads((root / f"{name}.json").read_text()))
+        _, g, pset = stage_cache(t)
+        decide_tiling(t, g, pset, depth=12)
+    monkeypatch.undo()
+    recorded = len(cases)
+    # seeded random matrices; every other one hides the companion matrix in a
+    # permuted block-triangular form, so beta is one of its eigenvalues
+    rng = random.Random(20260)
+    for field in (golden, tribonacci, smallest_pisot):
+        d = field.degree
+        for trial in range(60):
+            n = rng.randint(1, 10)
+            a = [[rng.choice((0, 0, 0, 1, 1, 2, -1)) for _ in range(n)] for _ in range(n)]
+            if trial % 2 and n >= d:
+                for i in range(d):
+                    a[i][:d] = [int(x) for x in field.companion[i]]
+                for i in range(d, n):
+                    a[i][:d] = [0] * d
+                perm = rng.sample(range(n), n)
+                b = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(n):
+                        b[perm[i]][perm[j]] = a[i][j]
+                a = b
+            cases.append((field, a))
+    hits = [0, 0]
+    for k, (field, m) in enumerate(cases):
+        q = _minpoly_at_matrix(field, m)
+        assert q == _minpoly_dense_reference(field, m), m
+        hits[k >= recorded] += beta_is_eigenvalue(field, m)
+    assert recorded > 0 and min(hits) > 0 and hits[1] < len(cases) - recorded
 
 
 # ---------------------------------------------------------------------------

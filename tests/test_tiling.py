@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -16,11 +17,13 @@ from betatiling.errors import (BudgetExceeded, DigitsNotIntegral, OutOfDomain,
                                ValidationError)
 from betatiling.numfield import phi, psi, qb_compare
 from betatiling.tiling import (box_count_measure, check_f, check_w,
-                               clouds_at_depth, covering_degree_estimate,
-                               gifs_build, natext_domain,
+                               clouds_at_depth, conj_block_bounds,
+                               covering_degree_estimate, gifs_build,
+                               lattice_candidates, natext_domain,
                                purely_periodic_points, tile_cloud,
                                tiles_containing, torus_translates,
-                               weak_finiteness_epsilon, _height_ordered_range)
+                               weak_finiteness_epsilon, _conj_matrix,
+                               _height_ordered_range)
 
 from conftest import stage_cache
 
@@ -258,7 +261,7 @@ def _check_w_reference(t, pset, z_height=40, k_budget=300, max_candidates=20000)
     eps = weak_finiteness_epsilon(t, pset)
     pts = list(pset.points)
     tried = 0
-    for coords in _height_ordered_range(f, 0.0, float(eps), z_height):
+    for coords in _height_ordered_range_reference(f, 0.0, float(eps), z_height):
         z = f.qb(coords)
         if qb_compare(z, f.zero) < 0 or qb_compare(z, eps) >= 0:
             continue
@@ -298,6 +301,128 @@ def test_check_w_matches_step_index_reference():
         assert (rep.status, rep.x, rep.witnesses, rep.epsilon, rep.chains) == ref, path.name
         outcomes.add(rep.status)
     assert outcomes == {"holds", "fails_by_budget"}
+
+
+def test_check_w_memory_stays_small():
+    # the (W) candidates come from a (d-1)-dimensional slab grid; the full
+    # 81^3 meshgrid at z_height 40 peaked at 40.5 MB
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "tribonacci_symmetric.json"
+    t = transform_from_config(json.loads(path.read_text()))
+    pset = purely_periodic_points(t)
+    rep = check_w(t, pset)
+    tracemalloc.start()
+    try:
+        assert check_w(t, pset) == rep
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# lattice enumeration
+
+def _lattice_candidates_reference(field, g1_lo, g1_hi, block_bounds):
+    """The enumerator over the full d-dimensional meshgrid of the box."""
+    vand = _conj_matrix(field)
+    vinv = np.linalg.inv(vand)
+    bvec = [max(abs(g1_lo), abs(g1_hi))]
+    for (kind, j), r in zip(field.hblocks, block_bounds):
+        bvec.append(float(r))
+        if kind == "pair":
+            bvec.append(float(r))
+    bvec = np.array(bvec)
+    ranges = np.abs(vinv) @ bvec * (1 + 1e-9) + 0.5001
+    axes = [np.arange(-int(r), int(r) + 1) for r in ranges]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    coords = np.stack([m.ravel() for m in mesh], axis=1)
+    vals0 = coords.astype(float) @ vand[0].real
+    keep = (vals0 >= g1_lo - 1e-9) & (vals0 <= g1_hi + 1e-9)
+    for (kind, j), r in zip(field.hblocks, block_bounds):
+        row = vand[j]
+        zj = coords.astype(float) @ row.real + 1j * (coords.astype(float) @ row.imag)
+        keep &= np.abs(zj) <= float(r) * (1 + 1e-9) + 1e-9
+    coords = coords[keep]
+    order = np.lexsort(coords.T[::-1])
+    return [tuple(int(c) for c in row) for row in coords[order]]
+
+
+def _height_ordered_range_reference(field, g1_lo, g1_hi, height):
+    """The (height, lex) enumerator over the full d-dimensional meshgrid."""
+    d = field.degree
+    vand = _conj_matrix(field)
+    ax = np.arange(-height, height + 1)
+    mesh = np.meshgrid(*([ax] * d), indexing="ij")
+    coords = np.stack([m.ravel() for m in mesh], axis=1)
+    vals = coords.astype(float) @ vand[0].real
+    keep = (vals >= g1_lo - 1e-9) & (vals <= g1_hi + 1e-9)
+    coords = coords[keep]
+    rows = [tuple(int(c) for c in r) for r in coords]
+    rows.sort(key=lambda c: (max(abs(x) for x in c), c))
+    return rows
+
+
+BUNDLED = sorted(p.stem for p in
+                 (pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_slab_enumerators_match_meshgrid_reference(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    t = transform_from_config(json.loads(path.read_text()))
+    f = t.field
+    bounds = conj_block_bounds(t)
+    diam = float(t.xmax - t.xmin)
+    domain = lattice_candidates(f, float(t.xmin), float(t.xmax), bounds)
+    assert domain == _lattice_candidates_reference(f, float(t.xmin), float(t.xmax), bounds)
+    wide = [2 * b for b in bounds]
+    assert lattice_candidates(f, -diam, diam, wide) == \
+        _lattice_candidates_reference(f, -diam, diam, wide)
+    # thin windows around lattice values, with the 1e-9 widening landing on them
+    vand = _conj_matrix(f)
+    hits = 0
+    for coords in domain[::max(1, len(domain) // 12)]:
+        v = float(np.array(coords, dtype=float) @ vand[0].real)
+        for lo, hi in ((v - 1e-7, v + 1e-7), (v + 1e-9, v + 1e-7), (v - 1e-7, v - 1e-9)):
+            for scale in (1, 4):
+                bb = [b * scale for b in bounds]
+                got = lattice_candidates(f, lo, hi, bb)
+                assert got == _lattice_candidates_reference(f, lo, hi, bb), (coords, lo, hi)
+                hits += coords in got
+    assert hits > 0
+    eps = [0.3]
+    if t.side == "right":
+        eps.append(float(weak_finiteness_epsilon(t, purely_periodic_points(t))))
+    for e in eps:
+        assert _height_ordered_range(f, 0.0, e, 40) == _height_ordered_range_reference(f, 0.0, e, 40)
+    for h in range(1, 8):
+        assert _height_ordered_range(f, 0.0, math.inf, h) == \
+            _height_ordered_range_reference(f, 0.0, math.inf, h)
+
+
+def _default_samples_reference(field, count):
+    """Samples rebuilt from the reference range for each height 1..7."""
+    out = []
+    h = 1
+    while len(out) < count and h < 8:
+        out = []
+        for coords in _height_ordered_range_reference(field, 0.0, math.inf, h):
+            z = field.qb(coords)
+            if qb_compare(z, field.zero) > 0:
+                out.append(z)
+            if len(out) >= count:
+                break
+        h += 1
+    return out[:count]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_default_samples_match_reference(name):
+    from betatiling.cli import default_samples
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    f = transform_from_config(json.loads(path.read_text())).field
+    for count in (1, 20, 50, 400, 10 ** 6):
+        assert default_samples(f, count) == _default_samples_reference(f, count), count
 
 
 def test_left_continuous_map_rejected(golden):
