@@ -19,12 +19,16 @@ ratio of the medians, and a verdict against the metric's bound:
   better by more than the parent's quartile spread;
 - ``ok``: none of these.
 
+Below the table, each entry of the report line's ``latency_p50_ms_by_kind``
+(one per op kind, e.g. one per config in ``decide``) gets the median over
+each side's runs and their ratio, so that a claim shows which kind moved.
 Failed ops are summed per side.  The script reads ``BENCHMARK.json`` from
 CHANGE_DIR and writes nothing.
 """
 
 import argparse
 import json
+import math
 import pathlib
 import statistics
 import subprocess
@@ -39,9 +43,9 @@ def run(checkout, bench, workload, seed):
             "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode or not lines:
+    if proc.returncode or len(lines) < 2:
         raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-2]), json.loads(lines[-1])
 
 
 def quartiles(values):
@@ -77,11 +81,14 @@ def compare(args, bench, workload):
     change's failed op count."""
     names = [m["name"] for m in bench["end_to_end"]]
     values = {side: {n: [] for n in names} for side in ("parent", "change")}
+    by_kind = {side: {} for side in ("parent", "change")}
     failed = {"parent": [0, 0], "change": [0, 0]}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            res = run(getattr(args, side), bench, workload, args.seed)
+            report, res = run(getattr(args, side), bench, workload, args.seed)
+            for kind, ms in report["latency_p50_ms_by_kind"].items():
+                by_kind[side].setdefault(kind, []).append(ms)
             for n in names:
                 values[side][n].append(res["metrics"][n]["value"])
             failed[side][0] += res["failed"]
@@ -98,6 +105,11 @@ def compare(args, bench, workload):
         cell = lambda q: f"{q[0]:.4g} [{q[1]:.4g}, {q[2]:.4g}]"
         print(f"{r['name']:18s} {cell(r['parent']):>26s} {cell(r['change']):>26s} "
               f"{r['wins']:>3d}/{args.pairs:<2d} {r['ratio']:6.3f} {r['bound']:5.2f}  {r['verdict']}")
+    print(f"{'latency_p50_ms of':30s} {'parent':>10s} {'change':>10s} {'ratio':>6s}")
+    for kind in sorted(set(by_kind["parent"]) | set(by_kind["change"])):
+        pm, cm = (statistics.median(by_kind[side].get(kind, [math.nan]))
+                  for side in ("parent", "change"))
+        print(f"{kind:30s} {pm:10.4g} {cm:10.4g} {cm / pm:6.3f}")
     for side in ("parent", "change"):
         print(f"failed ops, {side}: {failed[side][0]} of {failed[side][1]}")
     print(flush=True)

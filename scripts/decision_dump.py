@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Canonical JSON of the exact decision outputs of one source checkout.
+
+    python3 scripts/decision_dump.py CHECKOUT OUT.json
+
+Imports ``betatiling`` from CHECKOUT/src and, for every right-continuous
+config in CHECKOUT/configs, writes the ``check_w`` report, and at depths 12,
+14 and 16 the ``difference_pairs`` triples with ``err``, and the
+``decide_tiling`` verdict, overlapping pairs, ``candidates_checked`` and
+spectral gaps.  Field elements are written as their rational coordinates and
+floats as ``float.hex``, and keys are sorted, so two checkouts give the same
+outputs exactly when ``diff`` finds the two files identical.
+"""
+
+import json
+import pathlib
+import sys
+
+DEPTHS = (12, 14, 16)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        raise SystemExit(__doc__.strip().split("\n\n")[1].strip())
+    checkout, out = pathlib.Path(argv[0]).resolve(), pathlib.Path(argv[1])
+    sys.path.insert(0, str(checkout / "src"))
+    from betatiling import betamap, sofic, tiling
+
+    qb = lambda x: [str(c) for c in x.coords]
+    dump = {}
+    for path in sorted((checkout / "configs").glob("*.json")):
+        t = betamap.transform_from_config(json.loads(path.read_text()))
+        if t.side != "right":
+            continue
+        g = tiling.gifs_build(t, betamap.compute_v(t))
+        pset = tiling.purely_periodic_points(t)
+        w = tiling.check_w(t, pset)
+        row = {"check_w": {
+            "status": w.status,
+            "x": None if w.x is None else qb(w.x),
+            "epsilon": qb(w.epsilon),
+            "witnesses": sorted([qb(y), qb(z), k] for y, (z, k) in w.witnesses.items()),
+            "chains": sorted([qb(y), [qb(c) for c in ch]] for y, ch in w.chains.items())}}
+        aut = sofic.build_automaton(t)
+        for depth in DEPTHS:
+            pairs, err = sofic.difference_pairs(t, g, depth)
+            dec = sofic.decide_tiling(t, g, pset, depth=depth, automaton=aut)
+            row[f"depth_{depth}"] = {
+                "difference_pairs": [[qb(delta), i, j] for delta, i, j in pairs],
+                "err": err.hex(),
+                "verdict": dec.verdict,
+                "pairs": [[qb(delta), qb(x), qb(y)] for delta, x, y in dec.pairs],
+                "candidates_checked": dec.candidates_checked,
+                "spectral_gaps": [float(s).hex() for s in dec.spectral_gaps]}
+        dump[path.stem] = row
+        print(path.stem, file=sys.stderr, flush=True)
+    out.write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

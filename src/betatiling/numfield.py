@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import FieldMismatch, NotIrreducible, NotPisot, NotUnit, ValidationError
 from .rootiso import (RootDisk, certified_complex_roots, is_irreducible_monic,
-                      isolate_real_roots, poly_deriv, poly_eval, refine_root,
+                      isolate_real_roots, poly_deriv, refine_root,
                       sqrt_upper)
 
 LT, EQ, GT = -1, 0, 1
@@ -686,9 +686,12 @@ def _simplest_between(lo, hi):
 
 
 def simple_rational_in(lo, hi):
-    """A small-denominator rational field element x with lo <= x < hi (exact)."""
+    """A small-denominator rational field element x with lo <= x < hi (exact).
+
+    Raises ValidationError when lo >= hi, where no such x exists."""
+    if qb_compare(lo, hi) != LT:
+        raise ValidationError("simple_rational_in needs lo < hi")
     field = lo.field
-    width = (hi - lo)
     w = Fraction(1, 16)
     while True:
         a1, b1 = gamma_interval(lo, 0, w)

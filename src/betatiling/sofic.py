@@ -21,18 +21,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dfield
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import Expansion, endpoint_words, expand
+from .betamap import endpoint_words, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral, NotSofic,
                      ValidationError)
 from .numfield import (GT, LT, _float_span, gamma_abs_upper, phi, qb_compare,
                        simple_rational_in)
 from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
-                     lattice_candidates, unique_cells, _require_integral_digits)
+                     lattice_candidates, unique_cells, _check_bytes,
+                     _conj_matrix, _require_integral_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +355,10 @@ def difference_pairs(t, g, depth=10):
     length straddles zero.  delta's hyperplane coordinates are its coordinates
     times the rows phi(beta^k), widened by their errors and the rounding of
     the product.
+
+    The geometric test is one index per decision: tile i's cells, dilated by
+    every offset within the reach, are keyed and sorted once, on first use,
+    so that a triple costs one ``searchsorted`` of tile j's shifted cells.
     """
     _require_integral_digits(t)
     f = t.field
@@ -380,17 +384,26 @@ def difference_pairs(t, g, depth=10):
     offs = np.array(list(itertools.product(range(-reach, reach + 1), repeat=dim)),
                     dtype=np.int64)
     cellsets = [unique_cells(np.floor(cl / cell).astype(np.int64)) for cl in clouds]
-    stored = np.vstack(cellsets)    # widened so that a query cell in reach dilates inside
-    base, span = frame = cell_frame(np.vstack([stored - 2 * reach, stored + 2 * reach]))
-    keysets = [cell_keys(c, frame) for c in cellsets]
+    stored = np.vstack(cellsets)    # widened to hold every dilated cell
+    base, span = frame = cell_frame(np.vstack([stored - reach, stored + reach]))
     centers = [(c + 0.5) * cell for c in cellsets]
+    # keys are affine in the cell, so inside the frame a cell's dilated keys
+    # are its key plus each offset's key step
+    steps = cell_keys(offs + base, frame)
+    dilated = {}
 
     def cells_touch(i, pts):
+        # offs is symmetric: a query cell touches tile i when it lies in tile
+        # i's dilated cells, which the frame holds, so cells outside it miss
+        if i not in dilated:
+            _check_bytes(len(cellsets[i]) * len(offs), 1, "dilated cell set")
+            keys = (cell_keys(cellsets[i], frame)[:, None] + steps).ravel()
+            dilated[i] = np.unique(keys, return_counts=True)[0]
+        keys = dilated[i]
         c = np.floor(pts / cell).astype(np.int64)
-        c = c[np.all((c >= base + reach) & (c < base + span - reach), axis=1)]  # others miss
-        codes = cell_keys((c[:, None, :] + offs).reshape(-1, dim), frame)
-        pos = np.clip(np.searchsorted(keysets[i], codes), 0, len(keysets[i]) - 1)
-        return bool(np.any(keysets[i][pos] == codes))
+        codes = cell_keys(c[np.all((c >= base) & (c < base + span), axis=1)], frame)
+        pos = np.clip(np.searchsorted(keys, codes), 0, len(keys) - 1)
+        return bool(np.any(keys[pos] == codes))
 
     # interval gate over (delta, i, j): lo = max(J_i.lo, J_j.lo - delta) and
     # hi = min(J_i.hi, J_j.hi - delta) must satisfy lo < hi
@@ -713,16 +726,15 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
             ray_cache[x.coords] = expand(t, x)
         return ray_cache[x.coords]
 
-    rep_bounds = conj_block_bounds(t)
+    # any representative of the class pair gives the same tiles; a lattice
+    # point with small conjugates keeps the endpoint orbits short
+    reps = _small_orbit_reps(t, [(max(g.J[i].lo, g.J[j].lo - delta),
+                                  min(g.J[i].hi, g.J[j].hi - delta))
+                                 for delta, i, j in pairs])
     start_of = {}        # (delta, xrep) coordinates -> start index
     starts = []
     pair_starts = []
-    for delta, i, j in pairs:
-        # any representative of the class pair gives the same tiles; a lattice
-        # point with small conjugates keeps the endpoint orbits short
-        lo = max(g.J[i].lo, g.J[j].lo - delta)
-        hi = min(g.J[i].hi, g.J[j].hi - delta)
-        xrep = _small_orbit_rep(t, lo, hi, rep_bounds)
+    for (delta, _, _), xrep in zip(pairs, reps):
         key = (delta.coords, xrep.coords)
         if key not in start_of:
             start_of[key] = len(starts)
@@ -739,19 +751,37 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     return TilingDecision(verdict, overlapping, len(pairs), gaps)
 
 
-def _small_orbit_rep(t, lo, hi, bounds):
-    """A field element in [lo, hi) whose forward orbit is short: the
-    lexicographically first lattice point with bounded conjugates when one
-    exists, else the simplest rational.  The lattice window is the certified
-    float span from lo to hi."""
+def _small_orbit_reps(t, windows):
+    """Per window (lo, hi), a field element in [lo, hi) with a short forward
+    orbit: the lexicographically first lattice point with conjugates within
+    the certified bounds times 1, 2 or 4 (the first scale with one), else the
+    simplest rational.  Each scale's box is enumerated once, over the float
+    span of all windows; a window's candidates are the rows whose float real
+    embedding lies in the certified span from its lo to its hi, widened as in
+    ``lattice_candidates``."""
     f = t.field
-    flo = _float_span(f, lo.coords)[0]
-    fhi = _float_span(f, hi.coords)[1]
-    scale = 1
-    while scale <= 4:
-        for coords in lattice_candidates(f, flo, fhi, [b * scale for b in bounds]):
-            x = f.qb(coords)
-            if qb_compare(x, lo) != LT and qb_compare(x, hi) == LT:
-                return x
-        scale *= 2
-    return simple_rational_in(lo, hi)
+    spans = [(_float_span(f, lo.coords)[0], _float_span(f, hi.coords)[1]) for lo, hi in windows]
+    if not spans:
+        return []
+    glo, ghi = min(s[0] for s in spans), max(s[1] for s in spans)
+    bounds = conj_block_bounds(t)
+    b0 = _conj_matrix(f)[0].real
+    boxes = {}
+
+    def box(scale):
+        if scale not in boxes:
+            rows = np.array(lattice_candidates(f, glo, ghi, [b * scale for b in bounds]),
+                            dtype=np.int64).reshape(-1, f.degree)
+            boxes[scale] = rows, rows.astype(float) @ b0
+        return boxes[scale]
+
+    def rep(lo, hi, flo, fhi):
+        for scale in (1, 2, 4):
+            rows, vals = box(scale)
+            for coords in rows[(vals >= flo - 1e-9) & (vals <= fhi + 1e-9)].tolist():
+                x = f.qb(coords)
+                if qb_compare(x, lo) != LT and qb_compare(x, hi) == LT:
+                    return x
+        return simple_rational_in(lo, hi)
+
+    return [rep(lo, hi, *span) for (lo, hi), span in zip(windows, spans)]

@@ -449,7 +449,10 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     A found witness certifies the tiling property.  Exhausting the budget is
     reported as such, never as a refutation.  The chains run on the integer
     orbit kernel of :mod:`betamap`: the periodic points, z and the digits lie
-    in Z[beta], so every chain point is an integer coordinate tuple.
+    in Z[beta], so every chain point is an integer coordinate tuple.  Chains
+    of different candidates meet the same points again and again, so one
+    table per search maps a point's numerators to its successor's (None
+    outside the domain) and each distinct point is screened and stepped once.
     """
     _require_integral_digits(t)
     f = t.field
@@ -460,6 +463,14 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     ys = [_num_frame(t, y)[1] for y in pts]
     periodic = set(ys)
     row = f._pow_coords[f.degree]
+    succ = {}
+
+    def step(c):
+        if c not in succ:
+            a = t._index_num(c, q)
+            succ[c] = None if a is None else _num_step(row, c, qd[a])
+        return succ[c]
+
     tried = 0
     for coords in cands:
         z = f.qb(coords)
@@ -472,8 +483,8 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
         chains = [[c] for c in cur]
         seen_states = set()
         for k in range(k_budget + 1):
-            idx = [t._index_num(c, q) for c in cur]
-            if None in idx:
+            nxt = [step(c) for c in cur]
+            if None in nxt:
                 break
             state = tuple(cur)
             if len(set(state)) == 1 and state[0] in periodic:
@@ -485,7 +496,7 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
             if state in seen_states:
                 break
             seen_states.add(state)
-            cur = [_num_step(row, c, qd[a]) for c, a in zip(cur, idx)]
+            cur = nxt
             for ch, c in zip(chains, cur):
                 ch.append(c)
     return WitnessReport("fails_by_budget", None, {}, eps, {})

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betatiling.errors import NotIrreducible, NotPisot, NotUnit
+from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
 from betatiling.numfield import (EQ, GT, LT, _float_value, _horner_interval,
                                  gamma, gamma_interval, make_field, phi, pi1,
                                  psi, qb_compare, qb_floor, simple_rational_in)
@@ -192,6 +192,16 @@ def test_floor_and_simple_rational(golden):
     assert x.is_rational()
     assert qb_compare(x, lo) != LT and qb_compare(x, hi) == LT
     assert x.coords[0].denominator <= 2
+
+
+def test_simple_rational_in_rejects_empty_interval(tribonacci):
+    # with lo >= hi there is no x to find; the search must not narrow forever
+    x = tribonacci.qb(["1/3", "-2/7", "5/11"])
+    y = x + tribonacci.qb(["1/1000000"])
+    for lo, hi in ((x, x), (y, x), (tribonacci.beta, tribonacci.one)):
+        with pytest.raises(ValidationError, match="lo < hi"):
+            simple_rational_in(lo, hi)
+    assert qb_compare(simple_rational_in(x, y), x) != LT
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -10,14 +12,17 @@ from betatiling import sofic
 from betatiling.betamap import (expand, is_admissible, prefix_interval_set,
                                 preset, transform_from_config, word_from_digits)
 from betatiling.errors import BudgetExceeded
-from betatiling.numfield import make_field, qb_compare
+from betatiling.numfield import (GT, LT, _float_span, make_field, phi, qb_compare,
+                                 simple_rational_in)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
                               _component_walk, _minpoly_at_matrix, _sccs,
-                              _small_orbit_rep)
-from betatiling.tiling import conj_block_bounds
+                              _small_orbit_reps, _span_sub)
+from betatiling.tiling import (cell_frame, cell_keys, clouds_at_depth,
+                               conj_block_bounds, lattice_candidates,
+                               unique_cells)
 
 from conftest import stage_cache
 
@@ -157,7 +162,6 @@ def test_transducer_path_sum_identity(tribonacci, tribonacci_symmetric_r):
     vd, g, pset = stage_cache(t)
     aut = build_automaton(t)
     delta = tribonacci.qb([0, 2, -1])      # 1/beta^2, the overlap difference
-    from betatiling.numfield import simple_rational_in
     lo = max(g.J[3].lo, g.J[3].lo - delta)
     xrep = simple_rational_in(g.J[0].lo, g.J[0].hi)
     found = None
@@ -327,7 +331,7 @@ def _decide_per_pair(t, g, aut, depth):
     for delta, i, j in pairs:
         lo = max(g.J[i].lo, g.J[j].lo - delta)
         hi = min(g.J[i].hi, g.J[j].hi - delta)
-        xrep = _small_orbit_rep(t, lo, hi, bounds)
+        xrep = _small_orbit_rep_reference(t, lo, hi, bounds)
         key = (delta.coords, xrep.coords)
         if key not in done:
             td = build_diff_transducer(t, aut, [(delta, expand(t, xrep + delta),
@@ -356,6 +360,112 @@ def _decide_per_pair(t, g, aut, depth):
         if done[key]:
             overlapping.append((delta, g.vertices[i], g.vertices[j]))
     return ("multiple" if overlapping else "tiling"), overlapping, len(pairs), gaps
+
+
+def _small_orbit_rep_reference(t, lo, hi, bounds):
+    """One representative per call: a fresh lattice box per window and scale,
+    the lexicographically first exact hit, else the simplest rational."""
+    f = t.field
+    flo = _float_span(f, lo.coords)[0]
+    fhi = _float_span(f, hi.coords)[1]
+    scale = 1
+    while scale <= 4:
+        for coords in lattice_candidates(f, flo, fhi, [b * scale for b in bounds]):
+            x = f.qb(coords)
+            if qb_compare(x, lo) != LT and qb_compare(x, hi) == LT:
+                return x
+        scale *= 2
+    return simple_rational_in(lo, hi)
+
+
+def _difference_pairs_reference(t, g, depth):
+    """difference_pairs with the query cells of tile j dilated by every offset
+    for each (delta, i, j) triple, against tile i's undilated keys."""
+    f = t.field
+    d = f.degree
+    bounds = [2 * b for b in conj_block_bounds(t)]
+    diam = t.xmax - t.xmin
+    dfhi = _float_span(f, diam.coords)[1]
+    deltas = []
+    for coords in lattice_candidates(f, -dfhi, dfhi, bounds):
+        if all(c == 0 for c in coords):
+            continue
+        delta = f.qb(coords)
+        if qb_compare(delta, f.zero) == GT and qb_compare(delta, diam) == LT:
+            deltas.append(delta)
+    clouds, err = clouds_at_depth(g, depth)
+    if not deltas:
+        return [], err
+    cell = 2 * err
+    slack = cell * 0.75 + 1e-9
+    reach = int(math.ceil((2 * err + slack) / cell)) + 1
+    dim = d - 1
+    offs = np.array(list(itertools.product(range(-reach, reach + 1), repeat=dim)),
+                    dtype=np.int64)
+    cellsets = [unique_cells(np.floor(cl / cell).astype(np.int64)) for cl in clouds]
+    stored = np.vstack(cellsets)
+    base, span = frame = cell_frame(np.vstack([stored - 2 * reach, stored + 2 * reach]))
+    keysets = [cell_keys(c, frame) for c in cellsets]
+    centers = [(c + 0.5) * cell for c in cellsets]
+
+    def cells_touch(i, pts):
+        c = np.floor(pts / cell).astype(np.int64)
+        c = c[np.all((c >= base + reach) & (c < base + span - reach), axis=1)]
+        codes = cell_keys((c[:, None, :] + offs).reshape(-1, dim), frame)
+        pos = np.clip(np.searchsorted(keysets[i], codes), 0, len(keysets[i]) - 1)
+        return bool(np.any(keysets[i][pos] == codes))
+
+    jlo = np.array([_float_span(f, iv.lo.coords) for iv in g.J]).T
+    jhi = np.array([_float_span(f, iv.hi.coords) for iv in g.J]).T
+    ds = np.array([_float_span(f, x.coords) for x in deltas]).T[:, :, None]
+    lo = np.maximum(jlo[:, None, :, None], _span_sub(jlo[:, None, :], ds)[:, :, None, :])
+    hi = np.minimum(jhi[:, None, :, None], _span_sub(jhi[:, None, :], ds)[:, :, None, :])
+    gap = _span_sub(hi, lo)
+    basis = [phi(f.qb([0] * k + [1] + [0] * (dim - k)), 60) for k in range(d)]
+    gam = d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
+    cmat = np.array([x.coords for x in deltas], dtype=float)
+    pds = cmat @ np.array([b.coords for b in basis])
+    perr = np.abs(cmat) @ np.array([b.err + gam * sum(map(abs, b.coords)) for b in basis])
+    amin = np.array([cl.min(axis=0) for cl in clouds])
+    amax = np.array([cl.max(axis=0) for cl in clouds])
+    out = []
+    for c, i, j in zip(*np.nonzero(gap[1] > 0)):
+        delta = deltas[c]
+        if gap[0][c, i, j] <= 0:
+            lo_q = max(g.J[i].lo, g.J[j].lo - delta)
+            hi_q = min(g.J[i].hi, g.J[j].hi - delta)
+            if qb_compare(lo_q, hi_q) != LT:
+                continue
+        pd = pds[c]
+        bgap = np.maximum(amin[j] + pd - amax[i], amin[i] - (amax[j] + pd)).max()
+        if bgap <= 2 * err + slack + perr[c] and cells_touch(i, centers[j] + pd):
+            out.append((delta, int(i), int(j)))
+    return out, err
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+RIGHT_CONTINUOUS = [p.stem for p in sorted(CONFIGS.glob("*.json"))
+                    if transform_from_config(json.loads(p.read_text())).side == "right"]
+
+
+@pytest.mark.parametrize("depth", [12, 14, 16])
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS)
+def test_decision_indexes_match_per_call_references(name, depth):
+    # the per-tile dilated key sets and the per-decision representative boxes
+    # give the pairs, err and representatives of the per-triple and per-call code
+    t = transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    vd, g, pset = stage_cache(t)
+    pairs, err = difference_pairs(t, g, depth)
+    ref, ref_err = _difference_pairs_reference(t, g, depth)
+    assert err == ref_err
+    assert [(x.coords, i, j) for x, i, j in pairs] == [(x.coords, i, j) for x, i, j in ref]
+    assert pairs
+    windows = [(max(g.J[i].lo, g.J[j].lo - delta), min(g.J[i].hi, g.J[j].hi - delta))
+               for delta, i, j in pairs]
+    bounds = conj_block_bounds(t)
+    reps = _small_orbit_reps(t, windows)
+    assert [x.coords for x in reps] == [_small_orbit_rep_reference(t, lo, hi, bounds).coords
+                                        for lo, hi in windows]
 
 
 @pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "tribonacci_symmetric"])
