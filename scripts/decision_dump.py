@@ -6,10 +6,13 @@
 Imports ``betatiling`` from CHECKOUT/src and, for every right-continuous
 config in CHECKOUT/configs, writes the ``check_w`` report, and at depths 12,
 14 and 16 the ``difference_pairs`` triples with ``err``, and the
-``decide_tiling`` verdict, overlapping pairs, ``candidates_checked`` and
-spectral gaps.  Field elements are written as their rational coordinates and
-floats as ``float.hex``, and keys are sorted, so two checkouts give the same
-outputs exactly when ``diff`` finds the two files identical.
+``decide_tiling`` verdict, overlapping pairs, ``candidates_checked``,
+spectral gaps and the state and edge counts of its difference graph (read by
+wrapping ``sofic.build_diff_transducer``), so a change to the graph shows even
+when the verdict holds.  Field elements are written as their rational
+coordinates and floats as ``float.hex``, and keys are sorted, so two
+checkouts give the same outputs exactly when ``diff`` finds the two files
+identical.
 """
 
 import json
@@ -27,6 +30,15 @@ def main(argv=None):
     sys.path.insert(0, str(checkout / "src"))
     from betatiling import betamap, sofic, tiling
 
+    graphs = []
+    build = sofic.build_diff_transducer
+
+    def recording_build(*args, **kwargs):
+        td = build(*args, **kwargs)
+        graphs.append(td)
+        return td
+
+    sofic.build_diff_transducer = recording_build
     qb = lambda x: [str(c) for c in x.coords]
     dump = {}
     for path in sorted((checkout / "configs").glob("*.json")):
@@ -45,14 +57,18 @@ def main(argv=None):
         aut = sofic.build_automaton(t)
         for depth in DEPTHS:
             pairs, err = sofic.difference_pairs(t, g, depth)
+            graphs.clear()
             dec = sofic.decide_tiling(t, g, pset, depth=depth, automaton=aut)
+            (td,) = graphs
             row[f"depth_{depth}"] = {
                 "difference_pairs": [[qb(delta), i, j] for delta, i, j in pairs],
                 "err": err.hex(),
                 "verdict": dec.verdict,
                 "pairs": [[qb(delta), qb(x), qb(y)] for delta, x, y in dec.pairs],
                 "candidates_checked": dec.candidates_checked,
-                "spectral_gaps": [float(s).hex() for s in dec.spectral_gaps]}
+                "spectral_gaps": [float(s).hex() for s in dec.spectral_gaps],
+                "graph_states": len(td.states),
+                "graph_edges": len(td.edges)}
         dump[path.stem] = row
         print(path.stem, file=sys.stderr, flush=True)
     out.write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")

@@ -498,11 +498,9 @@ class VData:
     V: list
     J: dict            # V point -> IntervalQB
     m: dict            # discontinuity -> merge time (None if the orbits never merge)
-    order: dict = dfield(default_factory=dict)
     intervals: list = dfield(default_factory=list)     # J in the order of V
 
     def __post_init__(self):
-        self.order = {v.coords: i for i, v in enumerate(self.V)}
         self.intervals = [self.J[v] for v in self.V]
 
     def index_of_point(self, x):
@@ -574,19 +572,30 @@ def compute_v(t, budget=20000):
 # ---------------------------------------------------------------------------
 # transfer matrix, invariant density, support restriction
 
+def branch_edges(t, vdata):
+    """Per point V[i], the pairs (j, a), in digit order, of every digit a
+    whose branch-a preimage (V[i] + a)/beta lies in piece a and in interval
+    j."""
+    out = [[] for _ in vdata.V]
+    for row, v in zip(out, vdata.V):
+        for a, dg in enumerate(t.digits):
+            y = (v + dg).div_beta()
+            if t.digit_index_of(y) == a:
+                j = vdata.index_of_point(y)
+                if j is None:
+                    raise ValidationError("branch preimage escaped the interval partition")
+                row.append((j, a))
+    return out
+
+
 def transfer_matrix(t, vdata):
     """Integer matrix E with E[i][j] = number of digits a such that the
     branch-a preimage of V[i] lands in interval j."""
     n = len(vdata.V)
     mat = [[0] * n for _ in range(n)]
-    for i, v in enumerate(vdata.V):
-        for a in range(len(t.digits)):
-            y = (v + t.digits[a]).div_beta()
-            if t.digit_index_of(y) == a:
-                j = vdata.index_of_point(y)
-                if j is None:
-                    raise ValidationError("preimage escaped the interval partition")
-                mat[i][j] += 1
+    for i, row in enumerate(branch_edges(t, vdata)):
+        for j, _ in row:
+            mat[i][j] += 1
     return mat
 
 

@@ -45,7 +45,6 @@ class Pipeline:
     """Lazily computed stages shared by the report commands."""
 
     def __init__(self, cfg, budget=20000):
-        self.cfg = cfg
         self.budget = budget
         self.t = betamap.transform_from_config(cfg)
         self._vd = self._g = self._pset = self._aut = None
@@ -276,7 +275,6 @@ def build_parser():
     ap.add_argument("--config", required=True, help="transform config JSON path")
     ap.add_argument("--x", help="point coordinates 'q0,q1,...' for expand")
     ap.add_argument("--depth", type=int, default=14, help="cloud iteration depth")
-    ap.add_argument("--precision", type=int, default=60, help="target bits for enclosures")
     ap.add_argument("--out", help="write the JSON report here (default stdout)")
     ap.add_argument("--svg", help="write an SVG rendering here (where supported)")
     ap.add_argument("--dot", help="write a dot export here (sofic command)")

@@ -31,9 +31,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FieldMismatch, NotIrreducible, NotPisot, NotUnit, ValidationError
-from .rootiso import (RootDisk, certified_complex_roots, is_irreducible_monic,
-                      isolate_real_roots, poly_deriv, refine_root,
-                      sqrt_upper)
+from .rootiso import (RootDisk, _cpoly_eval, certified_complex_roots,
+                      is_irreducible_monic, isolate_real_roots, poly_deriv,
+                      refine_root, sqrt_upper)
 
 LT, EQ, GT = -1, 0, 1
 
@@ -55,10 +55,6 @@ def _horner_interval(coords, lo, hi):
         acc = _imul(acc, (lo, hi))
         acc = (acc[0] + c, acc[1] + c)
     return acc
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def _to_float_up(fr):
@@ -240,7 +236,6 @@ class PisotField:
             for k in range(d))
         # integer matrix of multiplication by 1/beta on coordinates (unit norm)
         inv_cols = []
-        cur = list(self._inv_beta)
         base = QBeta(self, tuple(self._inv_beta))
         for k in range(d):
             col = QBeta(self, tuple(Fraction(1) if i == k else Fraction(0) for i in range(d))) * base
@@ -265,7 +260,6 @@ class PisotField:
         resid = abs(sum(vs) - np.eye(d)[0]).max()
         if resid > 1e-8:
             raise ValidationError(f"eigenvector normalization failed, residual {resid:.2e}")
-        self.v_err = max(resid, 1e-14)
 
         blocks = []   # ('real', j) or ('pair', j) with j the Im>0 member
         j = 1
@@ -543,11 +537,7 @@ def gamma_disk(x, j, radius):
     r = Fraction(radius) / (scale * 4 * fld.degree)
     while True:
         disk = fld._refine_disk(j, r)
-        c = (disk.re, disk.im)
-        val = (Fraction(0), Fraction(0))
-        for cf in reversed(x.coords):
-            val = _cmul(val, c)
-            val = (val[0] + cf, val[1])
+        val = _cpoly_eval(x.coords, (disk.re, disk.im))
         cabs = sqrt_upper(disk.re ** 2 + disk.im ** 2) + disk.radius
         dbound = Fraction(0)
         for k, cf in enumerate(x.coords):

@@ -8,13 +8,14 @@ boundary comparisons.
 
 The tiling decision runs one two-tape difference graph per decision, shared
 by every candidate tile pair: states carry the exact value difference of the
-two remaining rays plus the alive-state sets of both tapes, transitions
-prepend one digit per tape and divide the difference by beta.  A state and
-its out-edges do not depend on which candidate reached it, so each candidate
-is one start state of the graph.  A pair of tiles overlaps on positive
-measure exactly when its start reaches a recurrent component whose adjacency
-matrix has beta as an eigenvalue, which is tested exactly over the integers,
-once per component.
+two remaining rays, a point of one finite difference box that also supplies
+the candidate differences, plus the alive-state sets of both tapes;
+transitions prepend one digit per tape and divide the difference by beta.  A
+state and its out-edges do not depend on which candidate reached it, so each
+candidate is one start state of the graph.  A pair of tiles overlaps on
+positive measure exactly when its start reaches a recurrent component whose
+adjacency matrix has beta as an eigenvalue, which is tested exactly over the
+integers, once per component.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 from .betamap import endpoint_words, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral, NotSofic,
                      ValidationError)
-from .numfield import (GT, LT, _float_span, gamma_abs_upper, phi, qb_compare,
-                       simple_rational_in)
+from .numfield import GT, LT, _float_span, phi, qb_compare, simple_rational_in
 from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
                      lattice_candidates, unique_cells, _check_bytes,
                      _conj_matrix, _require_integral_digits)
@@ -42,7 +42,6 @@ from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
 class SoficityReport:
     sofic: bool
     endpoint_expansions: tuple   # ((digit_idx, piece_idx, lower, upper), ...)
-    witness: object = None
 
 
 def soficity_check(t):
@@ -73,12 +72,11 @@ class ShiftAutomaton:
     live path from the initial state.
     """
 
-    def __init__(self, transform, states, delta, initial, bound_words):
+    def __init__(self, transform, states, delta, initial):
         self.transform = transform
         self.n_states = states
         self.delta = delta           # list of tuples, one per state; None = dead
         self.initial = initial
-        self.bound_words = bound_words   # ((digit, piece) -> (lower, upper))
         self.alphabet = len(transform.digits)
         self._ray_cache = {}
         self._pred_cache = {}
@@ -161,12 +159,8 @@ class ShiftAutomaton:
 
 
 def _monotone_layout(t):
-    last_digit = None
-    for iv, a in t.pieces:
-        if last_digit is not None and a < last_digit:
-            return False
-        last_digit = a
-    return True
+    digits = [a for _, a in t.pieces]
+    return all(a <= b for a, b in zip(digits, digits[1:]))
 
 
 def build_automaton(t, state_budget=200000):
@@ -187,9 +181,6 @@ def build_automaton(t, state_budget=200000):
             bw[(a, i)] = (low, up)
             pieces_of[a].append((a, i))
 
-    def wdigit(word, pos):
-        return word.digit_at(pos)
-
     def advance(word, pos):
         return _canon(word, pos + 1)
 
@@ -208,7 +199,7 @@ def build_automaton(t, state_budget=200000):
             low, up = bw[key]
             if kind == "b":
                 pl, pu = e[2], e[3]
-                lc, uc = wdigit(low, pl), wdigit(up, pu)
+                lc, uc = low.digit_at(pl), up.digit_at(pu)
                 if lc == uc:
                     if c == lc:
                         out.append(("b", key, advance(low, pl), advance(up, pu)))
@@ -221,14 +212,14 @@ def build_automaton(t, state_budget=200000):
                         satisfied = True
             elif kind == "l":
                 pl = e[2]
-                lc = wdigit(low, pl)
+                lc = low.digit_at(pl)
                 if c > lc:
                     satisfied = True
                 elif c == lc:
                     out.append(("l", key, advance(low, pl)))
             else:
                 pu = e[2]
-                uc = wdigit(up, pu)
+                uc = up.digit_at(pu)
                 if c < uc:
                     satisfied = True
                 elif c == uc:
@@ -273,7 +264,7 @@ def build_automaton(t, state_budget=200000):
                 queue.append(key)
             row.append(index[key])
         delta[index[state]] = tuple(row)
-    aut = ShiftAutomaton(t, len(order), delta, 0, bw)
+    aut = ShiftAutomaton(t, len(order), delta, 0)
     return _minimize(aut)
 
 
@@ -306,7 +297,7 @@ def _minimize(aut):
     delta = []
     for i in order:
         delta.append(tuple(None if s is None else remap[s] for s in aut.delta[i]))
-    return ShiftAutomaton(aut.transform, len(order), delta, remap[aut.initial], aut.bound_words)
+    return ShiftAutomaton(aut.transform, len(order), delta, remap[aut.initial])
 
 
 def forbidden_words(aut, maxlen=6):
@@ -341,11 +332,35 @@ def _span_sub(a, b):
     return np.array([np.nextafter(a[0] - b[1], -np.inf), np.nextafter(a[1] - b[0], np.inf)])
 
 
+def _difference_box(t):
+    """Integer tuples x, in lexicographic order, with |x| <= diam and every
+    conjugate block within 2 b_j (b_j from ``conj_block_bounds``): the deltas
+    of :func:`difference_pairs` and the states of the difference graph.
+
+    |x| <= diam is decided exactly, by the certified float span unless it
+    meets -diam or diam, else by ``qb_compare``.  The conjugate test is the
+    float superset of ``lattice_candidates``.  That is safe: a state on an
+    infinite path has Gamma_j(x) = -sum_k beta_j^k Gamma_j(dd_k) for the digit
+    differences dd_k along it, so |Gamma_j(x)| <= 2 b_j, and a state beyond
+    that bound reaches no recurrent component.
+    """
+    f = t.field
+    diam = t.xmax - t.xmin
+    dlo, dhi = _float_span(f, diam.coords)
+    out = []
+    for coords in lattice_candidates(f, -dhi, dhi, [2 * b for b in conj_block_bounds(t)]):
+        lo, hi = _float_span(f, coords)
+        if (-dlo <= lo and hi <= dlo) or (lo <= dhi and hi >= -dhi and
+                                          qb_compare(abs(f.qb(coords)), diam) != GT):
+            out.append(coords)
+    return out
+
+
 def difference_pairs(t, g, depth=10):
     """Triples (delta, i, j) of candidate overlapping tile classes.
 
-    delta runs over nonzero lattice points of the certified conjugate box with
-    positive real embedding; (i, j) over interval classes whose translates can
+    delta runs over the points of the difference box (:func:`_difference_box`)
+    with 0 < delta < diam; (i, j) over interval classes whose translates can
     meet both arithmetically (interval intersection) and geometrically (cloud
     distance at the given depth).  Pruning only ever discards pairs whose
     clouds are provably farther apart than the certified error allows.
@@ -363,16 +378,9 @@ def difference_pairs(t, g, depth=10):
     _require_integral_digits(t)
     f = t.field
     d = f.degree
-    bounds = [2 * b for b in conj_block_bounds(t)]
     diam = t.xmax - t.xmin
-    dfhi = _float_span(f, diam.coords)[1]
-    deltas = []
-    for coords in lattice_candidates(f, -dfhi, dfhi, bounds):
-        if all(c == 0 for c in coords):
-            continue
-        delta = f.qb(coords)
-        if qb_compare(delta, f.zero) == GT and qb_compare(delta, diam) == LT:
-            deltas.append(delta)
+    deltas = [x for x in map(f.qb, _difference_box(t))
+              if qb_compare(x, f.zero) == GT and qb_compare(x, diam) == LT]
     clouds, err = clouds_at_depth(g, depth)
     if not deltas:
         return [], err
@@ -439,9 +447,7 @@ def difference_pairs(t, g, depth=10):
 def difference_candidates(t, g, depth=10):
     """Nonzero candidate differences (plus zero, which is always one)."""
     pairs, _ = difference_pairs(t, g, depth)
-    seen = {}
-    for delta, _, _ in pairs:
-        seen[delta.coords] = delta
+    seen = {delta.coords: delta for delta, _, _ in pairs}
     return [t.field.zero] + sorted(seen.values())
 
 
@@ -451,7 +457,6 @@ def difference_candidates(t, g, depth=10):
 @dataclass
 class DiffTransducer:
     """Two-tape difference graph shared by a set of candidate tile pairs."""
-    transform: object
     states: list        # (diff QBeta, in_alive, out_alive)
     edges: list         # (src, dst, a_in, a_out)
     initials: list      # state index of each start, in the order given
@@ -464,55 +469,20 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
     exact remaining-value difference with alive-state sets for both tapes; a
     state is good when both current rays are admissible from scratch.  A state
     and its out-edges do not depend on the start that reached it, so all
-    starts share one graph, bounded by ``state_budget`` states.  Differences
-    escape forever once a conjugate embedding leaves the certified box, so
-    those states are dropped.  Differences stay in Z[beta], so the core runs
-    on integer coordinate tuples.
+    starts share one graph, bounded by ``state_budget`` states.  Successors
+    outside :func:`_difference_box` escape forever and are dropped.
+    Differences stay in Z[beta], so the core runs on integer coordinate
+    tuples.
     """
     f = t.field
     d = f.degree
-    caps = [2 * b for b in conj_block_bounds(t)]
-    diam = t.xmax - t.xmin
+    box = set(_difference_box(t))
     q0 = aut.initial
     minv = f.inv_beta_mat
     digit_co = [tuple(int(c) for c in dg.coords) for dg in t.digits]
     na = len(t.digits)
     ddiff = {(a, b): tuple(digit_co[a][k] - digit_co[b][k] for k in range(d))
              for a in range(na) for b in range(na)}
-
-    conj_pows = []
-    for _, j in f.hblocks:
-        disk = f.conj_enclosure(j)
-        conj_pows.append([complex(float(disk.re), float(disk.im)) ** k for k in range(d)])
-    disk0 = f.conj_enclosure(0)
-    b1_pows = [float(disk0.re) ** k for k in range(d)]
-    caps_f = [float(c) for c in caps]
-    diam_f = float(diam)
-    inbox_cache = {}
-
-    def _in_box_raw(co):
-        # float fast paths with a wide exactness band; borderline cases are
-        # settled by certified bounds, so no state is wrongly dropped or kept
-        band = 1e-6 * (1 + sum(abs(c) for c in co))
-        v1 = abs(sum(c * p for c, p in zip(co, b1_pows)))
-        if v1 > diam_f + band:
-            return False
-        if v1 >= diam_f - band:
-            x = f.qb(co)
-            if qb_compare(x, diam) == GT or qb_compare(x, -diam) == LT:
-                return False
-        for blk, (pows, cap, cap_q) in enumerate(zip(conj_pows, caps_f, caps)):
-            vj = abs(sum(c * p for c, p in zip(co, pows)))
-            if vj > cap + band:
-                return False
-            if vj >= cap - band and gamma_abs_upper(f.qb(co), f.hblocks[blk][1]) > cap_q:
-                return False
-        return True
-
-    def in_box(co):
-        if co not in inbox_cache:
-            inbox_cache[co] = _in_box_raw(co)
-        return inbox_cache[co]
 
     index = {}
     states = []
@@ -554,11 +524,11 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
                 dd = ddiff[(a_in, a_out)]
                 s = tuple(diff[k] + dd[k] for k in rng)
                 nd = tuple(sum(minv[i][k] * s[k] for k in rng) for i in rng)
-                if not in_box(nd):
+                if nd not in box:
                     continue
                 edges.append((si, intern((nd, npin, npout)), a_in, a_out))
     qb_states = [(f.qb(co), pin, pout) for co, pin, pout in states]
-    return DiffTransducer(t, qb_states, edges, initials)
+    return DiffTransducer(qb_states, edges, initials)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .betamap import _from_num, _num_frame, _num_step, expand, interval_index
+from .betamap import (_from_num, _num_frame, _num_step, branch_edges, expand,
+                      interval_index)
 from .errors import (BudgetExceeded, DigitsNotIntegral,
                      UnrenderableDimension, ValidationError)
 from .numfield import LT, gamma_abs_upper, phi, qb_compare
@@ -78,19 +79,10 @@ class GifsGraph:
 def gifs_build(t, vdata):
     """Exact edge set of the graph-directed system for the interval tiles."""
     _require_integral_digits(t)
-    f = t.field
     verts = list(vdata.V)
-    jlist = [vdata.J[v] for v in verts]
-    edges = [[] for _ in verts]
-    for i, v in enumerate(verts):
-        for a in range(len(t.digits)):
-            y = (v + t.digits[a]).div_beta()
-            if t.digit_index_of(y) == a:
-                j = vdata.index_of_point(y)
-                if j is None:
-                    raise ValidationError("branch preimage escaped the partition")
-                edges[i].append((j, a))
-        if not edges[i]:
+    edges = branch_edges(t, vdata)
+    for v, row in zip(verts, edges):
+        if not row:
             raise ValidationError(f"vertex {v!r} has no branch preimage")
     phis = [phi(d, 60) for d in t.digits]
     phi_mat = np.array([p.coords for p in phis])
@@ -100,7 +92,7 @@ def gifs_build(t, vdata):
     sq = sum((2 * float(b)) ** 2 if kind == "pair" else float(b) ** 2
              for (kind, _), b in zip(t.field.hblocks, bounds))
     cconst = math.sqrt(sq) * (1 + 1e-9) + 1e-9
-    return GifsGraph(t, verts, jlist, edges, phi_mat, phi_err, cconst)
+    return GifsGraph(t, verts, list(vdata.intervals), edges, phi_mat, phi_err, cconst)
 
 
 @dataclass(frozen=True)
@@ -262,8 +254,12 @@ def lattice_candidates(field, g1_lo, g1_hi, block_bounds):
     lexicographic order.
 
     The real embedding is confined to [g1_lo, g1_hi] and each conjugate block
-    to the corresponding radius.  The float prefilter is inflated so that no
-    true solution is excluded; callers re-check exactly.
+    to the corresponding radius.  Both float tests are inflated, so the
+    result is a superset.  Callers re-check the real embedding exactly and
+    keep the conjugate superset, which is safe for each: every purely
+    periodic point and every difference on an infinite path of the difference
+    graph meets the bounds, and a window's representative may be any point
+    of the window.
     """
     vand = _conj_matrix(field)
     vinv = np.linalg.inv(vand)

@@ -12,14 +12,14 @@ from betatiling import sofic
 from betatiling.betamap import (expand, is_admissible, prefix_interval_set,
                                 preset, transform_from_config, word_from_digits)
 from betatiling.errors import BudgetExceeded
-from betatiling.numfield import (GT, LT, _float_span, make_field, phi, qb_compare,
-                                 simple_rational_in)
+from betatiling.numfield import (GT, LT, _float_span, gamma_abs_upper, make_field,
+                                 phi, qb_compare, simple_rational_in)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
-                              _component_walk, _minpoly_at_matrix, _sccs,
-                              _small_orbit_reps, _span_sub)
+                              _component_walk, _difference_box, _minpoly_at_matrix,
+                              _sccs, _small_orbit_reps, _span_sub)
 from betatiling.tiling import (cell_frame, cell_keys, clouds_at_depth,
                                conj_block_bounds, lattice_candidates,
                                unique_cells)
@@ -315,7 +315,7 @@ def test_component_walk_reaches_downstream(golden):
     # 0 -> {1, 2} (adjacency [[1, 1], [1, 0]], eigenvalue beta) and 0 -> 3 ->
     # 4 (a loop, eigenvalue 1); 5 has no edge; 6 <-> 7 is a 2-cycle (+-1)
     edges = [(0, 1), (1, 1), (1, 2), (2, 1), (0, 3), (3, 4), (4, 4), (6, 7), (7, 6)]
-    td = DiffTransducer(None, [None] * 8, [(s, d, 0, 0) for s, d in edges], [0])
+    td = DiffTransducer([None] * 8, [(s, d, 0, 0) for s, d in edges], [0])
     hit, radius = _component_walk(golden, td)
     assert hit == [True, True, True, False, False, False, False, False]
     assert radius[3:] == pytest.approx([1.0, 1.0, 0.0, 1.0, 1.0])
@@ -489,3 +489,99 @@ def test_shared_graph_state_budget(golden_pm1):
     with pytest.raises(BudgetExceeded) as err:
         decide_tiling(golden_pm1, g, pset, depth=12, state_budget=5)
     assert err.value.info["states"] == 5 and err.value.info["starts"] > 0
+
+
+def _in_box_reference(t):
+    """Per-state escape test of the difference graph that does not use
+    ``lattice_candidates``: float powers of the conjugates with a band of
+    1e-6 (1 + sum |c|), settled inside the band by exact comparisons with
+    diam and by certified conjugate bounds against twice b_j."""
+    f = t.field
+    d = f.degree
+    caps = [2 * b for b in conj_block_bounds(t)]
+    diam = t.xmax - t.xmin
+    conj_pows = []
+    for _, j in f.hblocks:
+        disk = f.conj_enclosure(j)
+        conj_pows.append([complex(float(disk.re), float(disk.im)) ** k for k in range(d)])
+    disk0 = f.conj_enclosure(0)
+    b1_pows = [float(disk0.re) ** k for k in range(d)]
+    caps_f = [float(c) for c in caps]
+    diam_f = float(diam)
+
+    def in_box(co):
+        band = 1e-6 * (1 + sum(abs(c) for c in co))
+        v1 = abs(sum(c * p for c, p in zip(co, b1_pows)))
+        if v1 > diam_f + band:
+            return False
+        if v1 >= diam_f - band:
+            x = f.qb(co)
+            if qb_compare(x, diam) == GT or qb_compare(x, -diam) == LT:
+                return False
+        for blk, (pows, cap, cap_q) in enumerate(zip(conj_pows, caps_f, caps)):
+            vj = abs(sum(c * p for c, p in zip(co, pows)))
+            if vj > cap + band:
+                return False
+            if vj >= cap - band and gamma_abs_upper(f.qb(co), f.hblocks[blk][1]) > cap_q:
+                return False
+        return True
+
+    return in_box
+
+
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS)
+def test_difference_box_matches_per_state_reference(name):
+    # the box is the per-state escape test run over a lattice box half as
+    # large again in every direction
+    t = transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    f = t.field
+    dhi = 1.5 * _float_span(f, (t.xmax - t.xmin).coords)[1]
+    wide = lattice_candidates(f, -dhi, dhi, [3 * b for b in conj_block_bounds(t)])
+    in_box = _in_box_reference(t)
+    box = _difference_box(t)
+    assert box == [co for co in wide if in_box(co)]
+    assert len(box) > 1
+
+
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS)
+def test_recurrent_states_lie_in_the_certified_box(name, monkeypatch):
+    # every state that reaches a recurrent component has |x| <= diam and
+    # certified conjugates within twice b_j, so states the box keeps beyond
+    # that bound cannot change a verdict
+    t = transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    vd, g, pset = stage_cache(t)
+    graphs = []
+    build = sofic.build_diff_transducer
+
+    def recording_build(*args, **kwargs):
+        graphs.append(build(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(sofic, "build_diff_transducer", recording_build)
+    decide_tiling(t, g, pset, depth=14)
+    (td,) = graphs
+    n = len(td.states)
+    adj = [[] for _ in range(n)]
+    radj = [[] for _ in range(n)]
+    for s, d, _, _ in td.edges:
+        adj[s].append(d)
+        radj[d].append(s)
+    # states of recurrent components (an internal edge), then all that reach one
+    live = []
+    for comp in map(set, _sccs(n, adj)):
+        if any(w in comp for v in comp for w in adj[v]):
+            live.extend(comp)
+    seen = set(live)
+    while live:
+        for u in radj[live.pop()]:
+            if u not in seen:
+                seen.add(u)
+                live.append(u)
+    assert seen
+    f = t.field
+    diam = t.xmax - t.xmin
+    caps = [2 * b for b in conj_block_bounds(t)]
+    for s in seen:
+        x = td.states[s][0]
+        assert qb_compare(abs(x), diam) != GT
+        assert all(gamma_abs_upper(x, j) <= cap for (_, j), cap in zip(f.hblocks, caps))
