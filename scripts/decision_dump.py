@@ -9,7 +9,11 @@ config in CHECKOUT/configs, writes the ``check_w`` report, and at depths 12,
 ``decide_tiling`` verdict, overlapping pairs, ``candidates_checked``,
 spectral gaps and the state and edge counts of its difference graph (read by
 wrapping ``sofic.build_diff_transducer``), so a change to the graph shows even
-when the verdict holds.  Field elements are written as their rational
+when the verdict holds.  Each config's factor automaton is written without its
+state numbering: the state count, the transitions relabeled breadth-first from
+the initial state over the digits in index order (-1 is the dead state) and
+``forbidden_words(aut, 6)``, so two automata give the same entry exactly when
+they are isomorphic.  Field elements are written as their rational
 coordinates and floats as ``float.hex``, and keys are sorted, so two
 checkouts give the same outputs exactly when ``diff`` finds the two files
 identical.
@@ -20,6 +24,23 @@ import pathlib
 import sys
 
 DEPTHS = (12, 14, 16)
+
+
+def numbering_free(aut):
+    """The automaton's entry: its states numbered breadth-first."""
+    from betatiling.sofic import forbidden_words
+
+    number = {aut.initial: 0}
+    order = [aut.initial]
+    for s in order:
+        for nxt in aut.delta[s]:
+            if nxt is not None and nxt not in number:
+                number[nxt] = len(order)
+                order.append(nxt)
+    return {"states": aut.n_states,
+            "transitions": [[-1 if n is None else number[n] for n in aut.delta[s]]
+                            for s in order],
+            "forbidden_words": [list(w) for w in forbidden_words(aut, 6)]}
 
 
 def main(argv=None):
@@ -55,6 +76,7 @@ def main(argv=None):
             "witnesses": sorted([qb(y), qb(z), k] for y, (z, k) in w.witnesses.items()),
             "chains": sorted([qb(y), [qb(c) for c in ch]] for y, ch in w.chains.items())}}
         aut = sofic.build_automaton(t)
+        row["automaton"] = numbering_free(aut)
         for depth in DEPTHS:
             pairs, err = sofic.difference_pairs(t, g, depth)
             graphs.clear()

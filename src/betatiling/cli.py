@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -47,31 +48,22 @@ class Pipeline:
     def __init__(self, cfg, budget=20000):
         self.budget = budget
         self.t = betamap.transform_from_config(cfg)
-        self._vd = self._g = self._pset = self._aut = None
 
-    @property
+    @cached_property
     def vdata(self):
-        if self._vd is None:
-            self._vd = betamap.compute_v(self.t, self.budget)
-        return self._vd
+        return betamap.compute_v(self.t, self.budget)
 
-    @property
+    @cached_property
     def gifs(self):
-        if self._g is None:
-            self._g = tiling.gifs_build(self.t, self.vdata)
-        return self._g
+        return tiling.gifs_build(self.t, self.vdata)
 
-    @property
+    @cached_property
     def pset(self):
-        if self._pset is None:
-            self._pset = tiling.purely_periodic_points(self.t)
-        return self._pset
+        return tiling.purely_periodic_points(self.t)
 
-    @property
+    @cached_property
     def automaton(self):
-        if self._aut is None:
-            self._aut = sofic.build_automaton(self.t)
-        return self._aut
+        return sofic.build_automaton(self.t)
 
 
 def cmd_expand(pipe, args):

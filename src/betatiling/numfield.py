@@ -257,6 +257,10 @@ class PisotField:
             vec = np.array([b ** (d - 1 - i) for i in range(d)], dtype=complex) / dpb
             vs.append(vec)
         self.v = vs
+        # float conjugate Vandermonde (row j: the powers of conjugate j) and
+        # its inverse, for the lattice enumerators
+        self.vand = np.array([[b ** k for k in range(d)] for b in centers])
+        self.vand_inv = np.linalg.inv(self.vand)
         resid = abs(sum(vs) - np.eye(d)[0]).max()
         if resid > 1e-8:
             raise ValidationError(f"eigenvector normalization failed, residual {resid:.2e}")

@@ -1,10 +1,11 @@
 """Symbolic layer: the admissible-word automaton and the exact tiling test.
 
-The closure of the expansion language is recognized by a deterministic
-automaton built from the bounding expansions of the interval endpoints: every
-tail of a word must lie, lexicographically, between the lower and upper
-endpoint words of one piece of its leading digit.  States are sets of pending
-boundary comparisons.
+The factors of the expansion shift are recognized by a deterministic
+automaton whose states are cylinder images: after a word w the state is
+T^|w| of the cylinder [w], the points whose expansion starts with w, a
+finite union of half-open intervals (the follower-set presentation of a
+sofic shift).  A digit intersects the state with its pieces, then maps the
+parts by x -> beta*x - a; an empty image is the dead state.
 
 The tiling decision runs one two-tape difference graph per decision, shared
 by every candidate tile pair: states carry the exact value difference of the
@@ -26,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import endpoint_words, expand
+from .betamap import IntervalQB, _intersect, _merge_union, endpoint_words, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral, NotSofic,
                      ValidationError)
 from .numfield import GT, LT, _float_span, phi, qb_compare, simple_rational_in
 from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
                      lattice_candidates, unique_cells, _check_bytes,
-                     _conj_matrix, _require_integral_digits)
+                     _require_integral_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +58,6 @@ def soficity_check(t):
 
 # ---------------------------------------------------------------------------
 # the follower automaton
-
-def _canon(word, pos):
-    npre, nper = len(word.preperiod), len(word.period)
-    if pos < npre:
-        return pos
-    return npre + (pos - npre) % nper
-
 
 class ShiftAutomaton:
     """Deterministic automaton for the factors of the closed expansion shift.
@@ -164,7 +158,22 @@ def _monotone_layout(t):
 
 
 def build_automaton(t, state_budget=200000):
-    """Deterministic factor automaton from the endpoint expansions, minimized.
+    """Deterministic factor automaton: states are the cylinder images T^n[w].
+
+    The initial state is the domain; digit a sends a state S to the merged
+    union of beta*(S & p) - a over a's pieces p, and an empty image is the
+    dead state.  States are keyed by their exact interval ends and explored
+    last in, first out, at most ``state_budget`` of them.  A word is a factor
+    exactly when its image is nonempty, because the map is onto and so every
+    factor is a prefix.
+
+    The automaton is minimal as built.  Two distinct states S != S' differ
+    on a half-open interval, so some x lies inside one and at distance r > 0
+    from the other.  On the cylinder [u] of a prefix u of x's expansion, T^n
+    (n = |u|) is affine with slope beta^n, and T^n[u] lies in the domain, so
+    [u] lies within diam/beta^n of x.  For n with diam/beta^n < r, u is read
+    from S (it is in x's follower set) and dies from S' (no point of S' is
+    in [u]).
 
     Needs the right-continuous orientation and a digit-monotone piece layout
     (every listed transform family has one).
@@ -173,131 +182,32 @@ def build_automaton(t, state_budget=200000):
         raise ValidationError("automaton construction expects the right-continuous map")
     if not _monotone_layout(t):
         raise NotSofic("piece layout is not digit-monotone; no lexicographic automaton")
-    words = endpoint_words(t)
-    bw = {}
-    pieces_of = [[] for _ in t.digits]
-    for a, per_piece in enumerate(words):
-        for i, (low, up) in enumerate(per_piece):
-            bw[(a, i)] = (low, up)
-            pieces_of[a].append((a, i))
-
-    def advance(word, pos):
-        return _canon(word, pos + 1)
-
-    def spawn(c):
-        entries = []
-        for key in pieces_of[c]:
-            low, up = bw[key]
-            entries.append(("b", key, _canon(low, 1), _canon(up, 1)))
-        return frozenset(entries)
-
-    def advance_position(entries, c):
-        satisfied = False
-        out = []
-        for e in entries:
-            kind, key = e[0], e[1]
-            low, up = bw[key]
-            if kind == "b":
-                pl, pu = e[2], e[3]
-                lc, uc = low.digit_at(pl), up.digit_at(pu)
-                if lc == uc:
-                    if c == lc:
-                        out.append(("b", key, advance(low, pl), advance(up, pu)))
-                else:
-                    if c == lc:
-                        out.append(("l", key, advance(low, pl)))
-                    elif c == uc:
-                        out.append(("u", key, advance(up, pu)))
-                    elif lc < c < uc:
-                        satisfied = True
-            elif kind == "l":
-                pl = e[2]
-                lc = low.digit_at(pl)
-                if c > lc:
-                    satisfied = True
-                elif c == lc:
-                    out.append(("l", key, advance(low, pl)))
-            else:
-                pu = e[2]
-                uc = up.digit_at(pu)
-                if c < uc:
-                    satisfied = True
-                elif c == uc:
-                    out.append(("u", key, advance(up, pu)))
-        if satisfied:
-            return "done"
-        if not out:
-            return None
-        return frozenset(out)
-
-    alphabet = len(t.digits)
-    initial = frozenset()
+    beta = t.field.beta
+    initial = tuple(_merge_union(t.domain_union()))
     index = {initial: 0}
-    order = [initial]
-    delta = []
+    delta = [None]
     queue = [initial]
     while queue:
         state = queue.pop()
-        while len(delta) < len(order):
-            delta.append(None)
         row = []
-        for c in range(alphabet):
-            dead = False
-            nxt = set()
-            for pstate in state:
-                res = advance_position(pstate, c)
-                if res is None:
-                    dead = True
-                    break
-                if res != "done":
-                    nxt.add(res)
-            if dead:
+        for a, dg in enumerate(t.digits):
+            image = tuple(_merge_union(
+                [IntervalQB(got.lo * beta - dg, got.hi * beta - dg)
+                 for iv in state for p in t.parts[a]
+                 if (got := _intersect(iv, p)) is not None]))
+            if not image:
                 row.append(None)
                 continue
-            nxt.add(spawn(c))
-            key = frozenset(nxt)
-            if key not in index:
+            if image not in index:
                 if len(index) >= state_budget:
-                    raise BudgetExceeded("automaton construction exceeded the state budget")
-                index[key] = len(order)
-                order.append(key)
-                queue.append(key)
-            row.append(index[key])
+                    raise BudgetExceeded("automaton construction exceeded the state budget",
+                                         states=len(index))
+                index[image] = len(delta)
+                delta.append(None)
+                queue.append(image)
+            row.append(index[image])
         delta[index[state]] = tuple(row)
-    aut = ShiftAutomaton(t, len(order), delta, 0)
-    return _minimize(aut)
-
-
-def _minimize(aut):
-    n = aut.n_states
-    # Moore refinement with an explicit dead class
-    cls = [0] * n
-    while True:
-        sig = {}
-        new = [0] * n
-        for i in range(n):
-            key = (cls[i], tuple(-1 if s is None else cls[s] for s in aut.delta[i]))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[i] = sig[key]
-        if new == cls:
-            break
-        cls = new
-    k = len(set(cls))
-    if k == n:
-        return aut
-    rep = {}
-    remap = [None] * n
-    order = []
-    for i in range(n):
-        if cls[i] not in rep:
-            rep[cls[i]] = len(order)
-            order.append(i)
-        remap[i] = rep[cls[i]]
-    delta = []
-    for i in order:
-        delta.append(tuple(None if s is None else remap[s] for s in aut.delta[i]))
-    return ShiftAutomaton(aut.transform, len(order), delta, remap[aut.initial])
+    return ShiftAutomaton(t, len(delta), delta, 0)
 
 
 def forbidden_words(aut, maxlen=6):
@@ -735,7 +645,7 @@ def _small_orbit_reps(t, windows):
         return []
     glo, ghi = min(s[0] for s in spans), max(s[1] for s in spans)
     bounds = conj_block_bounds(t)
-    b0 = _conj_matrix(f)[0].real
+    b0 = f.vand[0].real
     boxes = {}
 
     def box(scale):

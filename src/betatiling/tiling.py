@@ -26,6 +26,7 @@ from .numfield import LT, gamma_abs_upper, phi, qb_compare
 _FLOAT_STEP_SLACK = 1e-12
 _BYTE_LIMIT = 1 << 30       # largest cloud level, translate scene or lattice box
 _SLICE_ROWS = 1 << 16       # scene rows per slice of the translate pass
+_SNAP_POINTS = 4000         # cloud size above which a level is snapped to its grid
 
 
 def _require_integral_digits(t):
@@ -138,7 +139,7 @@ def _snap(points, grid):
     return unique_cells(np.round(points / grid).astype(np.int64)) * grid
 
 
-def clouds_at_depth(g, depth, snap_threshold=4000):
+def clouds_at_depth(g, depth):
     """Point clouds for every vertex, cached and built by backward iteration.
 
     Returns (list of arrays, err).  The error bound accounts for truncation at
@@ -152,7 +153,7 @@ def clouds_at_depth(g, depth, snap_threshold=4000):
         clouds = [np.zeros((1, dim)) for _ in g.vertices]
         g._cloud_cache[0] = (clouds, g.cloud_constant)
         return g._cloud_cache[0]
-    prev, perr = clouds_at_depth(g, depth - 1, snap_threshold)
+    prev, perr = clouds_at_depth(g, depth - 1)
     rho = f.rho
     mh = f.contract_mat
     err = rho * perr + g.phi_err + _FLOAT_STEP_SLACK
@@ -161,7 +162,7 @@ def clouds_at_depth(g, depth, snap_threshold=4000):
     clouds = []
     for i in range(len(g.vertices)):
         pts = np.vstack([prev[j] @ mh.T + g.phi_digits[a] for j, a in g.edges[i]])
-        clouds.append(_snap(pts, grid) if len(pts) > snap_threshold
+        clouds.append(_snap(pts, grid) if len(pts) > _SNAP_POINTS
                       else np.unique(pts, axis=0))
     # snapping displacement enters contracted at later depths; charge it now
     err += grid * math.sqrt(dim) * 0.5
@@ -215,15 +216,6 @@ def natext_domain(t, vdata, g, depth):
 # ---------------------------------------------------------------------------
 # lattice enumeration under conjugate bounds
 
-def _conj_matrix(field):
-    d = field.degree
-    cs = []
-    for j in range(d):
-        disk = field.conj_enclosure(j)
-        cs.append(complex(float(disk.re), float(disk.im)))
-    return np.array([[c ** k for k in range(d)] for c in cs])
-
-
 def _slab_rows(vand, r0, axes, g1_lo, g1_hi):
     """Integer rows (c_0, c_1, ..., c_{d-1}) with |c_0| <= r0 and c_k over
     axes[k-1] whose float real embedding c_0 + sum_k c_k beta^k lies in
@@ -261,15 +253,14 @@ def lattice_candidates(field, g1_lo, g1_hi, block_bounds):
     graph meets the bounds, and a window's representative may be any point
     of the window.
     """
-    vand = _conj_matrix(field)
-    vinv = np.linalg.inv(vand)
+    vand = field.vand
     bvec = [max(abs(g1_lo), abs(g1_hi))]
     for (kind, j), r in zip(field.hblocks, block_bounds):
         bvec.append(float(r))
         if kind == "pair":
             bvec.append(float(r))
     bvec = np.array(bvec)
-    ranges = [int(r) for r in np.abs(vinv) @ bvec * (1 + 1e-9) + 0.5001]
+    ranges = [int(r) for r in np.abs(field.vand_inv) @ bvec * (1 + 1e-9) + 0.5001]
     coords = _slab_rows(vand, ranges[0], [np.arange(-r, r + 1) for r in ranges[1:]],
                         g1_lo, g1_hi)
     keep = np.ones(len(coords), dtype=bool)
@@ -433,7 +424,7 @@ def _height_ordered_range(field, g1_lo, g1_hi, height):
     """Integer coordinate tuples with sup norm <= height whose real embedding
     lies in [g1_lo, g1_hi], ordered by (height, lex)."""
     ax = np.arange(-height, height + 1)
-    coords = _slab_rows(_conj_matrix(field), height, [ax] * (field.degree - 1), g1_lo, g1_hi)
+    coords = _slab_rows(field.vand, height, [ax] * (field.degree - 1), g1_lo, g1_hi)
     order = np.lexsort(tuple(coords.T[::-1]) + (np.abs(coords).max(axis=1),))
     return [tuple(int(c) for c in row) for row in coords[order]]
 

@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 from betatiling import sofic
-from betatiling.betamap import (expand, is_admissible, prefix_interval_set,
-                                preset, transform_from_config, word_from_digits)
-from betatiling.errors import BudgetExceeded
+from betatiling.betamap import (BetaTransform, IntervalQB, endpoint_words, expand,
+                                is_admissible, prefix_interval_set, preset,
+                                transform_from_config, word_from_digits)
+from betatiling.errors import BudgetExceeded, NotSofic, ValidationError
 from betatiling.numfield import (GT, LT, _float_span, gamma_abs_upper, make_field,
                                  phi, qb_compare, simple_rational_in)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
+                              ShiftAutomaton,
                               _component_walk, _difference_box, _minpoly_at_matrix,
                               _sccs, _small_orbit_reps, _span_sub)
 from betatiling.tiling import (cell_frame, cell_keys, clouds_at_depth,
@@ -25,6 +27,15 @@ from betatiling.tiling import (cell_frame, cell_keys, clouds_at_depth,
                                unique_cells)
 
 from conftest import stage_cache
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+RIGHT_CONTINUOUS = [p.stem for p in sorted(CONFIGS.glob("*.json"))
+                    if transform_from_config(json.loads(p.read_text())).side == "right"]
+
+
+def config_transform(name):
+    return transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
 
 
 def to_digit_tuple(t, idxs):
@@ -129,6 +140,215 @@ def test_automaton_ray_acceptance_matches_is_admissible(golden_greedy):
         if adm == ray_ok:
             agree += 1
     assert agree > 250
+
+
+def _canon(word, pos):
+    npre, nper = len(word.preperiod), len(word.period)
+    if pos < npre:
+        return pos
+    return npre + (pos - npre) % nper
+
+
+def _lexicographic_automaton_reference(t):
+    """The endpoint-word construction, unminimized: every tail of a word must
+    lie, lexicographically, between the lower and upper endpoint words of one
+    piece of its leading digit.  States are sets of pending boundary
+    comparisons ("b" both ends pending, "l" the lower only, "u" the upper
+    only)."""
+    bw = {}
+    pieces_of = [[] for _ in t.digits]
+    for a, per_piece in enumerate(endpoint_words(t)):
+        for i, (low, up) in enumerate(per_piece):
+            bw[(a, i)] = (low, up)
+            pieces_of[a].append((a, i))
+
+    def advance(word, pos):
+        return _canon(word, pos + 1)
+
+    def spawn(c):
+        entries = []
+        for key in pieces_of[c]:
+            low, up = bw[key]
+            entries.append(("b", key, _canon(low, 1), _canon(up, 1)))
+        return frozenset(entries)
+
+    def advance_position(entries, c):
+        satisfied = False
+        out = []
+        for e in entries:
+            kind, key = e[0], e[1]
+            low, up = bw[key]
+            if kind == "b":
+                pl, pu = e[2], e[3]
+                lc, uc = low.digit_at(pl), up.digit_at(pu)
+                if lc == uc:
+                    if c == lc:
+                        out.append(("b", key, advance(low, pl), advance(up, pu)))
+                else:
+                    if c == lc:
+                        out.append(("l", key, advance(low, pl)))
+                    elif c == uc:
+                        out.append(("u", key, advance(up, pu)))
+                    elif lc < c < uc:
+                        satisfied = True
+            elif kind == "l":
+                pl = e[2]
+                lc = low.digit_at(pl)
+                if c > lc:
+                    satisfied = True
+                elif c == lc:
+                    out.append(("l", key, advance(low, pl)))
+            else:
+                pu = e[2]
+                uc = up.digit_at(pu)
+                if c < uc:
+                    satisfied = True
+                elif c == uc:
+                    out.append(("u", key, advance(up, pu)))
+        if satisfied:
+            return "done"
+        if not out:
+            return None
+        return frozenset(out)
+
+    initial = frozenset()
+    index = {initial: 0}
+    delta = [None]
+    queue = [initial]
+    while queue:
+        state = queue.pop()
+        row = []
+        for c in range(len(t.digits)):
+            dead = False
+            nxt = set()
+            for pstate in state:
+                res = advance_position(pstate, c)
+                if res is None:
+                    dead = True
+                    break
+                if res != "done":
+                    nxt.add(res)
+            if dead:
+                row.append(None)
+                continue
+            nxt.add(spawn(c))
+            key = frozenset(nxt)
+            if key not in index:
+                index[key] = len(delta)
+                delta.append(None)
+                queue.append(key)
+            row.append(index[key])
+        delta[index[state]] = tuple(row)
+    return ShiftAutomaton(t, len(delta), delta, 0)
+
+
+def _moore_classes(aut):
+    """Moore refinement with an explicit dead class: the class of each state."""
+    cls = [0] * aut.n_states
+    while True:
+        sig = {}
+        new = [sig.setdefault((cls[i], tuple(-1 if s is None else cls[s] for s in row)),
+                              len(sig))
+               for i, row in enumerate(aut.delta)]
+        if new == cls:
+            return cls
+        cls = new
+
+
+def _minimized(aut):
+    """The quotient of the automaton by its Moore classes."""
+    cls = _moore_classes(aut)
+    first = {}
+    for i, c in enumerate(cls):
+        first.setdefault(c, i)
+    num = {c: k for k, c in enumerate(first)}
+    delta = [tuple(None if s is None else num[cls[s]] for s in aut.delta[i])
+             for i in first.values()]
+    return ShiftAutomaton(aut.transform, len(delta), delta, num[cls[aut.initial]])
+
+
+def _isomorphic(a, b):
+    """Whether a bijection of states sends a's initial state to b's and each
+    transition of a to one of b."""
+    m = {a.initial: b.initial}
+    stack = [a.initial]
+    while stack:
+        s = stack.pop()
+        for x, y in zip(a.delta[s], b.delta[m[s]]):
+            if (x is None) != (y is None):
+                return False
+            if x is None:
+                continue
+            if x not in m:
+                m[x] = y
+                stack.append(x)
+            elif m[x] != y:
+                return False
+    return len(m) == a.n_states == b.n_states == len(set(m.values()))
+
+
+def _extra_transform(name):
+    golden, trib, sp = make_field(1, 1), make_field(1, 1, 1), make_field(0, 1, 1)
+    half = Fraction(1, 2)
+    return {
+        "tribonacci_symmetric_unrestricted": lambda: preset("symmetric", trib),
+        "smallest_pisot_symmetric_unrestricted": lambda: preset("symmetric", sp),
+        "golden_linear_mod1_2_5": lambda: preset("linear_mod1", golden,
+                                                 alpha=golden.qb([Fraction(2, 5)])),
+        "tribonacci_linear_mod1_1_3": lambda: preset("linear_mod1", trib,
+                                                     alpha=trib.qb([Fraction(1, 3)])),
+        "golden_pedicini_0_1_beta2": lambda: preset("pedicini", golden,
+                                                    digits=[golden.zero, golden.one,
+                                                            golden.beta ** 2]),
+        "smallest_pisot_minweight_1_2": lambda: preset("minimal_weight", sp,
+                                                       alpha=sp.qb([half])),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS + [
+    "tribonacci_symmetric_unrestricted", "smallest_pisot_symmetric_unrestricted",
+    "golden_linear_mod1_2_5", "tribonacci_linear_mod1_1_3",
+    "golden_pedicini_0_1_beta2", "smallest_pisot_minweight_1_2"])
+def test_automaton_matches_lexicographic_reference(name):
+    # the cylinder-image automaton is the minimized endpoint-word automaton up
+    # to the numbering of its states, and is minimal as built
+    t = config_transform(name) if name in RIGHT_CONTINUOUS else _extra_transform(name)
+    aut = build_automaton(t)
+    ref = _minimized(_lexicographic_automaton_reference(t))
+    assert aut.n_states == ref.n_states
+    assert forbidden_words(aut, 6) == forbidden_words(ref, 6)
+    assert _isomorphic(aut, ref)
+    assert len(set(_moore_classes(aut))) == aut.n_states
+
+
+def test_automaton_state_budget(tribonacci_symmetric):
+    n = build_automaton(tribonacci_symmetric).n_states
+    assert build_automaton(tribonacci_symmetric, state_budget=n).n_states == n
+    with pytest.raises(BudgetExceeded) as err:
+        build_automaton(tribonacci_symmetric, state_budget=n - 1)
+    assert err.value.info["states"] == n - 1
+
+
+def test_automaton_rejects_left_continuous():
+    with pytest.raises(ValidationError):
+        build_automaton(config_transform("golden_lazy"))
+
+
+def test_automaton_rejects_non_monotone_layout(golden, monkeypatch):
+    # digits 0, 1, 0 along the pieces: refused before any image is built
+    third = Fraction(1, 3)
+    iv = lambda lo, hi: IntervalQB(golden.qb([lo]), golden.qb([hi]))
+    t = BetaTransform(golden, [golden.zero, golden.one],
+                      [[iv(0, third), iv(2 * third, 1)], [iv(third, 2 * third)]],
+                      "right", _validated=True)
+    assert [a for _, a in t.pieces] == [0, 1, 0]
+
+    def no_construction(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr(sofic, "_merge_union", no_construction)
+    with pytest.raises(NotSofic):
+        build_automaton(t)
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +663,12 @@ def _difference_pairs_reference(t, g, depth):
     return out, err
 
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
-RIGHT_CONTINUOUS = [p.stem for p in sorted(CONFIGS.glob("*.json"))
-                    if transform_from_config(json.loads(p.read_text())).side == "right"]
-
-
 @pytest.mark.parametrize("depth", [12, 14, 16])
 @pytest.mark.parametrize("name", RIGHT_CONTINUOUS)
 def test_decision_indexes_match_per_call_references(name, depth):
     # the per-tile dilated key sets and the per-decision representative boxes
     # give the pairs, err and representatives of the per-triple and per-call code
-    t = transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    t = config_transform(name)
     vd, g, pset = stage_cache(t)
     pairs, err = difference_pairs(t, g, depth)
     ref, ref_err = _difference_pairs_reference(t, g, depth)
@@ -533,7 +748,7 @@ def _in_box_reference(t):
 def test_difference_box_matches_per_state_reference(name):
     # the box is the per-state escape test run over a lattice box half as
     # large again in every direction
-    t = transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    t = config_transform(name)
     f = t.field
     dhi = 1.5 * _float_span(f, (t.xmax - t.xmin).coords)[1]
     wide = lattice_candidates(f, -dhi, dhi, [3 * b for b in conj_block_bounds(t)])
@@ -548,7 +763,7 @@ def test_recurrent_states_lie_in_the_certified_box(name, monkeypatch):
     # every state that reaches a recurrent component has |x| <= diam and
     # certified conjugates within twice b_j, so states the box keeps beyond
     # that bound cannot change a verdict
-    t = transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    t = config_transform(name)
     vd, g, pset = stage_cache(t)
     graphs = []
     build = sofic.build_diff_transducer

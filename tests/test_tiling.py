@@ -23,7 +23,7 @@ from betatiling.tiling import (box_count_measure, check_f, check_w,
                                lattice_candidates, natext_domain,
                                purely_periodic_points, tile_cloud,
                                tiles_containing, torus_translates,
-                               weak_finiteness_epsilon, _conj_matrix,
+                               weak_finiteness_epsilon,
                                _height_ordered_range)
 
 from conftest import stage_cache
@@ -323,9 +323,18 @@ def test_check_w_memory_stays_small():
 # ---------------------------------------------------------------------------
 # lattice enumeration
 
+def _conj_vandermonde(field):
+    """Float Vandermonde of the current certified conjugate enclosures."""
+    cs = []
+    for j in range(field.degree):
+        disk = field.conj_enclosure(j)
+        cs.append(complex(float(disk.re), float(disk.im)))
+    return np.array([[c ** k for k in range(field.degree)] for c in cs])
+
+
 def _lattice_candidates_reference(field, g1_lo, g1_hi, block_bounds):
     """The enumerator over the full d-dimensional meshgrid of the box."""
-    vand = _conj_matrix(field)
+    vand = _conj_vandermonde(field)
     vinv = np.linalg.inv(vand)
     bvec = [max(abs(g1_lo), abs(g1_hi))]
     for (kind, j), r in zip(field.hblocks, block_bounds):
@@ -351,7 +360,7 @@ def _lattice_candidates_reference(field, g1_lo, g1_hi, block_bounds):
 def _height_ordered_range_reference(field, g1_lo, g1_hi, height):
     """The (height, lex) enumerator over the full d-dimensional meshgrid."""
     d = field.degree
-    vand = _conj_matrix(field)
+    vand = _conj_vandermonde(field)
     ax = np.arange(-height, height + 1)
     mesh = np.meshgrid(*([ax] * d), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)
@@ -368,6 +377,18 @@ BUNDLED = sorted(p.stem for p in
 
 
 @pytest.mark.parametrize("name", BUNDLED)
+def test_field_vandermonde_matches_conjugate_enclosures(name):
+    # the table kept by the field is the Vandermonde of the certified
+    # conjugates bit for bit, also after beta's enclosure is narrowed
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    f = transform_from_config(json.loads(path.read_text())).field
+    assert np.array_equal(f.vand, _conj_vandermonde(f))
+    assert np.array_equal(f.vand_inv, np.linalg.inv(_conj_vandermonde(f)))
+    f.conj_enclosure(0, Fraction(1, 2 ** 300))
+    assert np.array_equal(f.vand, _conj_vandermonde(f))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
 def test_slab_enumerators_match_meshgrid_reference(name):
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
     t = transform_from_config(json.loads(path.read_text()))
@@ -380,7 +401,7 @@ def test_slab_enumerators_match_meshgrid_reference(name):
     assert lattice_candidates(f, -diam, diam, wide) == \
         _lattice_candidates_reference(f, -diam, diam, wide)
     # thin windows around lattice values, with the 1e-9 widening landing on them
-    vand = _conj_matrix(f)
+    vand = _conj_vandermonde(f)
     hits = 0
     for coords in domain[::max(1, len(domain) // 12)]:
         v = float(np.array(coords, dtype=float) @ vand[0].real)
