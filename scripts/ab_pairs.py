@@ -7,7 +7,10 @@ The workloads are measured one after the other, each with its own pairs and
 table.  Each pair runs the benchmark command of ``BENCHMARK.json``
 (``perfbench/run.py``) once from each checkout, for ``run_seconds`` each; even
 pairs run the parent first, odd pairs the change first, so drift in machine
-speed falls on both sides.  For every end-to-end metric it prints the median
+speed falls on both sides.  Every run gets its own empty bytecode cache
+(``PYTHONPYCACHEPREFIX`` in a fresh temporary directory, with
+``PYTHONDONTWRITEBYTECODE=1``), so neither side imports from a stale
+``__pycache__``.  For every end-to-end metric it prints the median
 and quartiles of both sides, the pairs the change wins, the change/parent
 ratio of the medians, and a verdict against the metric's bound:
 
@@ -29,10 +32,12 @@ CHANGE_DIR and writes nothing.
 import argparse
 import json
 import math
+import os
 import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def run(checkout, bench, workload, seed):
@@ -41,7 +46,11 @@ def run(checkout, bench, workload, seed):
         cmd[0] = sys.executable
     cmd += ["--workload", workload, "--seed", str(seed),
             "--seconds", str(bench["run_seconds"]), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    # every run compiles from source into its own empty bytecode cache: a
+    # checkout's stale __pycache__ would import lighter than the other's
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .errors import (BadAlpha, BudgetExceeded, EmptyPart, NoFixedPoint,
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
-from .numfield import (EQ, GT, LT, QBeta, _float_span, make_field, qb_ceil,
-                       qb_compare, qb_floor)
+from .numfield import (EQ, GT, LT, QBeta, _cramer, _float_span, _mul_matrix,
+                       _num_step, make_field, qb_ceil, qb_compare, qb_floor)
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,6 @@ class BetaTransform:
         if a is None:
             raise OutOfDomain(f"{x!r} is not in the domain")
         return a, x * self.field.beta - self.digits[a]
-
-    def domain_union(self):
-        return [iv for iv, _ in self.pieces]
 
     def diam(self):
         return self.xmax - self.xmin
@@ -352,15 +349,11 @@ def _from_num(field, n, q):
 def _num_frame(t, x):
     """(q, numerators of x, numerators of q*digit per digit index)."""
     q = math.lcm(t._digit_den, *(c.denominator for c in x.coords))
-    num = lambda v: tuple(c.numerator * (q // c.denominator) for c in v.coords)
-    return q, num(x), [num(d) for d in t.digits]
+    return q, _nums(x.coords, q), [_nums(d.coords, q) for d in t.digits]
 
 
-def _num_step(row, n, qd):
-    """Numerators of beta*x - d from those of x and of d, with row = beta^deg."""
-    top = n[-1]
-    return (top * row[0] - qd[0],
-            *(c + top * r - e for c, r, e in zip(n, row[1:], qd[1:])))
+def _nums(coords, q):
+    return tuple(c.numerator * (q // c.denominator) for c in coords)
 
 
 def expand(t, x, max_steps=100000):
@@ -393,8 +386,9 @@ def expansion_value(t, word):
     if not word.period:
         raise ValidationError("word must be eventually periodic (nonempty period)")
     # period by Horner in beta over the digit denominator q, next to beta^n
-    # over q; then one division by beta^n - 1, where q cancels; then the
-    # preperiod by Horner in 1/beta
+    # over q; then one integer division by beta^n - 1, where q cancels, gives
+    # numerators over a denominator den; then the preperiod by Horner in
+    # 1/beta over lcm(q, den)
     q, acc, qd = _num_frame(t, f.zero)
     minus = [tuple(-c for c in v) for v in qd]
     zero = (0,) * f.degree
@@ -403,8 +397,10 @@ def expansion_value(t, word):
     for a in word.period:
         acc = _num_step(row, acc, minus[a])
         pw = _num_step(row, pw, zero)
-    per_val = f.qb(acc) * f.qb((pw[0] - q, *pw[1:])).inv()
-    q, val, qd = _num_frame(t, per_val)
+    val, den = _cramer(_mul_matrix(f, (pw[0] - q, *pw[1:])), acc)
+    q = math.lcm(t._digit_den, den)
+    val = tuple(c * (q // den) for c in val)
+    qd = [_nums(d.coords, q) for d in t.digits]
     minv = f.inv_beta_mat
     for a in reversed(word.preperiod):
         s = [c + e for c, e in zip(val, qd[a])]
@@ -564,7 +560,7 @@ def compute_v(t, budget=20000):
             jmap[v] = IntervalQB(v, nxt if nxt is not None else comp.hi)
     vd = VData(vlist, jmap, m)
     total = _merge_union(list(jmap.values()))
-    if not _union_equal(total, t.domain_union()):
+    if not _union_equal(total, t.components):
         raise ValidationError("interval partition does not cover the domain")
     return vd
 
@@ -667,7 +663,7 @@ def restrict_to_support(t, weights, vdata):
     support = [vdata.J[v] for v, h in zip(vdata.V, weights)
                if qb_compare(h, f.zero) == GT]
     support = _merge_union(support)
-    if _union_equal(support, t.domain_union()):
+    if _union_equal(support, t.components):
         return t
     new_parts = []
     new_digits = []

@@ -222,25 +222,21 @@ class PisotField:
             for i in range(d))
         # columns M^k e1 for psi, and the inverse change of basis for pi1
         cols = []
-        v = [Fraction(1)] + [Fraction(0)] * (d - 1)
+        v = [1] + [0] * (d - 1)
         for _ in range(d):
             cols.append(tuple(v))
-            v = [sum(Fraction(self.companion[i][k]) * v[k] for k in range(d)) for i in range(d)]
+            v = [sum(self.companion[i][k] * v[k] for k in range(d)) for i in range(d)]
         self._psi_cols = tuple(cols)
-        self._pi1_rows = _invert_rational_matrix([[cols[k][i] for k in range(d)] for i in range(d)])
+        inv = [_cramer(tuple(zip(*cols)), [int(i == j) for i in range(d)]) for j in range(d)]
+        self._pi1_rows = tuple(zip(*([Fraction(x, den) for x in num] for num, den in inv)))
         # integer powers beta^0 .. beta^(2d-2) in the basis, for reduction after
         # products; row d is the companion step of the integer orbit kernel
-        self._pow_coords = [tuple(row) for row in _basis_powers(c, 2 * d - 1)]
+        self._pow_coords = _basis_powers(c, 2 * d - 1)
+        # 1/beta and its integer multiplication matrix (beta is a unit)
         self._inv_beta = tuple(
             Fraction(-c[d - 2 - k], c[d - 1]) if k < d - 1 else Fraction(1, c[d - 1])
             for k in range(d))
-        # integer matrix of multiplication by 1/beta on coordinates (unit norm)
-        inv_cols = []
-        base = QBeta(self, tuple(self._inv_beta))
-        for k in range(d):
-            col = QBeta(self, tuple(Fraction(1) if i == k else Fraction(0) for i in range(d))) * base
-            inv_cols.append([int(x) for x in col.coords])
-        self.inv_beta_mat = tuple(tuple(inv_cols[k][i] for k in range(d)) for i in range(d))
+        self.inv_beta_mat = _mul_matrix(self, tuple(int(x) for x in self._inv_beta))
 
     # -- geometry ------------------------------------------------------------
 
@@ -334,37 +330,62 @@ class PisotField:
 
 
 def _basis_powers(c, upto):
-    """Coordinates of beta^k for k < upto over the basis, as integer rows."""
-    d = len(c)
-    rows = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(upto):
-        rows.append(list(cur))
-        top = cur[d - 1]
-        nxt = [0] * d
-        for i in range(d - 1, 0, -1):
-            nxt[i] = cur[i - 1]
-        for i in range(d):
-            nxt[d - 1 - i] += top * c[i]
-        cur = nxt
+    """Coordinates of beta^k for k < upto over the basis, as integer rows;
+    beta^d = c1 beta^(d-1) + ... + cd is the companion row."""
+    row, zero = tuple(reversed(c)), (0,) * len(c)
+    rows = [(1,) + zero[1:]]
+    for _ in range(upto - 1):
+        rows.append(_num_step(row, rows[-1], zero))
     return rows
 
 
-def _invert_rational_matrix(m):
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def _num_step(row, n, qd):
+    """Numerators of beta*x - d from those of x and of d, with row = beta^deg."""
+    top = n[-1]
+    return (top * row[0] - qd[0],
+            *(c + top * r - e for c, r, e in zip(n, row[1:], qd[1:])))
+
+
+def _bareiss_det(m):
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _cramer(m, b):
+    """The solution of the integer system m x = b as (num, den) with
+    m num = den b, den > 0 and gcd(den, *num) = 1, by Cramer's rule on
+    :func:`_bareiss_det`: no Fraction is formed.  Raises ZeroDivisionError
+    when m is singular."""
+    det = _bareiss_det(m)
+    if det == 0:
+        raise ZeroDivisionError("singular system")
+    num = [_bareiss_det([[*row[:i], bi, *row[i + 1:]] for row, bi in zip(m, b)])
+           for i in range(len(m))]
+    g = math.gcd(det, *num) * (1 if det > 0 else -1)
+    return [c // g for c in num], det // g
+
+
+def _mul_matrix(field, n):
+    """Integer matrix of multiplication by the element with integer
+    coordinates n: its columns are n, n beta, ..., n beta^(d-1)."""
+    row, zero = field._pow_coords[field.degree], (0,) * field.degree
+    cols = [n]
+    for _ in range(field.degree - 1):
+        cols.append(_num_step(row, cols[-1], zero))
+    return tuple(zip(*cols))
 
 
 def make_field(*coeffs):
@@ -449,18 +470,15 @@ class QBeta:
         return self * QBeta(self.field, self.field._inv_beta)
 
     def inv(self):
-        """Exact multiplicative inverse, by solving the multiplication system."""
+        """Exact multiplicative inverse, on integers: with the coordinates
+        written as integer numerators n over one q, 1/x = q/n solves
+        M_n y = q e_1 for the integer multiplication matrix M_n of n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        d = self.field.degree
-        cols = []
-        cur = self
-        for _ in range(d):
-            cols.append(cur.coords)
-            cur = cur * self.field.beta
-        m = [[cols[k][i] for k in range(d)] for i in range(d)]
-        inv = _invert_rational_matrix(m)
-        return QBeta(self.field, tuple(inv[i][0] for i in range(d)))
+        q = math.lcm(*(c.denominator for c in self.coords))
+        n = tuple(c.numerator * (q // c.denominator) for c in self.coords)
+        num, den = _cramer(_mul_matrix(self.field, n), (q,) + (0,) * (len(n) - 1))
+        return QBeta(self.field, tuple(Fraction(c, den) for c in num))
 
     def __pow__(self, n):
         if n < 0:
@@ -666,34 +684,34 @@ def qb_ceil(x):
 
 
 def _simplest_between(lo, hi):
-    """Smallest-denominator fraction in the closed rational interval [lo, hi]."""
-    if lo > hi:
+    """Smallest-denominator fraction x with lo < x < hi, for rationals lo < hi:
+    the least integer above lo, or fl + 1/y for fl = floor(lo) and the
+    simplest y between 1/(hi - fl) and 1/(lo - fl) (unbounded when lo = fl)."""
+    if lo >= hi:
         raise ValueError("empty interval")
     fl = math.floor(lo)
-    if fl + 1 <= hi:
-        return Fraction(fl if lo <= fl else fl + 1)
-    frac_lo, frac_hi = lo - fl, hi - fl
-    if frac_lo == 0:
-        return Fraction(fl)
-    inner = _simplest_between(1 / frac_hi, 1 / frac_lo)
-    return fl + 1 / inner
+    if fl + 1 < hi:
+        return Fraction(fl + 1)
+    if lo == fl:
+        return fl + Fraction(1, math.floor(1 / (hi - fl)) + 1)
+    return fl + 1 / _simplest_between(1 / (hi - fl), 1 / (lo - fl))
 
 
 def simple_rational_in(lo, hi):
-    """A small-denominator rational field element x with lo <= x < hi (exact).
+    """A small-denominator rational field element x with lo < x < hi (exact).
 
-    Raises ValidationError when lo >= hi, where no such x exists."""
+    x is the simplest rational strictly between an upper bound of lo and a
+    lower bound of hi, so it lies strictly inside even when lo or hi is
+    rational.  Raises ValidationError when lo >= hi, where no such x exists.
+    """
     if qb_compare(lo, hi) != LT:
         raise ValidationError("simple_rational_in needs lo < hi")
-    field = lo.field
     w = Fraction(1, 16)
     while True:
-        a1, b1 = gamma_interval(lo, 0, w)
-        a2, b2 = gamma_interval(hi, 0, w)
+        b1 = gamma_interval(lo, 0, w)[1]
+        a2 = gamma_interval(hi, 0, w)[0]
         if b1 < a2:
-            x = field.qb([_simplest_between(b1, a2)])
-            if qb_compare(x, lo) != LT and qb_compare(x, hi) == LT:
-                return x
+            return lo.field.qb([_simplest_between(b1, a2)])
         w /= 64
 
 

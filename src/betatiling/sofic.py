@@ -30,7 +30,8 @@ import numpy as np
 from .betamap import IntervalQB, _intersect, _merge_union, endpoint_words, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral, NotSofic,
                      ValidationError)
-from .numfield import GT, LT, _float_span, phi, qb_compare, simple_rational_in
+from .numfield import (GT, LT, _bareiss_det, _float_span, phi, qb_compare,
+                       simple_rational_in)
 from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
                      lattice_candidates, unique_cells, _check_bytes,
                      _require_integral_digits)
@@ -94,7 +95,11 @@ class ShiftAutomaton:
         return self.initial in self.ray_alive_states(word)
 
     def ray_alive_states(self, word):
-        """All states from which the infinite ray survives (memoized)."""
+        """All states from which the infinite ray survives (memoized).
+
+        For the ray of a point x that is x in the closure of the state's
+        intervals, so x in the state when x is off their ends; every end lies
+        in V, so callers pass rays of points off V."""
         key = (word.preperiod, word.period)
         if key in self._ray_cache:
             return self._ray_cache[key]
@@ -183,7 +188,7 @@ def build_automaton(t, state_budget=200000):
     if not _monotone_layout(t):
         raise NotSofic("piece layout is not digit-monotone; no lexicographic automaton")
     beta = t.field.beta
-    initial = tuple(_merge_union(t.domain_union()))
+    initial = tuple(t.components)
     index = {initial: 0}
     delta = [None]
     queue = [initial]
@@ -444,27 +449,6 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
 # ---------------------------------------------------------------------------
 # exact eigenvalue-beta test
 
-def _bareiss_det(m):
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _minpoly_at_matrix(field, m):
     """q(M) for the minimal polynomial q, over the integers.
 
@@ -632,13 +616,17 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
 
 
 def _small_orbit_reps(t, windows):
-    """Per window (lo, hi), a field element in [lo, hi) with a short forward
-    orbit: the lexicographically first lattice point with conjugates within
-    the certified bounds times 1, 2 or 4 (the first scale with one), else the
-    simplest rational.  Each scale's box is enumerated once, over the float
-    span of all windows; a window's candidates are the rows whose float real
-    embedding lies in the certified span from its lo to its hi, widened as in
-    ``lattice_candidates``."""
+    """Per window (lo, hi), a field element x with lo < x < hi and a short
+    forward orbit: the lexicographically first lattice point with conjugates
+    within the certified bounds times 1, 2 or 4 (the first scale with one),
+    else the simplest rational.  Each scale's box is enumerated once, over
+    the float span of all windows; a window's candidates are the rows whose
+    float real embedding lies in the certified span from its lo to its hi,
+    widened as in ``lattice_candidates``.
+
+    x stays off the window's ends, which are V points or V points shifted by
+    delta, so the rays of x and x + delta are alive exactly in the states
+    that contain them (:meth:`ShiftAutomaton.ray_alive_states`)."""
     f = t.field
     spans = [(_float_span(f, lo.coords)[0], _float_span(f, hi.coords)[1]) for lo, hi in windows]
     if not spans:
@@ -660,7 +648,7 @@ def _small_orbit_reps(t, windows):
             rows, vals = box(scale)
             for coords in rows[(vals >= flo - 1e-9) & (vals <= fhi + 1e-9)].tolist():
                 x = f.qb(coords)
-                if qb_compare(x, lo) != LT and qb_compare(x, hi) == LT:
+                if qb_compare(x, lo) == GT and qb_compare(x, hi) == LT:
                     return x
         return simple_rational_in(lo, hi)
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .betamap import (_from_num, _num_frame, _num_step, branch_edges, expand,
+from .betamap import (_from_num, _num_frame, branch_edges, expand,
                       interval_index)
 from .errors import (BudgetExceeded, DigitsNotIntegral,
                      UnrenderableDimension, ValidationError)
-from .numfield import LT, gamma_abs_upper, phi, qb_compare
+from .numfield import LT, _num_step, gamma_abs_upper, phi, qb_compare
 
 _FLOAT_STEP_SLACK = 1e-12
 _BYTE_LIMIT = 1 << 30       # largest cloud level, translate scene or lattice box
@@ -343,7 +343,7 @@ def tiles_containing(t, pset, z, k_budget=400):
         raise ValidationError("z must be nonnegative")
     if not len(pset):
         raise ValidationError("empty periodic set")
-    ivs = t.domain_union()
+    ivs = [iv for iv, _ in t.pieces]
     ends = [ivs[interval_index(ivs, y)].hi for y in pset.points]
 
     def owners_at(k):
@@ -411,7 +411,7 @@ def weak_finiteness_epsilon(t, pset):
     if t.side != "right":
         raise ValidationError("weak-finiteness search expects the right-continuous map")
     f = t.field
-    ivs = t.domain_union()
+    ivs = [iv for iv, _ in t.pieces]
     eps = None
     for y in pset.points:
         cand = (ivs[interval_index(ivs, y)].hi - y) * f.beta

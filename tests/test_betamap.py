@@ -417,7 +417,7 @@ def test_screen_matches_exact_index():
     root = pathlib.Path(__file__).resolve().parent.parent / "configs"
     configs = {p.stem: transform_from_config(json.loads(p.read_text()))
                for p in sorted(root.glob("*.json"))}
-    assert len(configs) == 11 and configs["golden_lazy"].side == "left"
+    assert len(configs) == 12 and configs["golden_lazy"].side == "left"
     # mod-1 maps with alpha = beta^-k have a breakpoint (1 - alpha)/beta with
     # large coordinates within beta^-(k+1) of 1/beta, whose coordinates are
     # small: there the endpoint's own float error decides the screen

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -7,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
-from betatiling.numfield import (EQ, GT, LT, _float_value, _horner_interval,
-                                 gamma, gamma_interval, make_field, phi, pi1,
-                                 psi, qb_compare, qb_floor, simple_rational_in)
+from betatiling.numfield import (EQ, GT, LT, _cramer, _float_value,
+                                 _horner_interval, gamma, gamma_interval,
+                                 make_field, phi, pi1, psi, qb_compare,
+                                 qb_floor, simple_rational_in)
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -86,6 +90,137 @@ def test_inv_beta_tribonacci(tribonacci):
 def test_general_inverse(tribonacci):
     x = tribonacci.qb(["2/3", "-1/5", "4"])
     assert (x * x.inv()) == tribonacci.one
+
+
+# ---------------------------------------------------------------------------
+# integer division against the Fraction Gauss-Jordan reference
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+FIELDS = sorted({tuple(json.loads(p.read_text())["field"]) for p in CONFIGS.glob("*.json")}
+                | {(1, 1, 1, 1)})
+QUERY_TRANSFORMS = ["golden_greedy", "golden_lazy", "golden_minweight",
+                    "tribonacci_symmetric", "smallest_pisot_symmetric"]
+
+
+def _invert_rational_matrix(m):
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        f = a[col][col]
+        a[col] = [x / f for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                g = a[r][col]
+                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _mul_matrix(x):
+    """Matrix of multiplication by x: columns x, x beta, ..., x beta^(d-1)."""
+    d = x.field.degree
+    cols = [(x * x.field.beta ** k).coords for k in range(d)]
+    return [[cols[k][i] for k in range(d)] for i in range(d)]
+
+
+def _inv_reference(x):
+    """1/x as the first column of the inverse multiplication matrix, by
+    Fraction Gauss-Jordan elimination."""
+    inv = _invert_rational_matrix(_mul_matrix(x))
+    return x.field.qb([row[0] for row in inv])
+
+
+@pytest.mark.parametrize("coeffs", FIELDS)
+def test_inverse_matches_gauss_jordan_reference(coeffs):
+    f = make_field(*coeffs)
+    d = f.degree
+    rng = random.Random(hash(coeffs))
+    small = [f.qb([rng.randint(-9, 9) for _ in range(d)]) for _ in range(12)]
+    rational = [f.qb([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 60))
+                      for _ in range(d)]) for _ in range(12)]
+    huge = [f.qb([Fraction(rng.choice((-1, 1)) * rng.randint(2 ** 200, 2 ** 210),
+                           rng.choice((1, 1, 3, 2 ** 70 + 1))) for _ in range(d)])
+            for _ in range(6)]
+    # -x and x*beta flip the sign of the norm in odd degree and wherever
+    # N(beta) = -1, so every field meets both signs
+    xs = [y for x in small + rational + huge if not x.is_zero()
+          for y in (x, -x, x * f.beta, -x * f.beta)]
+    signs = {np.sign(np.linalg.det(np.array(_mul_matrix(x), dtype=float)))
+             for x in small if not x.is_zero()}
+    assert signs == {-1.0, 1.0}
+    assert max(abs(c) for x in huge for c in x.coords) > 2 ** 200
+    for x in xs:
+        inv = x.inv()
+        assert inv == _inv_reference(x), x
+        assert x * inv == f.one
+    with pytest.raises(ZeroDivisionError):
+        f.zero.inv()
+
+
+@pytest.mark.parametrize("coeffs", FIELDS)
+def test_pi1_rows_match_gauss_jordan_reference(coeffs):
+    f = make_field(*coeffs)
+    d = f.degree
+    cols = [psi(f.qb([0] * k + [1])) for k in range(d)]
+    ref = _invert_rational_matrix([[cols[k][i] for k in range(d)] for i in range(d)])
+    assert [list(row) for row in f._pi1_rows] == ref
+
+
+def test_cramer_contract():
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        b = [rng.randint(-2 ** 80, 2 ** 80) for _ in range(n)]
+        ref = _invert_rational_matrix(m) if np.linalg.matrix_rank(np.array(m)) == n else None
+        if ref is None:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                _cramer(m, b)
+            continue
+        num, den = _cramer(m, b)
+        assert den > 0 and math.gcd(den, *num) == 1
+        assert [sum(a * c for a, c in zip(row, num)) for row in m] == [den * c for c in b]
+        assert [Fraction(c, den) for c in num] == [sum(r * c for r, c in zip(row, b))
+                                                   for row in ref]
+    assert singular > 10
+
+
+@pytest.mark.parametrize("name", QUERY_TRANSFORMS)
+def test_expansion_value_matches_reference_division(name):
+    # sum_k a_k beta^(n-k) times the reference inverse of beta^n - 1, then
+    # the preperiod by division by beta, on the expansions of sample points
+    # and on random words with periods above 200
+    t = transform_from_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    f = t.field
+    rng = random.Random(name)
+    b = float(f.beta)
+    words = []
+    for q in (3, 7, 13, 61, 97):
+        pts = []
+        while len(pts) < 4:
+            rest = [rng.randint(-2 * q, 2 * q) for _ in range(f.degree - 1)]
+            shift = sum(c * b ** (k + 1) for k, c in enumerate(rest))
+            a0 = math.floor(q * rng.uniform(float(t.xmin), float(t.xmax)) - shift)
+            x = f.qb([Fraction(c, q) for c in [a0] + rest])
+            if t.contains(x):
+                pts.append(x)
+        words += [expand(t, x) for x in pts]
+    for n in (1, 2, 57, 201, 333):
+        words.append(Expansion(tuple(rng.randrange(len(t.digits)) for _ in range(rng.randint(0, 6))),
+                               tuple(rng.randrange(len(t.digits)) for _ in range(n))))
+    assert len(words) > 15 and max(len(w.period) for w in words) > 200
+    for w in words:
+        acc = f.zero
+        for a in w.period:
+            acc = acc * f.beta + t.digits[a]
+        val = acc * _inv_reference(f.beta ** len(w.period) - f.one)
+        for a in reversed(w.preperiod):
+            val = (val + t.digits[a]).div_beta()
+        assert expansion_value(t, w) == val, (name, w)
 
 
 def test_compare_examples(golden, smallest_pisot):
@@ -190,8 +325,24 @@ def test_floor_and_simple_rational(golden):
     hi = golden.qb([0, "1/2"])  # beta/2 ~ 0.809
     x = simple_rational_in(lo, hi)
     assert x.is_rational()
-    assert qb_compare(x, lo) != LT and qb_compare(x, hi) == LT
+    assert qb_compare(x, lo) == GT and qb_compare(x, hi) == LT
     assert x.coords[0].denominator <= 2
+
+
+def test_simple_rational_in_is_strict_at_rational_ends(golden, tribonacci):
+    # a rational end is its own enclosure, so the closed-interval choice
+    # returned lo itself, or looped forever on hi
+    zero, one = golden.zero, golden.one
+    assert simple_rational_in(zero, one) == golden.qb(["1/2"])
+    assert simple_rational_in(zero, golden.beta - one) == golden.qb(["1/2"])
+    assert simple_rational_in(golden.beta - one, one) == golden.qb(["2/3"])
+    assert simple_rational_in(golden.qb(["1/3"]), golden.qb(["1/2"])) == golden.qb(["2/5"])
+    assert simple_rational_in(one - golden.beta, golden.qb(["-1/2"])) == golden.qb(["-3/5"])
+    lo = tribonacci.qb([-2, 1])
+    for hi in (tribonacci.one, tribonacci.qb([-1, 1]), lo + tribonacci.qb(["1/1000"])):
+        x = simple_rational_in(lo, hi)
+        assert x.is_rational()
+        assert qb_compare(x, lo) == GT and qb_compare(x, hi) == LT
 
 
 def test_simple_rational_in_rejects_empty_interval(tribonacci):
@@ -201,7 +352,7 @@ def test_simple_rational_in_rejects_empty_interval(tribonacci):
     for lo, hi in ((x, x), (y, x), (tribonacci.beta, tribonacci.one)):
         with pytest.raises(ValidationError, match="lo < hi"):
             simple_rational_in(lo, hi)
-    assert qb_compare(simple_rational_in(x, y), x) != LT
+    assert qb_compare(simple_rational_in(x, y), x) == GT
 
 
 # ---------------------------------------------------------------------------
