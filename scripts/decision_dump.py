@@ -4,7 +4,9 @@
     python3 scripts/decision_dump.py CHECKOUT OUT.json
 
 Imports ``betatiling`` from CHECKOUT/src and, for every right-continuous
-config in CHECKOUT/configs, writes the ``check_w`` report, and at depths 12,
+config in CHECKOUT/configs, writes the ``invariant_density`` weights (of the
+unrestricted map for a ``restrict_to_support`` config: the map whose
+weights chose the support), the ``check_w`` report, and at depths 12,
 14 and 16 the ``difference_pairs`` triples with ``err``, and the
 ``decide_tiling`` verdict, overlapping pairs, ``candidates_checked``,
 spectral gaps and the state and edge counts of its difference graph (read by
@@ -63,13 +65,18 @@ def main(argv=None):
     qb = lambda x: [str(c) for c in x.coords]
     dump = {}
     for path in sorted((checkout / "configs").glob("*.json")):
-        t = betamap.transform_from_config(json.loads(path.read_text()))
+        cfg = json.loads(path.read_text())
+        t = betamap.transform_from_config(cfg)
         if t.side != "right":
             continue
+        full = t
+        if cfg.pop("restrict_to_support", False):
+            full = betamap.transform_from_config(cfg)
+        weights = betamap.invariant_density(full, betamap.compute_v(full))
         g = tiling.gifs_build(t, betamap.compute_v(t))
         pset = tiling.purely_periodic_points(t)
         w = tiling.check_w(t, pset)
-        row = {"check_w": {
+        row = {"density": [qb(h) for h in weights], "check_w": {
             "status": w.status,
             "x": None if w.x is None else qb(w.x),
             "epsilon": qb(w.epsilon),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import (BadAlpha, BudgetExceeded, EmptyPart, NoFixedPoint,
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
-from .numfield import (EQ, GT, LT, QBeta, _cramer, _float_span, _mul_matrix,
+from .numfield import (EQ, GT, LT, QBeta, _beta_eigenvector, _cramer, _float_span, _mul_matrix,
                        _num_step, make_field, qb_ceil, qb_compare, qb_floor)
 
 
@@ -468,7 +468,6 @@ def prefix_interval_set(t, prefix):
     Independent of the admissibility machinery: computed by pulling the digit
     pieces back through the branches.  Returns a disjoint interval list.
     """
-    beta = t.field.beta
     cur = [iv for iv, _ in t.pieces]
     for a in reversed(prefix):
         nxt = []
@@ -595,66 +594,24 @@ def transfer_matrix(t, vdata):
     return mat
 
 
-def _qb_kernel(a_rows, field):
-    """Kernel basis of an exact matrix over Q(beta) (rows of QBeta entries)."""
-    rows = [list(r) for r in a_rows]
-    n = len(rows)
-    cols = len(rows[0]) if rows else 0
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * cols
-        vec[fc] = field.one
-        for ridx, pc in enumerate(piv_cols):
-            vec[pc] = -rows[ridx][fc]
-        basis.append(vec)
-    return basis
-
-
 def invariant_density(t, vdata):
     """Exact piecewise-constant invariant density weights, one per interval.
 
-    Solves beta*h = E*h over Q(beta) and normalizes the nonnegative solution
-    to total integral one.  Weights are proportional to the transverse measure
-    of the interval's fiber.
+    An exact beta-eigenvector h of the transfer matrix E (beta h = E h, from
+    :func:`numfield._beta_eigenvector`, on integers), signed nonnegative and
+    normalized to total integral one.  Weights are proportional to the
+    transverse measure of the interval's fiber.
     """
-    mat = transfer_matrix(t, vdata)
     f = t.field
-    n = len(mat)
-    a_rows = [[f.qb([mat[i][j]]) - (f.beta if i == j else f.zero) for j in range(n)]
-              for i in range(n)]
-    basis = _qb_kernel(a_rows, f)
-    cand = None
-    for vec in basis:
-        signs = [qb_compare(x, f.zero) for x in vec]
-        if all(s != LT for s in signs) and any(s == GT for s in signs):
-            cand = vec
-            break
-        if all(s != GT for s in signs) and any(s == LT for s in signs):
-            cand = [-x for x in vec]
-            break
-    if cand is None:
+    w = _beta_eigenvector(f, transfer_matrix(t, vdata))
+    h = [] if w is None else [f.qb(c) for c in w]
+    signs = {qb_compare(x, f.zero) for x in h}
+    if not h or {LT, GT} <= signs:
         raise NoFixedPoint("no nonnegative transfer fixed vector found")
-    total = f.zero
-    for h, v in zip(cand, vdata.V):
-        total = total + h * vdata.J[v].length()
-    inv = total.inv()
-    return [h * inv for h in cand]
+    if GT not in signs:
+        h = [-x for x in h]
+    inv = sum((x * vdata.J[v].length() for x, v in zip(h, vdata.V)), f.zero).inv()
+    return [x * inv for x in h]
 
 
 def restrict_to_support(t, weights, vdata):

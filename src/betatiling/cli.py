@@ -2,8 +2,7 @@
 
 Every command reads a JSON transform config, emits a deterministic JSON
 report (sorted keys, no timestamps) and optionally an SVG rendering.
-Exit codes: 0 success, 2 validation or domain error, 3 budget exhausted,
-4 decision not applicable.
+Exit codes: 0 success, 2 validation or domain error, 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import betamap, sofic, tiling
-from .errors import BetaError, BudgetExceeded, NotSofic, OutOfDomain, ValidationError
-from .numfield import GT, QBeta, qb_compare
+from .errors import BetaError, BudgetExceeded, OutOfDomain, ValidationError
+from .numfield import GT, qb_compare
 from .svgout import render_point_layers
 
 
@@ -283,9 +282,6 @@ def main(argv=None):
             cfg = json.load(fh)
         pipe = Pipeline(cfg, budget=args.budget)
         report, layers = COMMANDS[args.command](pipe, args)
-    except NotSofic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -65,10 +65,6 @@ class NoFixedPoint(BetaError):
     """The transfer matrix has no nonnegative fixed vector; defect signal."""
 
 
-class NotSofic(BetaError):
-    pass
-
-
 class BudgetExceeded(BetaError):
     """An iteration budget ran out.  Carries diagnostics in ``.info``."""
 

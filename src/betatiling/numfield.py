@@ -13,6 +13,11 @@ within e of zero (or of an integer, for the floor) does the exact path run:
 certified rational enclosures of the real embedding, refined until the sign
 is decided.
 
+Every exact linear solve is one fraction-free forward elimination on
+integers (:func:`_bareiss`) and one back-substitution: inverses, periodic
+word values and ``pi1`` (:func:`_cramer`), and the beta-eigenvectors behind
+the invariant density and the tiling decision (:func:`_beta_eigenvector`).
+
 The geometric side lives in R^d: the companion matrix, its eigenvectors
 v_1..v_d normalized so that v_1 + ... + v_d = e_1, the lattice map psi,
 and the projection phi to the contracting hyperplane H spanned by the
@@ -346,36 +351,114 @@ def _num_step(row, n, qd):
             *(c + top * r - e for c, r, e in zip(n, row[1:], qd[1:])))
 
 
-def _bareiss_det(m):
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+def _bareiss(m):
+    """Forward fraction-free (Bareiss) elimination of an integer matrix: the
+    echelon rows U, one per pivot, and the pivot columns pc; a column with no
+    pivot left is skipped.  After r pivots U[i][j] is the minor of the
+    row-permuted matrix on rows 0..r-1, i and columns pc_0..pc_(r-1), j, so
+    each division by the previous pivot is exact."""
     a = [list(row) for row in m]
-    n = len(a)
-    sign = prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv], sign = a[piv], a[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    n, cols = len(a), len(a[0]) if a else 0
+    pcols, prev = [], 1
+    for c in range(cols):
+        r = piv = len(pcols)
+        while piv < n and not a[piv][c]:
+            piv += 1
+        if piv == n:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p, tail = a[r][c], a[r][c + 1:]
+        for row in a[r + 1:]:
+            x = row[c]
+            if x:
+                row[c + 1:] = [(u * p - x * v) // prev for u, v in zip(row[c + 1:], tail)]
+            elif p != prev:
+                row[c + 1:] = [u * p // prev for u in row[c + 1:]]
+            row[c] = 0
+        prev = p
+        pcols.append(c)
+    return a[:len(pcols)], pcols
+
+
+def _back_substitute(u, pcols, f):
+    """Cramer numerators y and the leading minor D (the last pivot) for the
+    echelon rows U and pivot columns pc of :func:`_bareiss`: U_p y = D U_f
+    for any column f, by y_i = (D U_i,f - sum_(j>i) U_i,pc_j y_j) / U_i,pc_i.
+    By Cramer's rule every y_i is an integer, so each division is exact."""
+    den = u[-1][pcols[-1]] if u else 1
+    y = [0] * len(u)
+    for i in range(len(u) - 1, -1, -1):
+        row = u[i]
+        acc = den * row[f]
+        for j in range(i + 1, len(u)):
+            acc -= row[pcols[j]] * y[j]
+        y[i] = acc // row[pcols[i]]
+    return y, den
 
 
 def _cramer(m, b):
     """The solution of the integer system m x = b as (num, den) with
-    m num = den b, den > 0 and gcd(den, *num) = 1, by Cramer's rule on
-    :func:`_bareiss_det`: no Fraction is formed.  Raises ZeroDivisionError
-    when m is singular."""
-    det = _bareiss_det(m)
-    if det == 0:
+    m num = den b, den > 0 and gcd(den, *num) = 1: one elimination of
+    [m | b] and one back-substitution; no Fraction is formed.  Raises
+    ZeroDivisionError when m is singular."""
+    n = len(m)
+    u, pcols = _bareiss([[*row, bi] for row, bi in zip(m, b)])
+    if pcols[:n] != list(range(n)):
         raise ZeroDivisionError("singular system")
-    num = [_bareiss_det([[*row[:i], bi, *row[i + 1:]] for row, bi in zip(m, b)])
-           for i in range(len(m))]
-    g = math.gcd(det, *num) * (1 if det > 0 else -1)
-    return [c // g for c in num], det // g
+    num, den = _back_substitute(u[:n], pcols[:n], n)
+    g = math.gcd(den, *num) * (1 if den > 0 else -1)
+    return [c // g for c in num], den // g
+
+
+def _minpoly_at_matrix(field, m):
+    """q(M) for the minimal polynomial q, over the integers.
+
+    q(M) = M^d - c1 M^(d-1) - ... - cd I is built by Horner; each product
+    with M adds multiples of M's rows, holding only their nonzero entries.
+    """
+    n = len(m)
+    c = field.coeffs
+    rows = [[(j, v) for j, v in enumerate(r) if v] for r in m]
+    out = [[m[i][j] - (c[0] if i == j else 0) for j in range(n)] for i in range(n)]
+    for k in range(1, field.degree):
+        prod = []
+        for i, r in enumerate(out):
+            acc = [0] * n
+            for l, a in enumerate(r):
+                if a:
+                    for j, v in rows[l]:
+                        acc[j] += a * v
+            acc[i] -= c[k]
+            prod.append(acc)
+        out = prod
+    return out
+
+
+def _beta_eigenvector(field, m):
+    """An exact w != 0 with m w = beta w for the integer matrix m, one row of
+    integer Z[beta] coordinates per entry, or None when q(M) is nonsingular.
+
+    w = r(M) v for q(x) = (x - beta) r(x) and an integer v != 0 with
+    q(M) v = 0; the beta^l coordinate of r(x) is p_(d-1-l)(x) for p_0 = 1,
+    p_k = x p_(k-1) - c_k.  Any rational v != 0 will do: q has simple roots,
+    so v = sum_j v_j with M v_j = beta_j v_j, and r(M) v = q'(beta) v_0; as v
+    is rational the v_j are the Galois conjugates of v_0, so v_0 != 0.
+    """
+    n = len(m)
+    u, pcols = _bareiss(_minpoly_at_matrix(field, m))
+    if len(pcols) == n:
+        return None
+    f = next(c for c in range(n) if c not in pcols)
+    y, den = _back_substitute(u, pcols, f)
+    v = [0] * n
+    v[f] = den
+    for c, yc in zip(pcols, y):
+        v[c] = -yc
+    ps = [v]
+    for ck in field.coeffs[:-1]:
+        ps.append([sum(a * x for a, x in zip(row, ps[-1])) - ck * vi
+                   for row, vi in zip(m, v)])
+    return list(zip(*reversed(ps)))
 
 
 def _mul_matrix(field, n):
@@ -632,8 +715,9 @@ def qb_compare(x, y):
 
     Equal coordinates are EQ.  Otherwise the sign of the float value v of
     x - y is returned when |v| exceeds its certified bound e from
-    :func:`_float_value`; only inside that band does the exact loop run, an
-    interval Horner evaluation on beta enclosures narrowed by 2^-64 per round.
+    :func:`_float_value`; only inside that band does the exact loop run:
+    :func:`gamma_interval` of x - y, narrowed by 2^-64 per round until it
+    excludes zero.
     """
     if x.field != y.field:
         raise FieldMismatch("cannot compare elements of different fields")
@@ -648,11 +732,10 @@ def qb_compare(x, y):
         return LT
     width = Fraction(1, 2 ** 64)
     while True:
-        lo, hi = fld._refine_real(0, width)
-        vlo, vhi = _horner_interval(diff, lo, hi)
-        if vlo > 0:
+        lo, hi = gamma_interval(QBeta(fld, diff), 0, width)
+        if lo > 0:
             return GT
-        if vhi < 0:
+        if hi < 0:
             return LT
         width /= 2 ** 64
 

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betamap import IntervalQB, _intersect, _merge_union, endpoint_words, expand
-from .errors import (BudgetExceeded, DigitsNotIntegral, NotSofic,
-                     ValidationError)
-from .numfield import (GT, LT, _bareiss_det, _float_span, phi, qb_compare,
-                       simple_rational_in)
+from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
+from .numfield import (GT, LT, _beta_eigenvector, _float_span,
+                       _minpoly_at_matrix, phi, qb_compare, simple_rational_in)
 from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
                      lattice_candidates, unique_cells, _check_bytes,
                      _require_integral_digits)
@@ -157,11 +156,6 @@ class ShiftAutomaton:
         return f"ShiftAutomaton({self.n_states} states, {self.alphabet} letters)"
 
 
-def _monotone_layout(t):
-    digits = [a for _, a in t.pieces]
-    return all(a <= b for a, b in zip(digits, digits[1:]))
-
-
 def build_automaton(t, state_budget=200000):
     """Deterministic factor automaton: states are the cylinder images T^n[w].
 
@@ -180,13 +174,12 @@ def build_automaton(t, state_budget=200000):
     from S (it is in x's follower set) and dies from S' (no point of S' is
     in [u]).
 
-    Needs the right-continuous orientation and a digit-monotone piece layout
-    (every listed transform family has one).
+    Needs the right-continuous orientation; any piece layout will do, also
+    one whose digits' pieces interleave, since no order of the digits is
+    used.
     """
     if t.side != "right":
         raise ValidationError("automaton construction expects the right-continuous map")
-    if not _monotone_layout(t):
-        raise NotSofic("piece layout is not digit-monotone; no lexicographic automaton")
     beta = t.field.beta
     initial = tuple(t.components)
     index = {initial: 0}
@@ -299,7 +292,6 @@ def difference_pairs(t, g, depth=10):
     clouds, err = clouds_at_depth(g, depth)
     if not deltas:
         return [], err
-    nv = len(g.vertices)
     cell = 2 * err
     slack = cell * 0.75 + 1e-9          # decimation displacement bound
     reach = int(math.ceil((2 * err + slack) / cell)) + 1
@@ -449,37 +441,10 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
 # ---------------------------------------------------------------------------
 # exact eigenvalue-beta test
 
-def _minpoly_at_matrix(field, m):
-    """q(M) for the minimal polynomial q, over the integers.
-
-    q(M) = M^d - c1 M^(d-1) - ... - cd I is built by Horner; each product
-    with M adds multiples of M's rows, holding only their nonzero entries.
-    """
-    n = len(m)
-    c = field.coeffs
-    rows = [[(j, v) for j, v in enumerate(r) if v] for r in m]
-    out = [[m[i][j] - (c[0] if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(1, field.degree):
-        prod = []
-        for i, r in enumerate(out):
-            acc = [0] * n
-            for l, a in enumerate(r):
-                if a:
-                    for j, v in rows[l]:
-                        acc[j] += a * v
-            acc[i] -= c[k]
-            prod.append(acc)
-        out = prod
-    return out
-
-
 def beta_is_eigenvalue(field, m):
-    """Exact test: beta is an eigenvalue of the integer matrix m.
-
-    Equivalent to the minimal polynomial dividing the characteristic
-    polynomial; decided by a fraction-free determinant of q(M).
-    """
-    return _bareiss_det(_minpoly_at_matrix(field, m)) == 0
+    """Exact test: beta is an eigenvalue of the integer matrix m, i.e. q(M)
+    is singular for the minimal polynomial q (numfield._beta_eigenvector)."""
+    return _beta_eigenvector(field, m) is not None
 
 
 def _sccs(n, adj):

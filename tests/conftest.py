@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from betatiling import betamap, tiling
@@ -72,3 +74,24 @@ def stage_cache(t, _cache={}):
         pset = tiling.purely_periodic_points(t)
         _cache[key] = (vd, g, pset)
     return _cache[key]
+
+
+# transforms beyond the bundled configs that several modules check: name ->
+# (field coefficients, builder from the field)
+EXTRA_TRANSFORMS = {
+    "tribonacci_symmetric_unrestricted": ((1, 1, 1), lambda f: preset("symmetric", f)),
+    "smallest_pisot_symmetric_unrestricted": ((0, 1, 1), lambda f: preset("symmetric", f)),
+    "golden_linear_mod1_2_5": ((1, 1), lambda f: preset(
+        "linear_mod1", f, alpha=f.qb([Fraction(2, 5)]))),
+    "tribonacci_linear_mod1_1_3": ((1, 1, 1), lambda f: preset(
+        "linear_mod1", f, alpha=f.qb([Fraction(1, 3)]))),
+    "golden_pedicini_0_1_beta2": ((1, 1), lambda f: preset(
+        "pedicini", f, digits=[f.zero, f.one, f.beta ** 2])),
+    "smallest_pisot_minweight_1_2": ((0, 1, 1), lambda f: preset(
+        "minimal_weight", f, alpha=f.qb([Fraction(1, 2)]))),
+}
+
+
+def extra_transform(name):
+    coeffs, build = EXTRA_TRANSFORMS[name]
+    return build(make_field(*coeffs))

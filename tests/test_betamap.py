@@ -17,7 +17,7 @@ from betatiling.errors import (BudgetExceeded, NotSurjective, OutOfDomain,
                                Overlap, PediciniGapViolated, UnknownDigit)
 from betatiling.numfield import EQ, GT, LT, make_field, psi, qb_compare
 
-from conftest import stage_cache
+from conftest import EXTRA_TRANSFORMS, extra_transform, stage_cache
 
 
 def digits_of(t, word):
@@ -291,6 +291,101 @@ def test_restrict_greedy_unchanged(golden_greedy):
     assert r.to_config() == golden_greedy.to_config()
 
 
+def _qb_kernel_reference(a_rows, field):
+    """Kernel basis of an exact matrix over Q(beta), by Gauss-Jordan."""
+    rows = [list(r) for r in a_rows]
+    n = len(rows)
+    cols = len(rows[0]) if rows else 0
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv_cols.append(c)
+        r += 1
+    basis = []
+    for fc in (c for c in range(cols) if c not in piv_cols):
+        vec = [field.zero] * cols
+        vec[fc] = field.one
+        for ridx, pc in enumerate(piv_cols):
+            vec[pc] = -rows[ridx][fc]
+        basis.append(vec)
+    return basis
+
+
+def _invariant_density_reference(t, vdata):
+    """The first sign-definite kernel vector of E - beta over Q(beta),
+    normalized to total integral one."""
+    mat = transfer_matrix(t, vdata)
+    f = t.field
+    n = len(mat)
+    a_rows = [[f.qb([mat[i][j]]) - (f.beta if i == j else f.zero) for j in range(n)]
+              for i in range(n)]
+    for vec in _qb_kernel_reference(a_rows, f):
+        signs = [qb_compare(x, f.zero) for x in vec]
+        if all(s != LT for s in signs) and any(s == GT for s in signs):
+            break
+        if all(s != GT for s in signs) and any(s == LT for s in signs):
+            vec = [-x for x in vec]
+            break
+    else:
+        raise AssertionError("no nonnegative transfer fixed vector")
+    total = sum((h * vdata.J[v].length() for h, v in zip(vec, vdata.V)), f.zero)
+    return [h / total for h in vec]
+
+
+def _two_component_golden():
+    # the golden greedy map on [0, 1) and a copy shifted by 2 on [2, 3):
+    # beta is a double eigenvalue of the transfer matrix
+    f = make_field(1, 1)
+    b = f.beta
+    iv = lambda lo, hi: IntervalQB(f.qb([lo]) if isinstance(lo, int) else lo,
+                                   f.qb([hi]) if isinstance(hi, int) else hi)
+    return build_transform(f, [f.zero, f.one, 2 * b - 2, 2 * b - 1],
+                           [[iv(0, b - 1)], [iv(b - 1, 1)], [iv(2, b + 1)], [iv(b + 1, 3)]])
+
+
+def _density_transforms():
+    root = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    out = {}
+    for p in sorted(root.glob("*.json")):
+        cfg = json.loads(p.read_text())
+        t = transform_from_config(cfg)
+        if t.side != "right":
+            continue
+        out[p.stem] = t
+        if cfg.pop("restrict_to_support", False):
+            out[p.stem + "_unrestricted"] = transform_from_config(cfg)
+    for name in EXTRA_TRANSFORMS:
+        out[name] = extra_transform(name)
+    out["golden_two_components"] = _two_component_golden()
+    return out
+
+
+def test_density_matches_q_beta_kernel_reference():
+    # the integer beta-eigenvector gives the weights of the Gauss-Jordan
+    # elimination over Q(beta), coordinate for coordinate
+    transforms = _density_transforms()
+    assert len(transforms) == 22
+    for name, t in transforms.items():
+        vd = compute_v(t)
+        h = invariant_density(t, vd)
+        assert h == _invariant_density_reference(t, vd), name
+    t = transforms["golden_two_components"]
+    mat = transfer_matrix(t, compute_v(t))
+    assert len(_qb_kernel_reference(
+        [[t.field.qb([x]) - (t.field.beta if i == j else t.field.zero)
+          for j, x in enumerate(row)] for i, row in enumerate(mat)], t.field)) == 2
+
+
 def test_restrict_smallest_pisot(smallest_pisot, smallest_pisot_symmetric_r):
     # the restricted domain has the four displayed components
     f = smallest_pisot
@@ -417,7 +512,7 @@ def test_screen_matches_exact_index():
     root = pathlib.Path(__file__).resolve().parent.parent / "configs"
     configs = {p.stem: transform_from_config(json.loads(p.read_text()))
                for p in sorted(root.glob("*.json"))}
-    assert len(configs) == 12 and configs["golden_lazy"].side == "left"
+    assert len(configs) == 13 and configs["golden_lazy"].side == "left"
     # mod-1 maps with alpha = beta^-k have a breakpoint (1 - alpha)/beta with
     # large coordinates within beta^-(k+1) of 1/beta, whose coordinates are
     # small: there the endpoint's own float error decides the screen

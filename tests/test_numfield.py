@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
-from betatiling.numfield import (EQ, GT, LT, _cramer, _float_value,
-                                 _horner_interval, gamma, gamma_interval,
+from betatiling.numfield import (EQ, GT, LT, _back_substitute, _bareiss, _cramer,
+                                 _float_value, _horner_interval, gamma, gamma_interval,
                                  make_field, phi, pi1, psi, qb_compare,
                                  qb_floor, simple_rational_in)
 
@@ -187,6 +187,34 @@ def test_cramer_contract():
         assert [Fraction(c, den) for c in num] == [sum(r * c for r, c in zip(row, b))
                                                    for row in ref]
     assert singular > 10
+
+
+def test_bareiss_kernel_of_known_rank():
+    # m = L R with L (n x k) and R (k x cols) each holding a k x k identity
+    # block, so rank m = k; every free column gives a kernel vector
+    rng = random.Random(12)
+    for _ in range(300):
+        n, cols = rng.randint(1, 7), rng.randint(1, 8)
+        k = rng.randint(0, min(n, cols))
+        left = [[int(i == j) if i < k else rng.randint(-4, 4) for j in range(k)]
+                for i in range(n)]
+        rng.shuffle(left)
+        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+        for i, c in enumerate(rng.sample(range(cols), k)):
+            for j in range(k):
+                right[j][c] = int(i == j)
+        m = [[sum(row[j] * right[j][c] for j in range(k)) for c in range(cols)] for row in left]
+        u, pcols = _bareiss(m)
+        assert len(u) == len(pcols) == k and pcols == sorted(set(pcols))
+        assert all(not any(row[:c]) and row[c] for row, c in zip(u, pcols))
+        for f in set(range(cols)) - set(pcols):
+            y, den = _back_substitute(u, pcols, f)
+            v = [0] * cols
+            v[f] = den
+            for c, yc in zip(pcols, y):
+                v[c] = -yc
+            assert den != 0
+            assert [sum(a * x for a, x in zip(row, v)) for row in m] == [0] * n
 
 
 @pytest.mark.parametrize("name", QUERY_TRANSFORMS)

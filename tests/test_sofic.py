@@ -3,17 +3,15 @@ import json
 import math
 import pathlib
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from betatiling import sofic
-from betatiling.betamap import (BetaTransform, IntervalQB, endpoint_words, expand,
-                                is_admissible, prefix_interval_set, preset,
-                                transform_from_config, word_from_digits)
-from betatiling.errors import BudgetExceeded, NotSofic, ValidationError
-from betatiling.numfield import (GT, LT, _float_span, gamma_abs_upper, make_field,
+from betatiling.betamap import (endpoint_words, expand, is_admissible, prefix_interval_set,
+                                preset, transform_from_config, word_from_digits)
+from betatiling.errors import BudgetExceeded, ValidationError
+from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, gamma_abs_upper,
                                  phi, qb_compare, simple_rational_in)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
@@ -26,7 +24,7 @@ from betatiling.tiling import (cell_frame, cell_keys, clouds_at_depth,
                                conj_block_bounds, lattice_candidates,
                                unique_cells)
 
-from conftest import stage_cache
+from conftest import EXTRA_TRANSFORMS, extra_transform, stage_cache
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -287,32 +285,13 @@ def _isomorphic(a, b):
     return len(m) == a.n_states == b.n_states == len(set(m.values()))
 
 
-def _extra_transform(name):
-    golden, trib, sp = make_field(1, 1), make_field(1, 1, 1), make_field(0, 1, 1)
-    half = Fraction(1, 2)
-    return {
-        "tribonacci_symmetric_unrestricted": lambda: preset("symmetric", trib),
-        "smallest_pisot_symmetric_unrestricted": lambda: preset("symmetric", sp),
-        "golden_linear_mod1_2_5": lambda: preset("linear_mod1", golden,
-                                                 alpha=golden.qb([Fraction(2, 5)])),
-        "tribonacci_linear_mod1_1_3": lambda: preset("linear_mod1", trib,
-                                                     alpha=trib.qb([Fraction(1, 3)])),
-        "golden_pedicini_0_1_beta2": lambda: preset("pedicini", golden,
-                                                    digits=[golden.zero, golden.one,
-                                                            golden.beta ** 2]),
-        "smallest_pisot_minweight_1_2": lambda: preset("minimal_weight", sp,
-                                                       alpha=sp.qb([half])),
-    }[name]()
-
-
-@pytest.mark.parametrize("name", RIGHT_CONTINUOUS + [
-    "tribonacci_symmetric_unrestricted", "smallest_pisot_symmetric_unrestricted",
-    "golden_linear_mod1_2_5", "tribonacci_linear_mod1_1_3",
-    "golden_pedicini_0_1_beta2", "smallest_pisot_minweight_1_2"])
+@pytest.mark.parametrize("name", [n for n in RIGHT_CONTINUOUS if n != "golden_interleaved"]
+                         + list(EXTRA_TRANSFORMS))
 def test_automaton_matches_lexicographic_reference(name):
     # the cylinder-image automaton is the minimized endpoint-word automaton up
-    # to the numbering of its states, and is minimal as built
-    t = config_transform(name) if name in RIGHT_CONTINUOUS else _extra_transform(name)
+    # to the numbering of its states, and is minimal as built; the reference
+    # reads the pieces in digit order, which an interleaved layout breaks
+    t = config_transform(name) if name in RIGHT_CONTINUOUS else extra_transform(name)
     aut = build_automaton(t)
     ref = _minimized(_lexicographic_automaton_reference(t))
     assert aut.n_states == ref.n_states
@@ -334,21 +313,28 @@ def test_automaton_rejects_left_continuous():
         build_automaton(config_transform("golden_lazy"))
 
 
-def test_automaton_rejects_non_monotone_layout(golden, monkeypatch):
-    # digits 0, 1, 0 along the pieces: refused before any image is built
-    third = Fraction(1, 3)
-    iv = lambda lo, hi: IntervalQB(golden.qb([lo]), golden.qb([hi]))
-    t = BetaTransform(golden, [golden.zero, golden.one],
-                      [[iv(0, third), iv(2 * third, 1)], [iv(third, 2 * third)]],
-                      "right", _validated=True)
-    assert [a for _, a in t.pieces] == [0, 1, 0]
-
-    def no_construction(*args):
-        raise AssertionError("construction started")
-
-    monkeypatch.setattr(sofic, "_merge_union", no_construction)
-    with pytest.raises(NotSofic):
-        build_automaton(t)
+def test_interleaved_layout_automaton_and_routes():
+    # golden field, digits 0, 1, beta, 3 beta - 3 on [0, 1), [1, 5/4) u
+    # [7/4, 2), [5/4, 7/4), [2, 3): digit 1's pieces interleave digit 2's, so
+    # no order of the digits is lexicographic along the domain
+    from betatiling.cli import default_samples
+    from betatiling.tiling import check_w, covering_degree_estimate
+    t = config_transform("golden_interleaved")
+    assert [a for _, a in t.pieces] == [0, 1, 2, 1, 3]
+    aut = build_automaton(t)
+    assert aut.n_states == 47
+    assert len(set(_moore_classes(aut))) == aut.n_states
+    rng = random.Random(14)
+    na = len(t.digits)
+    for _ in range(3000):
+        w = tuple(rng.randrange(na) for _ in range(rng.randint(1, 12)))
+        assert aut.is_factor(w) == _factor_oracle(t, w), w
+    vd, g, pset = stage_cache(t)
+    assert len(vd.V) == 21 and len(pset) == 3
+    assert check_w(t, pset).status == "holds"
+    mn, _ = covering_degree_estimate(t, pset, default_samples(t.field, 30))
+    assert mn == 1
+    assert decide_tiling(t, g, pset, automaton=aut).verdict == "tiling"
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +426,24 @@ def test_beta_eigenvalue_exact(golden):
     assert not beta_is_eigenvalue(golden, [[0, 0], [0, 0]])
 
 
+def _bareiss_det_reference(m):
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def _minpoly_dense_reference(field, m):
     """q(M) by Horner with dense matrix products."""
     n = len(m)
@@ -495,6 +499,14 @@ def test_minpoly_sparse_rows_match_dense_product(monkeypatch, golden, tribonacci
     for k, (field, m) in enumerate(cases):
         q = _minpoly_at_matrix(field, m)
         assert q == _minpoly_dense_reference(field, m), m
+        w = _beta_eigenvector(field, m)
+        assert (w is None) == (_bareiss_det_reference(q) != 0), m
+        if w is not None:
+            # m w = beta w exactly, w != 0
+            ws = [field.qb(c) for c in w]
+            assert any(not x.is_zero() for x in ws)
+            for row, x in zip(m, ws):
+                assert sum((a * y for a, y in zip(row, ws)), field.zero) == field.beta * x
         hits[k >= recorded] += beta_is_eigenvalue(field, m)
     assert recorded > 0 and min(hits) > 0 and hits[1] < len(cases) - recorded
 
