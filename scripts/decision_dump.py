@@ -6,8 +6,8 @@
 Imports ``betatiling`` from CHECKOUT/src and, for every right-continuous
 config in CHECKOUT/configs, writes the ``invariant_density`` weights (of the
 unrestricted map for a ``restrict_to_support`` config: the map whose
-weights chose the support), the ``check_w`` report, and at depths 12,
-14 and 16 the ``difference_pairs`` triples with ``err``, and the
+weights chose the support), the ``check_w`` report, and one decision entry:
+the ``difference_pairs`` triples and their windows, and the
 ``decide_tiling`` verdict, overlapping pairs, ``candidates_checked``,
 spectral gaps and the state and edge counts of its difference graph (read by
 wrapping ``sofic.build_diff_transducer``), so a change to the graph shows even
@@ -24,8 +24,6 @@ identical.
 import json
 import pathlib
 import sys
-
-DEPTHS = (12, 14, 16)
 
 
 def numbering_free(aut):
@@ -84,20 +82,19 @@ def main(argv=None):
             "chains": sorted([qb(y), [qb(c) for c in ch]] for y, ch in w.chains.items())}}
         aut = sofic.build_automaton(t)
         row["automaton"] = numbering_free(aut)
-        for depth in DEPTHS:
-            pairs, err = sofic.difference_pairs(t, g, depth)
-            graphs.clear()
-            dec = sofic.decide_tiling(t, g, pset, depth=depth, automaton=aut)
-            (td,) = graphs
-            row[f"depth_{depth}"] = {
-                "difference_pairs": [[qb(delta), i, j] for delta, i, j in pairs],
-                "err": err.hex(),
-                "verdict": dec.verdict,
-                "pairs": [[qb(delta), qb(x), qb(y)] for delta, x, y in dec.pairs],
-                "candidates_checked": dec.candidates_checked,
-                "spectral_gaps": [float(s).hex() for s in dec.spectral_gaps],
-                "graph_states": len(td.states),
-                "graph_edges": len(td.edges)}
+        pairs, windows = sofic.difference_pairs(t, g)
+        graphs.clear()
+        dec = sofic.decide_tiling(t, g, pset, automaton=aut)
+        (td,) = graphs
+        row["decision"] = {
+            "difference_pairs": [[qb(delta), i, j] for delta, i, j in pairs],
+            "windows": [[qb(lo), qb(hi)] for lo, hi in windows],
+            "verdict": dec.verdict,
+            "pairs": [[qb(delta), qb(x), qb(y)] for delta, x, y in dec.pairs],
+            "candidates_checked": dec.candidates_checked,
+            "spectral_gaps": [float(s).hex() for s in dec.spectral_gaps],
+            "graph_states": len(td.states),
+            "graph_edges": len(td.edges)}
         dump[path.stem] = row
         print(path.stem, file=sys.stderr, flush=True)
     out.write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")

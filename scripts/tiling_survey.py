@@ -14,22 +14,22 @@ from betatiling import betamap, sofic, tiling  # noqa: E402
 from betatiling.cli import default_samples  # noqa: E402
 from betatiling.errors import BudgetExceeded  # noqa: E402
 
-CASES = {
-    "golden_greedy": 22,
-    "golden_minweight": 22,
-    "golden_symmetric": 22,
-    "golden_pm1": 22,
-    "tribonacci_symmetric": 18,
-    "smallest_pisot_symmetric": 40,
-    "cubic_2m11_symmetric": 30,
-    "cubic_101_symmetric": 34,
-}
+CASES = (
+    "golden_greedy",
+    "golden_minweight",
+    "golden_symmetric",
+    "golden_pm1",
+    "tribonacci_symmetric",
+    "smallest_pisot_symmetric",
+    "cubic_2m11_symmetric",
+    "cubic_101_symmetric",
+)
 
 
 def main():
     root = pathlib.Path(__file__).resolve().parents[1]
     print(f"{'case':28s} {'|P|':>4s} {'(F)':>4s} {'witness':>12s} {'min#':>5s} {'verdict':>9s} {'sec':>6s}")
-    for name, depth in CASES.items():
+    for name in CASES:
         t0 = time.time()
         cfg = json.loads((root / "configs" / f"{name}.json").read_text())
         t = betamap.transform_from_config(cfg)
@@ -40,7 +40,7 @@ def main():
         wtag = "holds" if w.status == "holds" else "budget"
         mn, _ = tiling.covering_degree_estimate(t, pset, default_samples(t.field, 20))
         try:
-            verdict = sofic.decide_tiling(t, g, pset, depth=depth).verdict
+            verdict = sofic.decide_tiling(t, g, pset).verdict
         except BudgetExceeded:
             verdict = "budget"
         print(f"{name:28s} {len(pset):4d} {str(tiling.check_f(pset)):>4s} "

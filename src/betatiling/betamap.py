@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import (BadAlpha, BudgetExceeded, EmptyPart, NoFixedPoint,
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
-from .numfield import (EQ, GT, LT, QBeta, _beta_eigenvector, _cramer, _float_span, _mul_matrix,
+from .numfield import (GT, LT, QBeta, _beta_eigenvector, _cramer, _float_span, _mul_matrix,
                        _num_step, make_field, qb_ceil, qb_compare, qb_floor)
 
 
@@ -448,18 +448,6 @@ def endpoint_words(t):
             rows.append((expand(right, iv.lo), expand(left, iv.hi)))
         out.append(rows)
     return out
-
-
-def word_compare(w1, w2, horizon=None):
-    """Exact lexicographic comparison of eventually periodic index words."""
-    if horizon is None:
-        n1, n2 = max(1, len(w1.period)), max(1, len(w2.period))
-        horizon = len(w1.preperiod) + len(w2.preperiod) + math.lcm(n1, n2) + 1
-    for k in range(horizon):
-        a, b = w1.digit_at(k), w2.digit_at(k)
-        if a != b:
-            return GT if a > b else LT
-    return EQ
 
 
 def prefix_interval_set(t, prefix):

@@ -211,8 +211,8 @@ def cmd_sofic(pipe, args):
 
 
 def cmd_decide_tiling(pipe, args):
-    dec = sofic.decide_tiling(pipe.t, pipe.gifs, pipe.pset, depth=args.depth,
-                              automaton=pipe.automaton)
+    # the decision reads no periodic points and no cloud depth
+    dec = sofic.decide_tiling(pipe.t, pipe.gifs, None, automaton=pipe.automaton)
     return {
         "verdict": dec.verdict,
         "pairs": [{
@@ -265,7 +265,8 @@ def build_parser():
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", required=True, help="transform config JSON path")
     ap.add_argument("--x", help="point coordinates 'q0,q1,...' for expand")
-    ap.add_argument("--depth", type=int, default=14, help="cloud iteration depth")
+    ap.add_argument("--depth", type=int, default=14,
+                    help="cloud iteration depth for natext, tiles and translates")
     ap.add_argument("--out", help="write the JSON report here (default stdout)")
     ap.add_argument("--svg", help="write an SVG rendering here (where supported)")
     ap.add_argument("--dot", help="write a dot export here (sofic command)")

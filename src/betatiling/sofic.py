@@ -21,8 +21,6 @@ integers, once per component.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +28,10 @@ import numpy as np
 from .betamap import IntervalQB, _intersect, _merge_union, endpoint_words, expand
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
 from .numfield import (GT, LT, _beta_eigenvector, _float_span,
-                       _minpoly_at_matrix, phi, qb_compare, simple_rational_in)
-from .tiling import (cell_frame, cell_keys, clouds_at_depth, conj_block_bounds,
-                     lattice_candidates, unique_cells, _check_bytes,
-                     _require_integral_digits)
+                       _minpoly_at_matrix, qb_compare, simple_rational_in)
+from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
+# unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
+from .tiling import clouds_at_depth  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -264,96 +262,51 @@ def _difference_box(t):
     return out
 
 
-def difference_pairs(t, g, depth=10):
-    """Triples (delta, i, j) of candidate overlapping tile classes.
+def difference_pairs(t, g):
+    """Triples (delta, i, j) of candidate overlapping tile classes, and the
+    window (lo, hi) of each: lo = max(J_i.lo, J_j.lo - delta) and
+    hi = min(J_i.hi, J_j.hi - delta).
 
     delta runs over the points of the difference box (:func:`_difference_box`)
-    with 0 < delta < diam; (i, j) over interval classes whose translates can
-    meet both arithmetically (interval intersection) and geometrically (cloud
-    distance at the given depth).  Pruning only ever discards pairs whose
-    clouds are provably farther apart than the certified error allows.
+    with 0 < delta < diam; (i, j) over the interval classes whose translates
+    meet, i.e. lo < hi.  Nothing geometric is screened here: the shared
+    difference graph decides every start exactly, because a start has an
+    infinite path only when its two tiles meet (the deltas of such starts are
+    the neighbour set of Siegel and Thuswaldner, Topological properties of
+    Rauzy fractals, 2009).
 
-    The interval gate holds delta and the interval ends as certified float
-    spans and runs an exact comparison only when the span of an intersection's
-    length straddles zero.  delta's hyperplane coordinates are its coordinates
-    times the rows phi(beta^k), widened by their errors and the rounding of
-    the product.
-
-    The geometric test is one index per decision: tile i's cells, dilated by
-    every offset within the reach, are keyed and sorted once, on first use,
-    so that a triple costs one ``searchsorted`` of tile j's shifted cells.
+    The gate holds delta and the interval ends as certified float spans and
+    runs an exact comparison only when the span of a window's length
+    straddles zero; the exact window is built once per triple that passes.
     """
     _require_integral_digits(t)
     f = t.field
-    d = f.degree
     diam = t.xmax - t.xmin
     deltas = [x for x in map(f.qb, _difference_box(t))
               if qb_compare(x, f.zero) == GT and qb_compare(x, diam) == LT]
-    clouds, err = clouds_at_depth(g, depth)
     if not deltas:
-        return [], err
-    cell = 2 * err
-    slack = cell * 0.75 + 1e-9          # decimation displacement bound
-    reach = int(math.ceil((2 * err + slack) / cell)) + 1
-    dim = d - 1
-    offs = np.array(list(itertools.product(range(-reach, reach + 1), repeat=dim)),
-                    dtype=np.int64)
-    cellsets = [unique_cells(np.floor(cl / cell).astype(np.int64)) for cl in clouds]
-    stored = np.vstack(cellsets)    # widened to hold every dilated cell
-    base, span = frame = cell_frame(np.vstack([stored - reach, stored + reach]))
-    centers = [(c + 0.5) * cell for c in cellsets]
-    # keys are affine in the cell, so inside the frame a cell's dilated keys
-    # are its key plus each offset's key step
-    steps = cell_keys(offs + base, frame)
-    dilated = {}
-
-    def cells_touch(i, pts):
-        # offs is symmetric: a query cell touches tile i when it lies in tile
-        # i's dilated cells, which the frame holds, so cells outside it miss
-        if i not in dilated:
-            _check_bytes(len(cellsets[i]) * len(offs), 1, "dilated cell set")
-            keys = (cell_keys(cellsets[i], frame)[:, None] + steps).ravel()
-            dilated[i] = np.unique(keys, return_counts=True)[0]
-        keys = dilated[i]
-        c = np.floor(pts / cell).astype(np.int64)
-        codes = cell_keys(c[np.all((c >= base) & (c < base + span), axis=1)], frame)
-        pos = np.clip(np.searchsorted(keys, codes), 0, len(keys) - 1)
-        return bool(np.any(keys[pos] == codes))
-
-    # interval gate over (delta, i, j): lo = max(J_i.lo, J_j.lo - delta) and
-    # hi = min(J_i.hi, J_j.hi - delta) must satisfy lo < hi
+        return [], []
     jlo = np.array([_float_span(f, iv.lo.coords) for iv in g.J]).T
     jhi = np.array([_float_span(f, iv.hi.coords) for iv in g.J]).T
     ds = np.array([_float_span(f, x.coords) for x in deltas]).T[:, :, None]
     lo = np.maximum(jlo[:, None, :, None], _span_sub(jlo[:, None, :], ds)[:, :, None, :])
     hi = np.minimum(jhi[:, None, :, None], _span_sub(jhi[:, None, :], ds)[:, :, None, :])
     gap = _span_sub(hi, lo)
-    # hyperplane coordinates and their certified error, one row per delta
-    basis = [phi(f.qb([0] * k + [1] + [0] * (dim - k)), 60) for k in range(d)]
-    gam = d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
-    cmat = np.array([x.coords for x in deltas], dtype=float)
-    pds = cmat @ np.array([b.coords for b in basis])
-    perr = np.abs(cmat) @ np.array([b.err + gam * sum(map(abs, b.coords)) for b in basis])
-    amin = np.array([cl.min(axis=0) for cl in clouds])
-    amax = np.array([cl.max(axis=0) for cl in clouds])
-    out = []
+    triples, windows = [], []
     for c, i, j in zip(*np.nonzero(gap[1] > 0)):
         delta = deltas[c]
-        if gap[0][c, i, j] <= 0:
-            lo_q = max(g.J[i].lo, g.J[j].lo - delta)
-            hi_q = min(g.J[i].hi, g.J[j].hi - delta)
-            if qb_compare(lo_q, hi_q) != LT:
-                continue
-        pd = pds[c]
-        bgap = np.maximum(amin[j] + pd - amax[i], amin[i] - (amax[j] + pd)).max()
-        if bgap <= 2 * err + slack + perr[c] and cells_touch(i, centers[j] + pd):
-            out.append((delta, int(i), int(j)))
-    return out, err
+        window = (max(g.J[i].lo, g.J[j].lo - delta), min(g.J[i].hi, g.J[j].hi - delta))
+        if gap[0][c, i, j] <= 0 and qb_compare(*window) != LT:
+            continue
+        triples.append((delta, int(i), int(j)))
+        windows.append(window)
+    return triples, windows
 
 
-def difference_candidates(t, g, depth=10):
-    """Nonzero candidate differences (plus zero, which is always one)."""
-    pairs, _ = difference_pairs(t, g, depth)
+def difference_candidates(t, g):
+    """Zero, which is always a candidate difference, then the distinct deltas
+    of the :func:`difference_pairs` triples in increasing order."""
+    pairs, _ = difference_pairs(t, g)
     seen = {delta.coords: delta for delta, _, _ in pairs}
     return [t.field.zero] + sorted(seen.values())
 
@@ -538,16 +491,18 @@ class TilingDecision:
 def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     """Exact verdict: tiling, or a list of positive-measure overlapping pairs.
 
-    Every candidate difference and class pair gives one start of a single
+    Every triple of :func:`difference_pairs` gives one start of a single
     shared two-tape difference graph.  Its components are walked sinks first,
     so each recurrent one is tested once: a component is hit when a successor
     is, or when beta is an eigenvalue of its adjacency matrix.  A pair
-    overlaps exactly when the component of its start is hit.
+    overlaps exactly when the component of its start is hit.  No tile cloud
+    is read, so the verdict does not depend on a depth; ``pset`` and
+    ``depth`` are unused and kept only for callers that still pass them.
     """
     _require_integral_digits(t)
     f = t.field
     aut = automaton if automaton is not None else build_automaton(t)
-    pairs, _ = difference_pairs(t, g, depth)
+    pairs, windows = difference_pairs(t, g)
     ray_cache = {}
 
     def ray(x):
@@ -557,9 +512,7 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
 
     # any representative of the class pair gives the same tiles; a lattice
     # point with small conjugates keeps the endpoint orbits short
-    reps = _small_orbit_reps(t, [(max(g.J[i].lo, g.J[j].lo - delta),
-                                  min(g.J[i].hi, g.J[j].hi - delta))
-                                 for delta, i, j in pairs])
+    reps = _small_orbit_reps(t, windows)
     start_of = {}        # (delta, xrep) coordinates -> start index
     starts = []
     pair_starts = []

@@ -38,7 +38,7 @@ def test_criterion_1_golden_greedy(golden, golden_greedy):
     assert vd.V == [golden.zero, golden.one.div_beta()]
     assert [p.coords for p in pset.points] == [(0, 0)]
     assert check_f(pset)
-    dec = decide_tiling(golden_greedy, g, pset, depth=20)
+    dec = decide_tiling(golden_greedy, g, pset)
     assert dec.verdict == "tiling"
     # depth chosen so that the geometric tail bound is below 1e-3
     depth = math.ceil(math.log(1e-3 / g.cloud_constant) / math.log(golden.rho))
@@ -101,7 +101,7 @@ def test_criterion_4_golden_symmetric(golden, golden_symmetric_r):
                                (-(inv ** 2)).coords, (inv ** 2).coords]
     assert chains[(-2, 1)] == [(-two * inv ** 4).coords, (-two * inv ** 3).coords,
                                (inv ** 3).coords, (inv ** 2).coords]
-    dec = decide_tiling(golden_symmetric_r, g, pset, depth=22)
+    dec = decide_tiling(golden_symmetric_r, g, pset)
     assert dec.verdict == "tiling"
     ok("criterion 4: P, witness z = 1/beta^5 with k = 3, both chains, tiling")
 
@@ -133,7 +133,7 @@ def test_criterion_5_tribonacci_symmetric(tribonacci, tribonacci_symmetric,
     assert not t.contains(tribonacci.qb([4, 0, -2]))
     assert (4, -2, 0) in owners
 
-    dec = decide_tiling(t, g, pset, depth=16)
+    dec = decide_tiling(t, g, pset)
     assert dec.verdict == "multiple"
     assert (0, 2, -1) in {d.coords for d, _, _ in dec.pairs}   # 1/beta^2
 
@@ -161,7 +161,7 @@ def test_criterion_6_smallest_pisot(smallest_pisot, smallest_pisot_symmetric_r):
     assert orbit == {p.coords for p in pset.points}
     rep = tiles_containing(t, pset, smallest_pisot.qb([2]))
     assert {o.coords for o in rep.owners} == {(3, -2, 0), (0, -3, 2)}
-    dec = decide_tiling(t, g, pset, depth=40)
+    dec = decide_tiling(t, g, pset)
     assert dec.verdict == "multiple"
     ok("criterion 6: 8-point orbit with exact period word, membership pair, double verdict")
 

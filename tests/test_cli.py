@@ -98,8 +98,7 @@ def test_sofic_report(tmp_path):
 
 
 def test_decide_tiling_report():
-    r = run_cli("decide-tiling", "--config", str(CFG / "golden_greedy.json"),
-                "--depth", "18")
+    r = run_cli("decide-tiling", "--config", str(CFG / "golden_greedy.json"))
     rep = json.loads(r.stdout)
     assert rep["verdict"] == "tiling"
 

@@ -1,6 +1,4 @@
-import itertools
 import json
-import math
 import pathlib
 import random
 
@@ -8,21 +6,21 @@ import numpy as np
 import pytest
 
 from betatiling import sofic
-from betatiling.betamap import (endpoint_words, expand, is_admissible, prefix_interval_set,
-                                preset, transform_from_config, word_from_digits)
+from betatiling.betamap import (compute_v, endpoint_words, expand, is_admissible,
+                                prefix_interval_set, preset, transform_from_config,
+                                word_from_digits)
 from betatiling.errors import BudgetExceeded, ValidationError
 from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, gamma_abs_upper,
-                                 phi, qb_compare, simple_rational_in)
+                                 qb_compare, simple_rational_in)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
                               ShiftAutomaton,
                               _component_walk, _difference_box, _minpoly_at_matrix,
-                              _sccs, _small_orbit_reps, _span_sub)
-from betatiling.tiling import (cell_frame, cell_keys, clouds_at_depth,
-                               conj_block_bounds, lattice_candidates,
-                               unique_cells)
+                              _sccs, _small_orbit_reps)
+from betatiling.tiling import (clouds_at_depth, conj_block_bounds, gifs_build,
+                               lattice_candidates)
 
 from conftest import EXTRA_TRANSFORMS, extra_transform, stage_cache
 
@@ -342,22 +340,15 @@ def test_interleaved_layout_automaton_and_routes():
 
 def test_zero_always_candidate(golden_greedy):
     vd, g, _ = stage_cache(golden_greedy)
-    cands = difference_candidates(golden_greedy, g, depth=12)
+    cands = difference_candidates(golden_greedy, g)
     assert cands[0].is_zero()
 
 
 def test_tribonacci_candidates_contain_inv_beta_sq(tribonacci_symmetric_r):
     vd, g, _ = stage_cache(tribonacci_symmetric_r)
-    cands = difference_candidates(tribonacci_symmetric_r, g, depth=14)
+    cands = difference_candidates(tribonacci_symmetric_r, g)
     coords = {c.coords for c in cands}
     assert (0, 2, -1) in coords     # 1/beta^2
-
-
-def test_golden_greedy_candidates_prune(golden_greedy):
-    vd, g, _ = stage_cache(golden_greedy)
-    cands = difference_candidates(golden_greedy, g, depth=14)
-    # only the touching neighbors stay after cloud pruning
-    assert len(cands) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +463,7 @@ def test_minpoly_sparse_rows_match_dense_product(monkeypatch, golden, tribonacci
     for name in ("golden_pm1", "tribonacci_symmetric"):
         t = transform_from_config(json.loads((root / f"{name}.json").read_text()))
         _, g, pset = stage_cache(t)
-        decide_tiling(t, g, pset, depth=12)
+        decide_tiling(t, g, pset)
     monkeypatch.undo()
     recorded = len(cases)
     # seeded random matrices; every other one hides the companion matrix in a
@@ -516,22 +507,30 @@ def test_minpoly_sparse_rows_match_dense_product(monkeypatch, golden, tribonacci
 
 def test_decide_golden_greedy(golden_greedy):
     vd, g, pset = stage_cache(golden_greedy)
-    dec = decide_tiling(golden_greedy, g, pset, depth=20)
+    dec = decide_tiling(golden_greedy, g, pset)
     assert dec.verdict == "tiling"
     assert dec.spectral_gaps and min(dec.spectral_gaps) > 0.1
 
 
 def test_decide_golden_symmetric(golden_symmetric_r):
     vd, g, pset = stage_cache(golden_symmetric_r)
-    dec = decide_tiling(golden_symmetric_r, g, pset, depth=22)
+    dec = decide_tiling(golden_symmetric_r, g, pset)
     assert dec.verdict == "tiling"
 
 
 def test_decide_tribonacci_double(tribonacci_symmetric_r):
     vd, g, pset = stage_cache(tribonacci_symmetric_r)
-    dec = decide_tiling(tribonacci_symmetric_r, g, pset, depth=16)
+    dec = decide_tiling(tribonacci_symmetric_r, g, pset)
     assert dec.verdict == "multiple"
     assert (0, 2, -1) in {d.coords for d, _, _ in dec.pairs}
+
+
+def test_decision_reads_no_tile_cloud(tribonacci_symmetric_r):
+    # the verdict is decided on the exact difference graph alone
+    t = tribonacci_symmetric_r
+    g = gifs_build(t, compute_v(t))
+    assert decide_tiling(t, g, None).verdict == "multiple"
+    assert g._cloud_cache == {}
 
 
 def test_cross_validation_w_vs_decision(golden_greedy, golden_symmetric_r):
@@ -539,7 +538,7 @@ def test_cross_validation_w_vs_decision(golden_greedy, golden_symmetric_r):
     for t in (golden_greedy, golden_symmetric_r):
         vd, g, pset = stage_cache(t)
         w = check_w(t, pset)
-        dec = decide_tiling(t, g, pset, depth=20)
+        dec = decide_tiling(t, g, pset)
         assert (w.status == "holds") == (dec.verdict == "tiling")
 
 
@@ -553,17 +552,14 @@ def test_cubic_30m1_greedy_decides_tiling():
     t = config_transform("cubic_30m1_greedy")
     vd, g, pset = stage_cache(t)
     assert check_w(t, pset).status == "holds"
-    pairs, _ = difference_pairs(t, g, 10)
+    pairs, windows = difference_pairs(t, g)
     delta = t.field.qb([-2, 1])
-    windows = [(max(g.J[i].lo, g.J[j].lo - d), min(g.J[i].hi, g.J[j].hi - d))
-               for d, i, j in pairs]
     assert (t.field.zero, t.field.qb([3, -1])) in [w for w, (d, _, _) in zip(windows, pairs)
                                                    if d == delta]
     for (lo, hi), x in zip(windows, _small_orbit_reps(t, windows)):
         assert qb_compare(lo, x) == LT and qb_compare(x, hi) == LT
-    for depth in (10, 14):
-        dec = decide_tiling(t, g, pset, depth=depth)
-        assert dec.verdict == "tiling" and dec.pairs == ()
+    dec = decide_tiling(t, g, pset)
+    assert dec.verdict == "tiling" and dec.pairs == ()
 
 
 def test_component_walk_reaches_downstream(golden):
@@ -576,10 +572,10 @@ def test_component_walk_reaches_downstream(golden):
     assert radius[3:] == pytest.approx([1.0, 1.0, 0.0, 1.0, 1.0])
 
 
-def _decide_per_pair(t, g, aut, depth):
+def _decide_per_pair(t, g, aut):
     """Reference decision: one difference machine per (delta, xrep) key, each
     with its own component loop, stopping at the first passing component."""
-    pairs, _ = difference_pairs(t, g, depth)
+    pairs, _ = difference_pairs(t, g)
     bounds = conj_block_bounds(t)
     beta_f = float(t.field.beta)
     done, overlapping, gaps = {}, [], []
@@ -634,69 +630,28 @@ def _small_orbit_rep_reference(t, lo, hi, bounds):
     return simple_rational_in(lo, hi)
 
 
-def _difference_pairs_reference(t, g, depth):
-    """difference_pairs with the query cells of tile j dilated by every offset
-    for each (delta, i, j) triple, against tile i's undilated keys."""
+def _difference_pairs_reference(t, g):
+    """difference_pairs without the float gate: every delta of the box with
+    0 < delta < diam and every class pair (i, j), kept when the exact window
+    max(J_i.lo, J_j.lo - delta) < min(J_i.hi, J_j.hi - delta)."""
     f = t.field
-    d = f.degree
-    bounds = [2 * b for b in conj_block_bounds(t)]
     diam = t.xmax - t.xmin
-    dfhi = _float_span(f, diam.coords)[1]
-    deltas = []
-    for coords in lattice_candidates(f, -dfhi, dfhi, bounds):
-        if all(c == 0 for c in coords):
-            continue
+    triples, windows = [], []
+    for coords in _difference_box(t):
         delta = f.qb(coords)
-        if qb_compare(delta, f.zero) == GT and qb_compare(delta, diam) == LT:
-            deltas.append(delta)
-    clouds, err = clouds_at_depth(g, depth)
-    if not deltas:
-        return [], err
-    cell = 2 * err
-    slack = cell * 0.75 + 1e-9
-    reach = int(math.ceil((2 * err + slack) / cell)) + 1
-    dim = d - 1
-    offs = np.array(list(itertools.product(range(-reach, reach + 1), repeat=dim)),
-                    dtype=np.int64)
-    cellsets = [unique_cells(np.floor(cl / cell).astype(np.int64)) for cl in clouds]
-    stored = np.vstack(cellsets)
-    base, span = frame = cell_frame(np.vstack([stored - 2 * reach, stored + 2 * reach]))
-    keysets = [cell_keys(c, frame) for c in cellsets]
-    centers = [(c + 0.5) * cell for c in cellsets]
+        if qb_compare(delta, f.zero) != GT or qb_compare(delta, diam) != LT:
+            continue
+        shifted = [(jj.lo - delta, jj.hi - delta) for jj in g.J]
+        for i, ji in enumerate(g.J):
+            for j, (jlo, jhi) in enumerate(shifted):
+                lo, hi = max(ji.lo, jlo), min(ji.hi, jhi)
+                if qb_compare(lo, hi) == LT:
+                    triples.append((delta, i, j))
+                    windows.append((lo, hi))
+    return triples, windows
 
-    def cells_touch(i, pts):
-        c = np.floor(pts / cell).astype(np.int64)
-        c = c[np.all((c >= base + reach) & (c < base + span - reach), axis=1)]
-        codes = cell_keys((c[:, None, :] + offs).reshape(-1, dim), frame)
-        pos = np.clip(np.searchsorted(keysets[i], codes), 0, len(keysets[i]) - 1)
-        return bool(np.any(keysets[i][pos] == codes))
 
-    jlo = np.array([_float_span(f, iv.lo.coords) for iv in g.J]).T
-    jhi = np.array([_float_span(f, iv.hi.coords) for iv in g.J]).T
-    ds = np.array([_float_span(f, x.coords) for x in deltas]).T[:, :, None]
-    lo = np.maximum(jlo[:, None, :, None], _span_sub(jlo[:, None, :], ds)[:, :, None, :])
-    hi = np.minimum(jhi[:, None, :, None], _span_sub(jhi[:, None, :], ds)[:, :, None, :])
-    gap = _span_sub(hi, lo)
-    basis = [phi(f.qb([0] * k + [1] + [0] * (dim - k)), 60) for k in range(d)]
-    gam = d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
-    cmat = np.array([x.coords for x in deltas], dtype=float)
-    pds = cmat @ np.array([b.coords for b in basis])
-    perr = np.abs(cmat) @ np.array([b.err + gam * sum(map(abs, b.coords)) for b in basis])
-    amin = np.array([cl.min(axis=0) for cl in clouds])
-    amax = np.array([cl.max(axis=0) for cl in clouds])
-    out = []
-    for c, i, j in zip(*np.nonzero(gap[1] > 0)):
-        delta = deltas[c]
-        if gap[0][c, i, j] <= 0:
-            lo_q = max(g.J[i].lo, g.J[j].lo - delta)
-            hi_q = min(g.J[i].hi, g.J[j].hi - delta)
-            if qb_compare(lo_q, hi_q) != LT:
-                continue
-        pd = pds[c]
-        bgap = np.maximum(amin[j] + pd - amax[i], amin[i] - (amax[j] + pd)).max()
-        if bgap <= 2 * err + slack + perr[c] and cells_touch(i, centers[j] + pd):
-            out.append((delta, int(i), int(j)))
-    return out, err
+_REFERENCES = {}
 
 
 # cubic_30m1_greedy (beta ~ 2.88) stops at depth 14: its depth-16 clouds
@@ -704,17 +659,24 @@ def _difference_pairs_reference(t, g, depth):
 @pytest.mark.parametrize("name,depth", [(n, k) for n in RIGHT_CONTINUOUS for k in (12, 14, 16)
                                         if (n, k) != ("cubic_30m1_greedy", 16)])
 def test_decision_indexes_match_per_call_references(name, depth):
-    # the per-tile dilated key sets and the per-decision representative boxes
-    # give the pairs, err and representatives of the per-triple and per-call code
+    # the gated triples and their windows are those of the exact per-triple
+    # test whatever tile clouds the graph holds, and the per-decision
+    # representative boxes give the per-call representatives
     t = config_transform(name)
     vd, g, pset = stage_cache(t)
-    pairs, err = difference_pairs(t, g, depth)
-    ref, ref_err = _difference_pairs_reference(t, g, depth)
-    assert err == ref_err
+    held = set(g._cloud_cache)
+    clouds_at_depth(g, depth)
+    try:
+        pairs, windows = difference_pairs(t, g)
+    finally:
+        for k in set(g._cloud_cache) - held:
+            del g._cloud_cache[k]
+    if name not in _REFERENCES:     # the reference takes seconds and reads no depth
+        _REFERENCES[name] = _difference_pairs_reference(t, g)
+    ref, ref_windows = _REFERENCES[name]
     assert [(x.coords, i, j) for x, i, j in pairs] == [(x.coords, i, j) for x, i, j in ref]
+    assert windows == ref_windows
     assert pairs
-    windows = [(max(g.J[i].lo, g.J[j].lo - delta), min(g.J[i].hi, g.J[j].hi - delta))
-               for delta, i, j in pairs]
     bounds = conj_block_bounds(t)
     reps = _small_orbit_reps(t, windows)
     assert [x.coords for x in reps] == [_small_orbit_rep_reference(t, lo, hi, bounds).coords
@@ -727,8 +689,8 @@ def test_shared_graph_matches_per_pair_machines(name):
     t = transform_from_config(json.loads(cfg.read_text()))
     vd, g, pset = stage_cache(t)
     aut = build_automaton(t)
-    dec = decide_tiling(t, g, pset, depth=12, automaton=aut)
-    verdict, overlapping, checked, gaps = _decide_per_pair(t, g, aut, 12)
+    dec = decide_tiling(t, g, pset, automaton=aut)
+    verdict, overlapping, checked, gaps = _decide_per_pair(t, g, aut)
     assert dec.verdict == verdict
     assert list(dec.pairs) == overlapping
     assert dec.candidates_checked == checked
@@ -740,7 +702,7 @@ def test_shared_graph_matches_per_pair_machines(name):
 def test_shared_graph_state_budget(golden_pm1):
     vd, g, pset = stage_cache(golden_pm1)
     with pytest.raises(BudgetExceeded) as err:
-        decide_tiling(golden_pm1, g, pset, depth=12, state_budget=5)
+        decide_tiling(golden_pm1, g, pset, state_budget=5)
     assert err.value.info["states"] == 5 and err.value.info["starts"] > 0
 
 
@@ -811,7 +773,7 @@ def test_recurrent_states_lie_in_the_certified_box(name, monkeypatch):
         return graphs[-1]
 
     monkeypatch.setattr(sofic, "build_diff_transducer", recording_build)
-    decide_tiling(t, g, pset, depth=14)
+    decide_tiling(t, g, pset)
     (td,) = graphs
     n = len(td.states)
     adj = [[] for _ in range(n)]

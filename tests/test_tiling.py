@@ -607,13 +607,9 @@ def test_byte_budget_stops_large_allocations(monkeypatch, golden_pm1, tribonacci
         torus_translates(t, vd, g, 16)
     assert ei.value.info["bytes"] > limit
     assert torus_translates(t, vd, g, 6, resolution=10).coverage
-    # the first tile the decision dilates by 7 offsets holds 2074 cells at
-    # depth 16 (the largest); at depth 12 no tile holds more than 308
+    # the decision allocates no cloud, so it fits under the same limit
     pset = purely_periodic_points(t)
-    with pytest.raises(BudgetExceeded, match="dilated cell set") as ei:
-        decide_tiling(t, g, pset, depth=16)
-    assert ei.value.info == {"points": 2074 * 7, "bytes": 2074 * 7 * 8, "limit": limit}
-    assert decide_tiling(t, g, pset, depth=12).verdict == "multiple"
+    assert decide_tiling(t, g, pset).verdict == "multiple"
     monkeypatch.setattr(tiling, "_BYTE_LIMIT", 1000)
     with pytest.raises(BudgetExceeded, match="lattice box") as ei:
         purely_periodic_points(preset("symmetric", tribonacci))
