@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Run the full decision pipeline on every bundled config and print a table:
-periodic points, finiteness, witness search, covering samples, exact verdict.
+"""Run the full decision pipeline on every right-continuous config in
+configs/ and print a table: periodic points, finiteness, witness search,
+covering samples, exact verdict.
+
+    python3 scripts/tiling_survey.py
 """
 
 import json
@@ -14,25 +17,16 @@ from betatiling import betamap, sofic, tiling  # noqa: E402
 from betatiling.cli import default_samples  # noqa: E402
 from betatiling.errors import BudgetExceeded  # noqa: E402
 
-CASES = (
-    "golden_greedy",
-    "golden_minweight",
-    "golden_symmetric",
-    "golden_pm1",
-    "tribonacci_symmetric",
-    "smallest_pisot_symmetric",
-    "cubic_2m11_symmetric",
-    "cubic_101_symmetric",
-)
-
 
 def main():
     root = pathlib.Path(__file__).resolve().parents[1]
     print(f"{'case':28s} {'|P|':>4s} {'(F)':>4s} {'witness':>12s} {'min#':>5s} {'verdict':>9s} {'sec':>6s}")
-    for name in CASES:
+    for path in sorted((root / "configs").glob("*.json")):
         t0 = time.time()
-        cfg = json.loads((root / "configs" / f"{name}.json").read_text())
-        t = betamap.transform_from_config(cfg)
+        t = betamap.transform_from_config(json.loads(path.read_text()))
+        if t.side != "right":
+            continue
+        name = path.stem
         vd = betamap.compute_v(t)
         g = tiling.gifs_build(t, vd)
         pset = tiling.purely_periodic_points(t)

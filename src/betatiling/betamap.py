@@ -77,13 +77,7 @@ class BetaTransform:
             key=lambda t: t[0].lo)
         self.xmin = self.pieces[0][0].lo
         self.xmax = self.pieces[-1][0].hi
-        comps = []
-        for iv, _ in self.pieces:
-            if comps and comps[-1].hi == iv.lo:
-                comps[-1] = IntervalQB(comps[-1].lo, iv.hi)
-            else:
-                comps.append(IntervalQB(iv.lo, iv.hi))
-        self.components = comps
+        self.components = _merge_union([iv for iv, _ in self.pieces])
         self._float_pieces = tuple(
             (*_float_span(field, iv.lo.coords), *_float_span(field, iv.hi.coords), a)
             for iv, a in self.pieces)

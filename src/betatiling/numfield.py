@@ -766,38 +766,6 @@ def qb_ceil(x):
     return qb_floor(x) + 1
 
 
-def _simplest_between(lo, hi):
-    """Smallest-denominator fraction x with lo < x < hi, for rationals lo < hi:
-    the least integer above lo, or fl + 1/y for fl = floor(lo) and the
-    simplest y between 1/(hi - fl) and 1/(lo - fl) (unbounded when lo = fl)."""
-    if lo >= hi:
-        raise ValueError("empty interval")
-    fl = math.floor(lo)
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        return fl + Fraction(1, math.floor(1 / (hi - fl)) + 1)
-    return fl + 1 / _simplest_between(1 / (hi - fl), 1 / (lo - fl))
-
-
-def simple_rational_in(lo, hi):
-    """A small-denominator rational field element x with lo < x < hi (exact).
-
-    x is the simplest rational strictly between an upper bound of lo and a
-    lower bound of hi, so it lies strictly inside even when lo or hi is
-    rational.  Raises ValidationError when lo >= hi, where no such x exists.
-    """
-    if qb_compare(lo, hi) != LT:
-        raise ValidationError("simple_rational_in needs lo < hi")
-    w = Fraction(1, 16)
-    while True:
-        b1 = gamma_interval(lo, 0, w)[1]
-        a2 = gamma_interval(hi, 0, w)[0]
-        if b1 < a2:
-            return lo.field.qb([_simplest_between(b1, a2)])
-        w /= 64
-
-
 # ---------------------------------------------------------------------------
 # lattice and hyperplane maps
 

@@ -5,32 +5,36 @@ automaton whose states are cylinder images: after a word w the state is
 T^|w| of the cylinder [w], the points whose expansion starts with w, a
 finite union of half-open intervals (the follower-set presentation of a
 sofic shift).  A digit intersects the state with its pieces, then maps the
-parts by x -> beta*x - a; an empty image is the dead state.
+parts by x -> beta*x - a; an empty image is the dead state.  The states
+containing a point x, its alive set, are read by exact interval membership.
 
 The tiling decision runs one two-tape difference graph per decision, shared
 by every candidate tile pair: states carry the exact value difference of the
 two remaining rays, a point of one finite difference box that also supplies
-the candidate differences, plus the alive-state sets of both tapes;
-transitions prepend one digit per tape and divide the difference by beta.  A
-state and its out-edges do not depend on which candidate reached it, so each
-candidate is one start state of the graph.  A pair of tiles overlaps on
-positive measure exactly when its start reaches a recurrent component whose
-adjacency matrix has beta as an eigenvalue, which is tested exactly over the
-integers, once per component.
+the candidate differences, plus the alive sets of both tapes; transitions
+prepend one digit per tape and divide the difference by beta.  A state and
+its out-edges do not depend on which candidate reached it, so each candidate
+is one start state of the graph, taken at the left end of its window.  A
+pair of tiles overlaps on positive measure exactly when its start reaches a
+recurrent component whose adjacency matrix has beta as an eigenvalue, which
+is tested exactly over the integers, once per component.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import IntervalQB, _intersect, _merge_union, endpoint_words, expand
+from .betamap import IntervalQB, _intersect, _merge_union, endpoint_words
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
 from .numfield import (GT, LT, _beta_eigenvector, _float_span,
-                       _minpoly_at_matrix, qb_compare, simple_rational_in)
+                       _minpoly_at_matrix, qb_compare)
 from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
+# and sofic.expand
+from .betamap import expand  # noqa: F401
 from .tiling import clouds_at_depth  # noqa: F401
 
 
@@ -61,16 +65,28 @@ class ShiftAutomaton:
     """Deterministic automaton for the factors of the closed expansion shift.
 
     All live states are accepting; a word is a factor exactly when it labels a
-    live path from the initial state.
+    live path from the initial state.  ``images`` gives each state's interval
+    union (none for an automaton given by its transitions alone).  Their ends
+    cut the line into cells on which membership in every state is constant;
+    each cell's set of states is built here, so :meth:`alive` is one
+    bisection.
     """
 
-    def __init__(self, transform, states, delta, initial):
+    def __init__(self, transform, states, delta, initial, images):
         self.transform = transform
         self.n_states = states
         self.delta = delta           # list of tuples, one per state; None = dead
         self.initial = initial
         self.alphabet = len(transform.digits)
-        self._ray_cache = {}
+        self._ends = sorted({e.coords: e for img in images for iv in img
+                             for e in (iv.lo, iv.hi)}.values())
+        pos = {e.coords: k for k, e in enumerate(self._ends)}
+        cells = [set() for _ in range(len(self._ends) + 1)]
+        for s, img in enumerate(images):
+            for iv in img:
+                for k in range(pos[iv.lo.coords] + 1, pos[iv.hi.coords] + 1):
+                    cells[k].add(s)
+        self._cells = [frozenset(c) for c in cells]
         self._pred_cache = {}
 
     # -- runs ---------------------------------------------------------------
@@ -87,37 +103,11 @@ class ShiftAutomaton:
     def is_factor(self, word):
         return self.run(word) is not None
 
-    def accepts_ray(self, word):
-        """Whether the eventually periodic ray stays alive from the start."""
-        return self.initial in self.ray_alive_states(word)
-
-    def ray_alive_states(self, word):
-        """All states from which the infinite ray survives (memoized).
-
-        For the ray of a point x that is x in the closure of the state's
-        intervals, so x in the state when x is off their ends; every end lies
-        in V, so callers pass rays of points off V."""
-        key = (word.preperiod, word.period)
-        if key in self._ray_cache:
-            return self._ray_cache[key]
-        cur = list(range(self.n_states))
-        for a in word.preperiod:
-            cur = [None if s is None else self.delta[s][a] for s in cur]
-        if not word.period:
-            out = frozenset(i for i, s in enumerate(cur) if s is not None)
-            self._ray_cache[key] = out
-            return out
-        seen = set()
-        state = tuple(cur)
-        while state not in seen:
-            seen.add(state)
-            for a in word.period:
-                cur = [None if s is None else self.delta[s][a] for s in cur]
-            state = tuple(cur)
-        # survivors of the closed cycle are alive forever
-        out = frozenset(i for i, s in enumerate(state) if s is not None)
-        self._ray_cache[key] = out
-        return out
+    def alive(self, x):
+        """The states whose half-open intervals contain the point x.  This is
+        the set :meth:`predecessor_set` steps back: x lies in S and in a piece
+        of digit a exactly when beta*x - a lies in delta(S, a)."""
+        return self._cells[bisect.bisect_right(self._ends, x)]
 
     def predecessor_set(self, alive, a):
         """States s with delta(s, a) inside the given alive set (memoized)."""
@@ -159,10 +149,10 @@ def build_automaton(t, state_budget=200000):
 
     The initial state is the domain; digit a sends a state S to the merged
     union of beta*(S & p) - a over a's pieces p, and an empty image is the
-    dead state.  States are keyed by their exact interval ends and explored
-    last in, first out, at most ``state_budget`` of them.  A word is a factor
-    exactly when its image is nonempty, because the map is onto and so every
-    factor is a prefix.
+    dead state.  States are keyed by their exact interval ends, which also
+    give the automaton its alive sets, and explored last in, first out, at most
+    ``state_budget`` of them.  A word is a factor exactly when its image is
+    nonempty, because the map is onto and so every factor is a prefix.
 
     The automaton is minimal as built.  Two distinct states S != S' differ
     on a half-open interval, so some x lies inside one and at distance r > 0
@@ -203,7 +193,7 @@ def build_automaton(t, state_budget=200000):
                 queue.append(image)
             row.append(index[image])
         delta[index[state]] = tuple(row)
-    return ShiftAutomaton(t, len(delta), delta, 0)
+    return ShiftAutomaton(t, len(delta), delta, 0, list(index))
 
 
 def forbidden_words(aut, maxlen=6):
@@ -325,14 +315,15 @@ class DiffTransducer:
 def build_diff_transducer(t, aut, starts, state_budget=60000):
     """Reachable good part of the difference graph from every start.
 
-    Each start is a candidate (delta0, in_ray, out_ray).  States combine the
-    exact remaining-value difference with alive-state sets for both tapes; a
-    state is good when both current rays are admissible from scratch.  A state
-    and its out-edges do not depend on the start that reached it, so all
-    starts share one graph, bounded by ``state_budget`` states.  Successors
-    outside :func:`_difference_box` escape forever and are dropped.
-    Differences stay in Z[beta], so the core runs on integer coordinate
-    tuples.
+    Each start is a candidate (delta0, x): a point x of the domain whose
+    translate x + delta0 lies in the domain too.  States combine the exact
+    remaining-value difference with the alive sets of both tapes, from
+    ``aut.alive(x + delta0)`` and ``aut.alive(x)`` (memoized by point); a
+    state is good when both sets hold the initial state.  A state and its
+    out-edges do not depend on the start that reached it, so all starts share
+    one graph, bounded by ``state_budget`` states.  Successors outside
+    :func:`_difference_box` escape forever and are dropped.  Differences stay
+    in Z[beta], so the core runs on integer coordinate tuples.
     """
     f = t.field
     d = f.degree
@@ -347,6 +338,7 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
     index = {}
     states = []
     queue = []
+    alive = {}
 
     def intern(key):
         if key not in index:
@@ -358,12 +350,16 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
             queue.append(index[key])
         return index[key]
 
+    def alive_at(x):
+        if x.coords not in alive:
+            alive[x.coords] = aut.alive(x)
+        return alive[x.coords]
+
     initials = []
-    for delta0, in_ray, out_ray in starts:
-        p_in = aut.ray_alive_states(in_ray)
-        p_out = aut.ray_alive_states(out_ray)
+    for delta0, x in starts:
+        p_in, p_out = alive_at(x + delta0), alive_at(x)
         if q0 not in p_in or q0 not in p_out:
-            raise ValidationError("candidate rays are not admissible")
+            raise ValidationError("start point x or x + delta lies outside the domain")
         if not delta0.is_integral():
             raise DigitsNotIntegral("difference must lie in Z[beta]")
         initials.append(intern((tuple(int(c) for c in delta0.coords), p_in, p_out)))
@@ -491,83 +487,27 @@ class TilingDecision:
 def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     """Exact verdict: tiling, or a list of positive-measure overlapping pairs.
 
-    Every triple of :func:`difference_pairs` gives one start of a single
-    shared two-tape difference graph.  Its components are walked sinks first,
-    so each recurrent one is tested once: a component is hit when a successor
-    is, or when beta is an eigenvalue of its adjacency matrix.  A pair
-    overlaps exactly when the component of its start is hit.  No tile cloud
-    is read, so the verdict does not depend on a depth; ``pset`` and
-    ``depth`` are unused and kept only for callers that still pass them.
+    Every triple of :func:`difference_pairs` gives one start (delta, lo) of a
+    single shared two-tape difference graph, at the left end lo of its
+    window [lo, hi).  The window is half-open, so lo lies in J_i and
+    lo + delta in J_j, and the tiles of the pair do not depend on the point
+    chosen.  The graph's components are walked sinks first, so each recurrent
+    one is tested once: a component is hit when a successor is, or when beta
+    is an eigenvalue of its adjacency matrix.  A pair overlaps exactly when
+    the component of its start is hit.  No tile cloud is read, so the verdict
+    does not depend on a depth; ``pset`` and ``depth`` are unused and kept
+    only for callers that still pass them.
     """
     _require_integral_digits(t)
     f = t.field
     aut = automaton if automaton is not None else build_automaton(t)
     pairs, windows = difference_pairs(t, g)
-    ray_cache = {}
-
-    def ray(x):
-        if x.coords not in ray_cache:
-            ray_cache[x.coords] = expand(t, x)
-        return ray_cache[x.coords]
-
-    # any representative of the class pair gives the same tiles; a lattice
-    # point with small conjugates keeps the endpoint orbits short
-    reps = _small_orbit_reps(t, windows)
-    start_of = {}        # (delta, xrep) coordinates -> start index
-    starts = []
-    pair_starts = []
-    for (delta, _, _), xrep in zip(pairs, reps):
-        key = (delta.coords, xrep.coords)
-        if key not in start_of:
-            start_of[key] = len(starts)
-            starts.append((delta, ray(xrep + delta), ray(xrep)))
-        pair_starts.append(start_of[key])
+    starts = [(delta, lo) for (delta, _, _), (lo, _) in zip(pairs, windows)]
     td = build_diff_transducer(t, aut, starts, state_budget=state_budget)
     hit, radius = _component_walk(f, td)
     overlapping = tuple((delta, g.vertices[i], g.vertices[j])
-                        for (delta, i, j), k in zip(pairs, pair_starts)
-                        if hit[td.initials[k]])
+                        for (delta, i, j), s in zip(pairs, td.initials) if hit[s])
     beta_f = float(f.beta)
     gaps = tuple(beta_f - radius[s] for s in td.initials if not hit[s])
     verdict = "multiple" if overlapping else "tiling"
     return TilingDecision(verdict, overlapping, len(pairs), gaps)
-
-
-def _small_orbit_reps(t, windows):
-    """Per window (lo, hi), a field element x with lo < x < hi and a short
-    forward orbit: the lexicographically first lattice point with conjugates
-    within the certified bounds times 1, 2 or 4 (the first scale with one),
-    else the simplest rational.  Each scale's box is enumerated once, over
-    the float span of all windows; a window's candidates are the rows whose
-    float real embedding lies in the certified span from its lo to its hi,
-    widened as in ``lattice_candidates``.
-
-    x stays off the window's ends, which are V points or V points shifted by
-    delta, so the rays of x and x + delta are alive exactly in the states
-    that contain them (:meth:`ShiftAutomaton.ray_alive_states`)."""
-    f = t.field
-    spans = [(_float_span(f, lo.coords)[0], _float_span(f, hi.coords)[1]) for lo, hi in windows]
-    if not spans:
-        return []
-    glo, ghi = min(s[0] for s in spans), max(s[1] for s in spans)
-    bounds = conj_block_bounds(t)
-    b0 = f.vand[0].real
-    boxes = {}
-
-    def box(scale):
-        if scale not in boxes:
-            rows = np.array(lattice_candidates(f, glo, ghi, [b * scale for b in bounds]),
-                            dtype=np.int64).reshape(-1, f.degree)
-            boxes[scale] = rows, rows.astype(float) @ b0
-        return boxes[scale]
-
-    def rep(lo, hi, flo, fhi):
-        for scale in (1, 2, 4):
-            rows, vals = box(scale)
-            for coords in rows[(vals >= flo - 1e-9) & (vals <= fhi + 1e-9)].tolist():
-                x = f.qb(coords)
-                if qb_compare(x, lo) == GT and qb_compare(x, hi) == LT:
-                    return x
-        return simple_rational_in(lo, hi)
-
-    return [rep(lo, hi, *span) for (lo, hi), span in zip(windows, spans)]

@@ -250,8 +250,7 @@ def lattice_candidates(field, g1_lo, g1_hi, block_bounds):
     result is a superset.  Callers re-check the real embedding exactly and
     keep the conjugate superset, which is safe for each: every purely
     periodic point and every difference on an infinite path of the difference
-    graph meets the bounds, and a window's representative may be any point
-    of the window.
+    graph meets the bounds.
     """
     vand = field.vand
     bvec = [max(abs(g1_lo), abs(g1_hi))]

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
-from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
+from betatiling.errors import NotIrreducible, NotPisot, NotUnit
 from betatiling.numfield import (EQ, GT, LT, _back_substitute, _bareiss, _cramer,
                                  _float_value, _horner_interval, gamma, gamma_interval,
                                  make_field, phi, pi1, psi, qb_compare,
-                                 qb_floor, simple_rational_in)
+                                 qb_floor)
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -349,38 +349,6 @@ def test_hyperplane_contraction(tribonacci, px, py):
 def test_floor_and_simple_rational(golden):
     assert qb_floor(golden.beta) == 1
     assert qb_floor(golden.qb(["7/2"])) == 3
-    lo = golden.qb(["1/10", "0"])
-    hi = golden.qb([0, "1/2"])  # beta/2 ~ 0.809
-    x = simple_rational_in(lo, hi)
-    assert x.is_rational()
-    assert qb_compare(x, lo) == GT and qb_compare(x, hi) == LT
-    assert x.coords[0].denominator <= 2
-
-
-def test_simple_rational_in_is_strict_at_rational_ends(golden, tribonacci):
-    # a rational end is its own enclosure, so the closed-interval choice
-    # returned lo itself, or looped forever on hi
-    zero, one = golden.zero, golden.one
-    assert simple_rational_in(zero, one) == golden.qb(["1/2"])
-    assert simple_rational_in(zero, golden.beta - one) == golden.qb(["1/2"])
-    assert simple_rational_in(golden.beta - one, one) == golden.qb(["2/3"])
-    assert simple_rational_in(golden.qb(["1/3"]), golden.qb(["1/2"])) == golden.qb(["2/5"])
-    assert simple_rational_in(one - golden.beta, golden.qb(["-1/2"])) == golden.qb(["-3/5"])
-    lo = tribonacci.qb([-2, 1])
-    for hi in (tribonacci.one, tribonacci.qb([-1, 1]), lo + tribonacci.qb(["1/1000"])):
-        x = simple_rational_in(lo, hi)
-        assert x.is_rational()
-        assert qb_compare(x, lo) == GT and qb_compare(x, hi) == LT
-
-
-def test_simple_rational_in_rejects_empty_interval(tribonacci):
-    # with lo >= hi there is no x to find; the search must not narrow forever
-    x = tribonacci.qb(["1/3", "-2/7", "5/11"])
-    y = x + tribonacci.qb(["1/1000000"])
-    for lo, hi in ((x, x), (y, x), (tribonacci.beta, tribonacci.one)):
-        with pytest.raises(ValidationError, match="lo < hi"):
-            simple_rational_in(lo, hi)
-    assert qb_compare(simple_rational_in(x, y), x) == GT
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,25 @@
 import json
+import math
 import pathlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from betatiling import sofic
-from betatiling.betamap import (compute_v, endpoint_words, expand, is_admissible,
-                                prefix_interval_set, preset, transform_from_config,
-                                word_from_digits)
+from betatiling.betamap import (compute_v, endpoint_words, expand, prefix_interval_set,
+                                preset, transform_from_config)
 from betatiling.errors import BudgetExceeded, ValidationError
 from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, gamma_abs_upper,
-                                 qb_compare, simple_rational_in)
+                                 gamma_interval, qb_compare)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
                               ShiftAutomaton,
                               _component_walk, _difference_box, _minpoly_at_matrix,
-                              _sccs, _small_orbit_reps)
+                              _sccs)
 from betatiling.tiling import (clouds_at_depth, conj_block_bounds, gifs_build,
                                lattice_candidates)
 
@@ -120,22 +121,41 @@ def test_automaton_factor_oracle_agreement(case, golden_greedy,
     assert checked == 1500
 
 
-def test_automaton_ray_acceptance_matches_is_admissible(golden_greedy):
-    aut = build_automaton(golden_greedy)
-    rng = random.Random(5)
-    agree = 0
-    for _ in range(300):
-        pre = tuple(rng.randrange(2) for _ in range(rng.randrange(3)))
-        per = tuple(rng.randrange(2) for _ in range(1, rng.randrange(1, 4) + 1))
-        w = word_from_digits(golden_greedy, pre, per)
-        adm = is_admissible(golden_greedy, w)
-        ray_ok = aut.accepts_ray(w)
-        # the automaton recognizes the closure: it accepts everything
-        # admissible, and whatever extra it accepts is a supremum word
-        assert not adm or ray_ok
-        if adm == ray_ok:
-            agree += 1
-    assert agree > 250
+def _ray_alive_states_reference(aut, word):
+    """All states from which the eventually periodic ray survives: the
+    preperiod is read from every state at once, then the period until the
+    tuple of current states repeats.  For the ray of a point x that is x in
+    the closure of the state's intervals."""
+    cur = list(range(aut.n_states))
+    for a in word.preperiod:
+        cur = [None if s is None else aut.delta[s][a] for s in cur]
+    if word.period:
+        seen = set()
+        while tuple(cur) not in seen:
+            seen.add(tuple(cur))
+            for a in word.period:
+                cur = [None if s is None else aut.delta[s][a] for s in cur]
+    return frozenset(i for i, s in enumerate(cur) if s is not None)
+
+
+@pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "golden_minweight",
+                                  "tribonacci_symmetric", "cubic_30m1_greedy"])
+def test_alive_sets_match_ray_survival(name):
+    # off the state ends, membership and the survival of the point's ray
+    # agree; the interior representatives of the windows stay off those ends
+    t = config_transform(name)
+    vd, g, pset = stage_cache(t)
+    aut = build_automaton(t)
+    bounds = conj_block_bounds(t)
+    checked = 0
+    for (delta, _, _), (lo, hi) in zip(*difference_pairs(t, g)):
+        x = _small_orbit_rep_reference(t, lo, hi, bounds)
+        for y in (x, x + delta):
+            assert aut.alive(y) == _ray_alive_states_reference(aut, expand(t, y)), (y, delta)
+            checked += 1
+    assert checked > 0
+    assert aut.initial in aut.alive(t.xmin)
+    assert aut.alive(t.xmax) == frozenset() and aut.alive(t.xmin - t.field.one) == frozenset()
 
 
 def _canon(word, pos):
@@ -235,7 +255,7 @@ def _lexicographic_automaton_reference(t):
                 queue.append(key)
             row.append(index[key])
         delta[index[state]] = tuple(row)
-    return ShiftAutomaton(t, len(delta), delta, 0)
+    return ShiftAutomaton(t, len(delta), delta, 0, ())
 
 
 def _moore_classes(aut):
@@ -260,7 +280,7 @@ def _minimized(aut):
     num = {c: k for k, c in enumerate(first)}
     delta = [tuple(None if s is None else num[cls[s]] for s in aut.delta[i])
              for i in first.values()]
-    return ShiftAutomaton(aut.transform, len(delta), delta, num[cls[aut.initial]])
+    return ShiftAutomaton(aut.transform, len(delta), delta, num[cls[aut.initial]], ())
 
 
 def _isomorphic(a, b):
@@ -359,21 +379,11 @@ def test_transducer_path_sum_identity(tribonacci, tribonacci_symmetric_r):
     vd, g, pset = stage_cache(t)
     aut = build_automaton(t)
     delta = tribonacci.qb([0, 2, -1])      # 1/beta^2, the overlap difference
-    lo = max(g.J[3].lo, g.J[3].lo - delta)
-    xrep = simple_rational_in(g.J[0].lo, g.J[0].hi)
-    found = None
-    for i in range(len(g.vertices)):
-        for j in range(len(g.vertices)):
-            lo = max(g.J[i].lo, g.J[j].lo - delta)
-            hi = min(g.J[i].hi, g.J[j].hi - delta)
-            if qb_compare(lo, hi) == -1:
-                found = simple_rational_in(lo, hi)
-                break
-        if found is not None:
-            break
-    xrep = found
-    yrep = xrep + delta
-    td = build_diff_transducer(t, aut, [(delta, expand(t, yrep), expand(t, xrep))])
+    # the identity does not depend on the start point: take the left end of
+    # the first window of delta
+    pairs, windows = difference_pairs(t, g)
+    x = next(lo for (d, _, _), (lo, _) in zip(pairs, windows) if d == delta)
+    td = build_diff_transducer(t, aut, [(delta, x)])
     out_edges = {}
     for s, d, ain, aout in td.edges:
         out_edges.setdefault(s, []).append((d, ain, aout))
@@ -533,6 +543,32 @@ def test_decision_reads_no_tile_cloud(tribonacci_symmetric_r):
     assert g._cloud_cache == {}
 
 
+def test_decision_expands_no_point(tribonacci_symmetric_r, monkeypatch):
+    # every start reads its alive sets by interval membership, not from the
+    # expansions of representatives
+    def no_expand(*args, **kwargs):
+        raise AssertionError("expand called")
+
+    monkeypatch.setattr(sofic, "expand", no_expand)
+    t = tribonacci_symmetric_r
+    vd, g, pset = stage_cache(t)
+    dec = decide_tiling(t, g, pset)
+    assert dec.verdict == "multiple"
+    assert (0, 2, -1) in {d.coords for d, _, _ in dec.pairs}
+
+
+def test_diff_transducer_rejects_start_outside_domain(golden_greedy):
+    t = golden_greedy
+    aut = build_automaton(t)
+    f = t.field
+    delta = f.beta - f.one
+    assert build_diff_transducer(t, aut, [(delta, f.zero)]).initials == [0]
+    for x in (t.xmax, f.zero - f.one, f.one - delta):
+        # x past the domain's supremum, below it, or x + delta at the supremum
+        with pytest.raises(ValidationError, match="outside the domain"):
+            build_diff_transducer(t, aut, [(delta, x)])
+
+
 def test_cross_validation_w_vs_decision(golden_greedy, golden_symmetric_r):
     from betatiling.tiling import check_w
     for t in (golden_greedy, golden_symmetric_r):
@@ -545,9 +581,9 @@ def test_cross_validation_w_vs_decision(golden_greedy, golden_symmetric_r):
 def test_cubic_30m1_greedy_decides_tiling():
     # x^3 - 3x^2 + 1 (beta ~ 2.88), greedy: (W) holds.  The window of the
     # candidate delta = beta - 2 between the classes of 0 and beta - 2 is
-    # [0, 3 - beta); a representative at 0 would put x + delta at beta - 2,
-    # the supremum of the automaton state [0, beta - 2), whose ray 2 1^w
-    # survives from that state and leads to a false overlap
+    # [0, 3 - beta); at x = 0, x + delta is beta - 2, the supremum of the
+    # automaton state [0, beta - 2), whose ray 2 1^w survives from that state,
+    # so alive sets read from ray survival led to a false overlap
     from betatiling.tiling import check_w
     t = config_transform("cubic_30m1_greedy")
     vd, g, pset = stage_cache(t)
@@ -556,8 +592,12 @@ def test_cubic_30m1_greedy_decides_tiling():
     delta = t.field.qb([-2, 1])
     assert (t.field.zero, t.field.qb([3, -1])) in [w for w, (d, _, _) in zip(windows, pairs)
                                                    if d == delta]
-    for (lo, hi), x in zip(windows, _small_orbit_reps(t, windows)):
-        assert qb_compare(lo, x) == LT and qb_compare(x, hi) == LT
+    # the start at that window's left end, x = 0 with x + delta = beta - 2,
+    # reads membership, so beta - 2 is not in the state [0, beta - 2)
+    aut = build_automaton(t)
+    td = build_diff_transducer(t, aut, [(delta, t.field.zero)])
+    hit, _ = _component_walk(t.field, td)
+    assert not hit[td.initials[0]]
     dec = decide_tiling(t, g, pset)
     assert dec.verdict == "tiling" and dec.pairs == ()
 
@@ -573,8 +613,9 @@ def test_component_walk_reaches_downstream(golden):
 
 
 def _decide_per_pair(t, g, aut):
-    """Reference decision: one difference machine per (delta, xrep) key, each
-    with its own component loop, stopping at the first passing component."""
+    """Reference decision: one difference machine per (delta, xrep) key, at a
+    representative xrep strictly inside the window, each with its own
+    component loop, stopping at the first passing component."""
     pairs, _ = difference_pairs(t, g)
     bounds = conj_block_bounds(t)
     beta_f = float(t.field.beta)
@@ -585,8 +626,7 @@ def _decide_per_pair(t, g, aut):
         xrep = _small_orbit_rep_reference(t, lo, hi, bounds)
         key = (delta.coords, xrep.coords)
         if key not in done:
-            td = build_diff_transducer(t, aut, [(delta, expand(t, xrep + delta),
-                                                 expand(t, xrep))])
+            td = build_diff_transducer(t, aut, [(delta, xrep)])
             n = len(td.states)
             adj = [[] for _ in range(n)]
             for s, d, _, _ in td.edges:
@@ -627,7 +667,30 @@ def _small_orbit_rep_reference(t, lo, hi, bounds):
             if qb_compare(x, lo) == GT and qb_compare(x, hi) == LT:
                 return x
         scale *= 2
-    return simple_rational_in(lo, hi)
+    return _simple_rational_in_reference(lo, hi)
+
+
+def _simplest_between(lo, hi):
+    """Smallest-denominator fraction x with lo < x < hi, for rationals lo < hi."""
+    fl = math.floor(lo)
+    if fl + 1 < hi:
+        return Fraction(fl + 1)
+    if lo == fl:
+        return fl + Fraction(1, math.floor(1 / (hi - fl)) + 1)
+    return fl + 1 / _simplest_between(1 / (hi - fl), 1 / (lo - fl))
+
+
+def _simple_rational_in_reference(lo, hi):
+    """The simplest rational strictly between an upper bound of lo and a lower
+    bound of hi, for field elements lo < hi."""
+    assert qb_compare(lo, hi) == LT
+    w = Fraction(1, 16)
+    while True:
+        b1 = gamma_interval(lo, 0, w)[1]
+        a2 = gamma_interval(hi, 0, w)[0]
+        if b1 < a2:
+            return lo.field.qb([_simplest_between(b1, a2)])
+        w /= 64
 
 
 def _difference_pairs_reference(t, g):
@@ -660,8 +723,7 @@ _REFERENCES = {}
                                         if (n, k) != ("cubic_30m1_greedy", 16)])
 def test_decision_indexes_match_per_call_references(name, depth):
     # the gated triples and their windows are those of the exact per-triple
-    # test whatever tile clouds the graph holds, and the per-decision
-    # representative boxes give the per-call representatives
+    # test whatever tile clouds the graph holds
     t = config_transform(name)
     vd, g, pset = stage_cache(t)
     held = set(g._cloud_cache)
@@ -677,10 +739,6 @@ def test_decision_indexes_match_per_call_references(name, depth):
     assert [(x.coords, i, j) for x, i, j in pairs] == [(x.coords, i, j) for x, i, j in ref]
     assert windows == ref_windows
     assert pairs
-    bounds = conj_block_bounds(t)
-    reps = _small_orbit_reps(t, windows)
-    assert [x.coords for x in reps] == [_small_orbit_rep_reference(t, lo, hi, bounds).coords
-                                        for lo, hi in windows]
 
 
 @pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "tribonacci_symmetric"])
