@@ -25,8 +25,9 @@ from .numfield import LT, _num_step, gamma_abs_upper, phi, qb_compare
 
 _FLOAT_STEP_SLACK = 1e-12
 _BYTE_LIMIT = 1 << 30       # largest cloud level, translate scene or lattice box
-_SLICE_ROWS = 1 << 16       # scene rows per slice of the translate pass
+_SLICE_ROWS = 1 << 14       # scene rows per slice of the translate pass
 _SNAP_POINTS = 4000         # cloud size above which a level is snapped to its grid
+_STEPS = np.array([0, 1, -1])   # translate steps from -floor(x/scale), indexed by step
 
 
 def _require_integral_digits(t):
@@ -110,20 +111,22 @@ class TileCloud:
 
 def cell_frame(cells):
     """Offset and span of integer rows; their mixed-radix keys must fit int64."""
-    lo = cells.min(axis=0)
-    span = cells.max(axis=0) - lo + 1
+    # column by column: numpy reduces (n, d) rows along axis 0 slowly
+    lo = np.array([c.min() for c in cells.T])
+    span = np.array([c.max() for c in cells.T]) - lo + 1
     if math.prod(int(s) for s in span) >= 1 << 63:
         raise BudgetExceeded("cell keys overflow int64", span=[int(s) for s in span])
     return lo, span
 
 
-def cell_keys(cells, frame):
+def cell_keys(columns, frame):
     """One int64 key per integer row inside the frame, in lexicographic row
-    order: offset by the frame's minimum, then mixed radix over its span."""
+    order: offset by the frame's minimum, then mixed radix over its span.
+    The rows are given as a sequence of integer columns."""
     lo, span = frame
-    keys = cells[:, 0] - lo[0]
-    for k in range(1, cells.shape[1]):
-        keys = keys * span[k] + (cells[:, k] - lo[k])
+    keys = columns[0] - lo[0]
+    for k in range(1, len(columns)):
+        keys = keys * span[k] + (columns[k] - lo[k])
     return keys
 
 
@@ -131,7 +134,7 @@ def unique_cells(cells):
     """The distinct integer rows, in lexicographic order."""
     lo, span = frame = cell_frame(cells)
     # return_counts selects numpy's sort path, ~10x faster than its hash on int64
-    keys = np.unique(cell_keys(cells, frame), return_counts=True)[0]
+    keys = np.unique(cell_keys(cells.T, frame), return_counts=True)[0]
     return np.stack(np.unravel_index(keys, tuple(span)), axis=1) + lo
 
 
@@ -139,34 +142,51 @@ def _snap(points, grid):
     return unique_cells(np.round(points / grid).astype(np.int64)) * grid
 
 
+def unique_rows(points):
+    """The distinct float rows, in lexicographic order.
+
+    Rows equal under ``==`` are one row, kept as the first of them in input
+    order, so of two rows differing only in the sign of a zero the earlier
+    stays.  A stable sort of the columns is several times faster than
+    numpy's row-wise unique, which sorts through a structured dtype.
+    """
+    rows = points[np.lexsort(points.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in rows.T])
+    return rows[keep]
+
+
 def clouds_at_depth(g, depth):
     """Point clouds for every vertex, cached and built by backward iteration.
 
-    Returns (list of arrays, err).  The error bound accounts for truncation at
-    the given depth, for grid snapping, and for float slack.
+    Returns (list of arrays, err).  Each level is built from the one below it,
+    starting at the deepest cached level.  A level of at most ``_SNAP_POINTS``
+    points per vertex holds its distinct float points in lexicographic row
+    order; a larger one is snapped to a grid.  The error bound accounts for
+    truncation at the given depth, for grid snapping, and for float slack.
+    A negative depth raises ``ValidationError``.
     """
     if depth in g._cloud_cache:
         return g._cloud_cache[depth]
+    if depth < 0:
+        raise ValidationError(f"cloud depth must be non-negative, got {depth}")
     f = g.field
     dim = f.degree - 1
-    if depth == 0:
-        clouds = [np.zeros((1, dim)) for _ in g.vertices]
-        g._cloud_cache[0] = (clouds, g.cloud_constant)
-        return g._cloud_cache[0]
-    prev, perr = clouds_at_depth(g, depth - 1)
-    rho = f.rho
+    g._cloud_cache.setdefault(0, ([np.zeros((1, dim)) for _ in g.vertices], g.cloud_constant))
     mh = f.contract_mat
-    err = rho * perr + g.phi_err + _FLOAT_STEP_SLACK
-    grid = max(err / 128, 1e-9)
-    _check_bytes(sum(len(prev[j]) for es in g.edges for j, _ in es), dim, "cloud level")
-    clouds = []
-    for i in range(len(g.vertices)):
-        pts = np.vstack([prev[j] @ mh.T + g.phi_digits[a] for j, a in g.edges[i]])
-        clouds.append(_snap(pts, grid) if len(pts) > _SNAP_POINTS
-                      else np.unique(pts, axis=0))
-    # snapping displacement enters contracted at later depths; charge it now
-    err += grid * math.sqrt(dim) * 0.5
-    g._cloud_cache[depth] = (clouds, err)
+    for level in range(max(k for k in g._cloud_cache if k <= depth) + 1, depth + 1):
+        prev, perr = g._cloud_cache[level - 1]
+        err = f.rho * perr + g.phi_err + _FLOAT_STEP_SLACK
+        grid = max(err / 128, 1e-9)
+        _check_bytes(sum(len(prev[j]) for es in g.edges for j, _ in es), dim, "cloud level")
+        contracted = [p @ mh.T for p in prev]
+        clouds = []
+        for es in g.edges:
+            pts = np.vstack([contracted[j] + g.phi_digits[a] for j, a in es])
+            clouds.append(_snap(pts, grid) if len(pts) > _SNAP_POINTS else unique_rows(pts))
+        # snapping displacement enters contracted at later depths; charge it now
+        err += grid * math.sqrt(dim) * 0.5
+        g._cloud_cache[level] = (clouds, err)
     return g._cloud_cache[depth]
 
 
@@ -505,10 +525,16 @@ def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=1
 
     Samples the domain as ambient points (interval grid times tile cloud) and
     counts how many translates hit each cell of the fundamental domain of the
-    scaled lattice, in one pass over slices of the scene.  Point x lies in a
-    translate m of the box when 0 <= x + m*scale < scale; each coordinate of m
-    is tried at -floor(x/scale) and one either side, as x/scale can round.
+    scaled lattice, in one pass over slices of the scene, a coordinate at a
+    time.  Point x lies in a translate m of the box when
+    0 <= x + m*scale < scale; each coordinate of m is tried at
+    -floor(x/scale) and one either side, as x/scale can round.  The scale
+    must be positive and the resolution at least 1, or ``ValidationError``
+    is raised.
     """
+    if not (scale > 0 and resolution >= 1):
+        raise ValidationError(f"translates need scale > 0 and resolution >= 1, "
+                              f"got scale {scale} and resolution {resolution}")
     f = g.field
     d = f.degree
     if d > 3:
@@ -517,32 +543,45 @@ def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=1
     v1 = f.v[0].real
     h = scale / resolution
     ns = [max(2, int((float(iv.hi) - float(iv.lo)) / (h / 2)) + 1) for iv in g.J]
-    _check_bytes(sum(n * len(c) for n, c in zip(ns, clouds)), d, "translate scene")
-    scene = np.vstack([(np.linspace(float(iv.lo), float(iv.hi), n, endpoint=False)[:, None, None]
-                        * v1[None, None, :] - (c @ f.hmat)[None, :, :]).reshape(-1, d)
-                       for iv, n, c in zip(g.J, ns, clouds)])
-    if lattice_box is None:     # column by column: numpy reduces (n, d) rows slowly
-        lo_m = np.floor(-np.array([c.max() for c in scene.T]) / scale).astype(int) - 1
-        hi_m = np.ceil((scale - np.array([c.min() for c in scene.T])) / scale).astype(int) + 1
+    size = sum(n * len(c) for n, c in zip(ns, clouds))
+    _check_bytes(size, d, "translate scene")
+    # the scene column-major: row k of cols holds coordinate k of every point
+    cols = np.empty((d, size))
+    r = 0
+    for iv, n, c in zip(g.J, ns, clouds):
+        line = np.linspace(float(iv.lo), float(iv.hi), n, endpoint=False)
+        amb = c @ f.hmat
+        for k in range(d):
+            # a contiguous slice, so reshape gives a view for outer to fill
+            np.subtract.outer(line * v1[k], amb[:, k],
+                              out=cols[k, r:r + n * len(c)].reshape(n, len(c)))
+        r += n * len(c)
+    if lattice_box is None:
+        lo_m = np.floor(-cols.max(axis=1) / scale).astype(int) - 1
+        hi_m = np.ceil((scale - cols.min(axis=1)) / scale).astype(int) + 1
     else:
         lo_m = np.full(d, -lattice_box, dtype=int)
         hi_m = np.full(d, lattice_box, dtype=int)
     # (translate, cell) keys: translates in the box, cells in [0, resolution)
     frame = cell_frame(np.array([np.r_[lo_m, [0] * d], np.r_[hi_m, [resolution - 1] * d]]))
     keys = []
-    for s in range(0, len(scene), _SLICE_ROWS):
-        x = scene[s:s + _SLICE_ROWS]
-        m0 = -np.floor(x / scale)
-        shifted = [x + (m0 + e) * scale for e in (0, 1, -1)]    # indexed by e
-        ok = [(sh >= 0) & (sh < scale) & (m0 + e >= lo_m) & (m0 + e <= hi_m)
-              for e, sh in zip((0, 1, -1), shifted)]
+    for s in range(0, cols.shape[1], _SLICE_ROWS):
+        xs = cols[:, s:s + _SLICE_ROWS]
+        m0s = -np.floor(xs / scale)
+        # ok[k][e]: coordinate k of translate m0 + e is in the box and lands in [0, scale)
+        ok = []
+        for x, m0, lo, hi in zip(xs, m0s, lo_m, hi_m):
+            m = m0 + _STEPS[:, None]
+            sh = x + m * scale
+            ok.append((sh >= 0) & (sh < scale) & (m >= lo) & (m <= hi))
         part = [np.zeros(0, dtype=np.int64)]
-        for off in itertools.product((0, 1, -1), repeat=d):
-            sel = np.flatnonzero(np.logical_and.reduce([ok[e][:, k] for k, e in enumerate(off)]))
+        for off in itertools.product(_STEPS, repeat=d):
+            sel = np.flatnonzero(np.logical_and.reduce([ok[k][e] for k, e in enumerate(off)]))
             if len(sel):
-                sh = np.column_stack([shifted[e][sel, k] for k, e in enumerate(off)])
-                cells = np.clip(np.floor(sh / h).astype(np.int64), 0, resolution - 1)
-                part.append(cell_keys(np.hstack([(m0[sel] + off).astype(np.int64), cells]), frame))
+                ms = [m0s[k, sel] + e for k, e in enumerate(off)]
+                cells = [np.clip(np.floor((xs[k, sel] + m * scale) / h).astype(np.int64),
+                                 0, resolution - 1) for k, m in enumerate(ms)]
+                part.append(cell_keys([m.astype(np.int64) for m in ms] + cells, frame))
         keys.append(np.unique(np.concatenate(part), return_counts=True)[0])    # see unique_cells
     keys = np.unique(np.concatenate(keys), return_counts=True)[0]
     ncells = resolution ** d
@@ -551,4 +590,4 @@ def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=1
     counts = np.bincount(keys % ncells, minlength=ncells)
     vals, freq = np.unique(counts, return_counts=True)
     hist = {int(v): c / counts.size for v, c in zip(vals, freq)}
-    return TorusScene(scene, translates, hist, resolution, scale)
+    return TorusScene(cols.T, translates, hist, resolution, scale)

@@ -117,3 +117,13 @@ def test_degree_default_samples():
     rep = json.loads(r.stdout)
     assert rep["samples"] == 50
     assert rep["min_count"] == 1
+
+
+@pytest.mark.parametrize("args", [("tiles", "--depth", "-1"), ("natext", "--depth", "-1"),
+                                  ("translates", "--scale", "0"),
+                                  ("translates", "--scale", "-1")])
+def test_out_of_range_depth_and_scale_exit_2(args):
+    r = run_cli(args[0], "--config", str(CFG / "golden_greedy.json"), *args[1:])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ValidationError: ")

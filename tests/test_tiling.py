@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import sys
 import tracemalloc
 import types
 from fractions import Fraction
@@ -543,6 +544,7 @@ def _assert_translates_match(t, vd, g, depth, **kw):
 
 
 @pytest.mark.parametrize("name,depth", [("golden_greedy", 20), ("golden_pm1", 20),
+                                        ("golden_minweight", 20),
                                         ("tribonacci_symmetric", 15),
                                         ("cubic_2m11_symmetric", 15)])
 def test_cell_keys_match_row_reference(name, depth):
@@ -565,6 +567,62 @@ def test_cell_keys_match_row_reference(name, depth):
             _assert_translates_match(t, vd, g, 11, **kw)
     else:
         _assert_translates_match(t, vd, g, 6, resolution=30)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_unique_rows_match_np_unique_bitwise(width):
+    rng = np.random.default_rng(5)
+    values = np.array([-2.5, -1e-300, 1e-300, 0.75, 3.0, np.pi])
+    for n in (1, 2, 15, 400, 5000):
+        rows = rng.choice(values, size=(n, width))     # many exact duplicates
+        ref = np.unique(rows, axis=0)
+        assert np.array_equal(tiling.unique_rows(rows).view(np.int64), ref.view(np.int64))
+    # 0.0 == -0.0, so rows differing only in the sign of a zero are one row,
+    # the first of them in input order; np.unique keeps the same row only
+    # while its sort is by insertion, up to 16 rows
+    for n in (2, 5, 16, 17, 400):
+        rows = rng.choice([0.0, -0.0, 1.0], size=(n, width))
+        first = {}
+        for r in rows:
+            first.setdefault(tuple(r + 0.0), r)      # + 0.0 maps -0.0 to 0.0
+        want = np.array(sorted(first.values(), key=tuple))
+        got = tiling.unique_rows(rows)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if n <= 16:
+            assert np.array_equal(got.view(np.int64), np.unique(rows, axis=0).view(np.int64))
+
+
+def test_cloud_depth_is_validated_and_walked_without_recursion(golden_pm1):
+    g = gifs_build(golden_pm1, compute_v(golden_pm1))
+    with pytest.raises(ValidationError, match="non-negative"):
+        clouds_at_depth(g, -1)
+    assert g._cloud_cache == {}
+    # a one-vertex stand-in graph, x -> x/2 + 1, keeps one point per level
+    line = types.SimpleNamespace(
+        field=types.SimpleNamespace(degree=2, rho=0.5, contract_mat=np.array([[0.5]])),
+        vertices=[0], edges=[[(0, 0)]], phi_digits=np.array([[1.0]]), phi_err=0.0,
+        cloud_constant=1.0, _cloud_cache={})
+    stack, frame = 0, sys._getframe()
+    while frame is not None:
+        stack, frame = stack + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack + 15)
+    try:
+        point = clouds_at_depth(line, 3000)[0][0]
+        clouds, err = clouds_at_depth(g, 22)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(line._cloud_cache) == list(range(3001)) and point.tolist() == [[2.0]]
+    ref, ref_err = _clouds_reference(g, 22)
+    assert err == ref_err and all(map(np.array_equal, clouds, ref))
+
+
+@pytest.mark.parametrize("kw", [{"scale": 0}, {"scale": -1}, {"scale": -0.5},
+                                {"resolution": 0}, {"scale": float("nan")}])
+def test_translates_reject_bad_scale_and_resolution(golden_pm1, kw):
+    vd, g, _ = stage_cache(golden_pm1)
+    with pytest.raises(ValidationError, match="scale > 0 and resolution >= 1"):
+        torus_translates(golden_pm1, vd, g, 4, **kw)
 
 
 def test_translates_match_loop_where_x_over_scale_rounds():
