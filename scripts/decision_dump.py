@@ -7,18 +7,19 @@ Imports ``betatiling`` from CHECKOUT/src and, for every right-continuous
 config in CHECKOUT/configs, writes the ``invariant_density`` weights (of the
 unrestricted map for a ``restrict_to_support`` config: the map whose
 weights chose the support), the ``check_w`` report, and one decision entry:
-the ``difference_pairs`` triples and their windows, and the
-``decide_tiling`` verdict, overlapping pairs, ``candidates_checked``,
-spectral gaps and the state and edge counts of its difference graph (read by
-wrapping ``sofic.build_diff_transducer``), so a change to the graph shows even
-when the verdict holds.  Each config's factor automaton is written without its
-state numbering: the state count, the transitions relabeled breadth-first from
-the initial state over the digits in index order (-1 is the dead state) and
-``forbidden_words(aut, 6)``, so two automata give the same entry exactly when
-they are isomorphic.  Field elements are written as their rational
-coordinates and floats as ``float.hex``, and keys are sorted, so two
-checkouts give the same outputs exactly when ``diff`` finds the two files
-identical.
+the size of the neighbour core, the ``difference_pairs`` triples and their
+windows, and the ``decide_tiling`` verdict, overlapping pairs,
+``candidates_checked``, spectral gaps and the state and edge counts of its
+difference graph (read by wrapping ``sofic.build_diff_transducer``), so a
+change to the graph shows even when the verdict holds.  Each config's factor
+automaton is written without its state numbering: the state count, the
+transitions relabeled breadth-first from the initial state over the digits in
+index order (-1 is the dead state) and ``forbidden_words(aut, 6)``, so two
+automata give the same entry exactly when they are isomorphic.  Field
+elements are written as their rational coordinates and floats as
+``float.hex``, and keys are sorted, so two checkouts give the same outputs
+exactly when ``diff`` finds the two files identical.  The dump of a checkout
+older than the neighbour core needs that checkout's own copy of this script.
 """
 
 import json
@@ -87,6 +88,7 @@ def main(argv=None):
         dec = sofic.decide_tiling(t, g, pset, automaton=aut)
         (td,) = graphs
         row["decision"] = {
+            "core": len(sofic._neighbour_core(t)),
             "difference_pairs": [[qb(delta), i, j] for delta, i, j in pairs],
             "windows": [[qb(lo), qb(hi)] for lo, hi in windows],
             "verdict": dec.verdict,

@@ -272,7 +272,7 @@ def build_parser():
     ap.add_argument("--dot", help="write a dot export here (sofic command)")
     ap.add_argument("--samples", help="JSON file with sample coordinate rows")
     ap.add_argument("--budget", type=int, default=20000, help="orbit iteration budget")
-    ap.add_argument("--scale", type=int, default=1, help="lattice scale for translates")
+    ap.add_argument("--scale", type=float, default=1, help="lattice scale for translates")
     return ap
 
 

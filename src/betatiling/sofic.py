@@ -8,16 +8,21 @@ sofic shift).  A digit intersects the state with its pieces, then maps the
 parts by x -> beta*x - a; an empty image is the dead state.  The states
 containing a point x, its alive set, are read by exact interval membership.
 
-The tiling decision runs one two-tape difference graph per decision, shared
-by every candidate tile pair: states carry the exact value difference of the
-two remaining rays, a point of one finite difference box that also supplies
-the candidate differences, plus the alive sets of both tapes; transitions
-prepend one digit per tape and divide the difference by beta.  A state and
-its out-edges do not depend on which candidate reached it, so each candidate
-is one start state of the graph, taken at the left end of its window.  A
-pair of tiles overlaps on positive measure exactly when its start reaches a
-recurrent component whose adjacency matrix has beta as an eigenvalue, which
-is tested exactly over the integers, once per component.
+The tiling decision works in two stages.  The coarse difference graph has
+the points of one finite difference box as states and an edge
+delta -> (delta + a - a') / beta per digit pair; its neighbour core, the
+states with an infinite path, is found once by a few integer passes.  The
+fine two-tape difference graph, shared by every candidate tile pair, has
+states that carry the exact value difference of the two remaining rays, a
+point of the core, plus the alive sets of both tapes; transitions prepend
+one digit per tape and divide the difference by beta.  A fine path projects
+onto a coarse path, so a difference outside the core has no infinite path:
+the core supplies the candidate differences and bounds the fine graph.  A
+state and its out-edges do not depend on which candidate reached it, so each
+candidate is one start state of the graph, taken at the left end of its
+window.  A pair of tiles overlaps on positive measure exactly when its start
+reaches a recurrent component whose adjacency matrix has beta as an
+eigenvalue, which is tested exactly over the integers, once per component.
 """
 
 from __future__ import annotations
@@ -230,8 +235,8 @@ def _span_sub(a, b):
 
 def _difference_box(t):
     """Integer tuples x, in lexicographic order, with |x| <= diam and every
-    conjugate block within 2 b_j (b_j from ``conj_block_bounds``): the deltas
-    of :func:`difference_pairs` and the states of the difference graph.
+    conjugate block within 2 b_j (b_j from ``conj_block_bounds``): the states
+    of the coarse difference graph that :func:`_neighbour_core` trims.
 
     |x| <= diam is decided exactly, by the certified float span unless it
     meets -diam or diam, else by ``qb_compare``.  The conjugate test is the
@@ -252,18 +257,71 @@ def _difference_box(t):
     return out
 
 
-def difference_pairs(t, g):
+def _digit_differences(t):
+    """a - a' as integer coordinate tuples, keyed by the digit indices (a, a')."""
+    co = [[int(c) for c in dg.coords] for dg in t.digits]
+    return {(a, b): tuple(x - y for x, y in zip(ca, cb))
+            for a, ca in enumerate(co) for b, cb in enumerate(co)}
+
+
+def _neighbour_core(t):
+    """The neighbour core: the points of :func:`_difference_box`, in its
+    order, that have an infinite path in the coarse difference graph.
+
+    The coarse graph's states are the box points; its edges are
+    delta -> (delta + a - a') / beta for every pair of digits (a, a'), kept
+    when the target lies in the box.  It carries no intervals and no alive
+    sets, so it is a projection of the fine graph of
+    :func:`build_diff_transducer`: a fine path projects onto a coarse path,
+    and a start whose delta is outside the core has no infinite path.  The
+    core is the neighbour set of Siegel and Thuswaldner (Topological
+    properties of Rauzy fractals, 2009).
+
+    Box points are keyed by mixed radix over the box's coordinate ranges,
+    which keeps the lexicographic order, so each target is one binary
+    search.  States with no edge to a kept state are removed in one backward
+    pass over predecessor lists, with a count of live successors per state.
+    """
+    f = t.field
+    box = _difference_box(t)
+    pts = np.array(box, dtype=np.int64)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    radix = np.append(np.cumprod((hi - lo + 1)[:0:-1])[::-1], 1)
+    keys = (pts - lo) @ radix
+    minv = np.array(f.inv_beta_mat, dtype=np.int64)
+    src, dst = [], []
+    for dd in set(_digit_differences(t).values()):
+        nd = (pts + dd) @ minv.T
+        key = (nd - lo) @ radix
+        pos = np.minimum(np.searchsorted(keys, key), len(box) - 1)
+        (inside,) = np.nonzero(np.all((nd >= lo) & (nd <= hi), axis=1) & (keys[pos] == key))
+        src.extend(inside.tolist())
+        dst.extend(pos[inside].tolist())
+    live = [0] * len(box)
+    pred = [[] for _ in box]
+    for u, v in zip(src, dst):
+        live[u] += 1
+        pred[v].append(u)
+    dead = [v for v, c in enumerate(live) if c == 0]
+    for v in dead:                  # grows while it is read
+        for u in pred[v]:
+            live[u] -= 1
+            if live[u] == 0:
+                dead.append(u)
+    return [co for co, c in zip(box, live) if c]
+
+
+def difference_pairs(t, g, core=None):
     """Triples (delta, i, j) of candidate overlapping tile classes, and the
     window (lo, hi) of each: lo = max(J_i.lo, J_j.lo - delta) and
     hi = min(J_i.hi, J_j.hi - delta).
 
-    delta runs over the points of the difference box (:func:`_difference_box`)
-    with 0 < delta < diam; (i, j) over the interval classes whose translates
-    meet, i.e. lo < hi.  Nothing geometric is screened here: the shared
-    difference graph decides every start exactly, because a start has an
-    infinite path only when its two tiles meet (the deltas of such starts are
-    the neighbour set of Siegel and Thuswaldner, Topological properties of
-    Rauzy fractals, 2009).
+    delta runs over the points of the neighbour core (:func:`_neighbour_core`,
+    computed when ``core`` is not given) with 0 < delta < diam; (i, j) over
+    the interval classes whose translates meet, i.e. lo < hi.  A delta outside
+    the core has no infinite path, so its pairs cannot overlap.  Nothing
+    geometric is screened here: the shared difference graph decides every
+    start exactly.
 
     The gate holds delta and the interval ends as certified float spans and
     runs an exact comparison only when the span of a window's length
@@ -272,7 +330,8 @@ def difference_pairs(t, g):
     _require_integral_digits(t)
     f = t.field
     diam = t.xmax - t.xmin
-    deltas = [x for x in map(f.qb, _difference_box(t))
+    core = _neighbour_core(t) if core is None else core
+    deltas = [x for x in map(f.qb, core)
               if qb_compare(x, f.zero) == GT and qb_compare(x, diam) == LT]
     if not deltas:
         return [], []
@@ -312,7 +371,7 @@ class DiffTransducer:
     initials: list      # state index of each start, in the order given
 
 
-def build_diff_transducer(t, aut, starts, state_budget=60000):
+def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
     """Reachable good part of the difference graph from every start.
 
     Each start is a candidate (delta0, x): a point x of the domain whose
@@ -321,19 +380,19 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
     ``aut.alive(x + delta0)`` and ``aut.alive(x)`` (memoized by point); a
     state is good when both sets hold the initial state.  A state and its
     out-edges do not depend on the start that reached it, so all starts share
-    one graph, bounded by ``state_budget`` states.  Successors outside
-    :func:`_difference_box` escape forever and are dropped.  Differences stay
-    in Z[beta], so the core runs on integer coordinate tuples.
+    one graph, bounded by ``state_budget`` states.  Successors outside the
+    neighbour core (:func:`_neighbour_core`, computed when ``core`` is not
+    given) are dropped: a fine path projects onto a coarse path, so they have
+    no infinite path.  Differences stay in Z[beta], so the graph runs on
+    integer coordinate tuples.
     """
     f = t.field
     d = f.degree
-    box = set(_difference_box(t))
+    core = set(_neighbour_core(t) if core is None else core)
     q0 = aut.initial
     minv = f.inv_beta_mat
-    digit_co = [tuple(int(c) for c in dg.coords) for dg in t.digits]
     na = len(t.digits)
-    ddiff = {(a, b): tuple(digit_co[a][k] - digit_co[b][k] for k in range(d))
-             for a in range(na) for b in range(na)}
+    ddiff = _digit_differences(t)
 
     index = {}
     states = []
@@ -344,7 +403,8 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
         if key not in index:
             if len(states) >= state_budget:
                 raise BudgetExceeded("difference graph exceeded the state budget",
-                                     states=len(states), starts=len(starts))
+                                     states=len(states), starts=len(starts),
+                                     core=len(core))
             index[key] = len(states)
             states.append(key)
             queue.append(index[key])
@@ -380,7 +440,7 @@ def build_diff_transducer(t, aut, starts, state_budget=60000):
                 dd = ddiff[(a_in, a_out)]
                 s = tuple(diff[k] + dd[k] for k in rng)
                 nd = tuple(sum(minv[i][k] * s[k] for k in rng) for i in rng)
-                if nd not in box:
+                if nd not in core:
                     continue
                 edges.append((si, intern((nd, npin, npout)), a_in, a_out))
     qb_states = [(f.qb(co), pin, pout) for co, pin, pout in states]
@@ -487,7 +547,10 @@ class TilingDecision:
 def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     """Exact verdict: tiling, or a list of positive-measure overlapping pairs.
 
-    Every triple of :func:`difference_pairs` gives one start (delta, lo) of a
+    The neighbour core (:func:`_neighbour_core`) is computed once and read by
+    both stages: a fine path projects onto a coarse path, so a start whose
+    delta is outside the core has no infinite path and is not made.  Every
+    triple of :func:`difference_pairs` gives one start (delta, lo) of a
     single shared two-tape difference graph, at the left end lo of its
     window [lo, hi).  The window is half-open, so lo lies in J_i and
     lo + delta in J_j, and the tiles of the pair do not depend on the point
@@ -501,9 +564,10 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     _require_integral_digits(t)
     f = t.field
     aut = automaton if automaton is not None else build_automaton(t)
-    pairs, windows = difference_pairs(t, g)
+    core = _neighbour_core(t)
+    pairs, windows = difference_pairs(t, g, core)
     starts = [(delta, lo) for (delta, _, _), (lo, _) in zip(pairs, windows)]
-    td = build_diff_transducer(t, aut, starts, state_budget=state_budget)
+    td = build_diff_transducer(t, aut, starts, state_budget=state_budget, core=core)
     hit, radius = _component_walk(f, td)
     overlapping = tuple((delta, g.vertices[i], g.vertices[j])
                         for (delta, i, j), s in zip(pairs, td.initials) if hit[s])

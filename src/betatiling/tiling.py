@@ -517,7 +517,7 @@ class TorusScene:
     translates: tuple           # integer vectors used
     coverage: dict              # multiplicity -> fraction of sampled cells
     resolution: int
-    scale: int
+    scale: float
 
 
 def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=120):

@@ -111,6 +111,15 @@ def test_translates_report():
     assert cov.get(1, 0) > 0.8
 
 
+def test_translates_fractional_scale():
+    r = run_cli("translates", "--config", str(CFG / "golden_greedy.json"),
+                "--depth", "10", "--scale", "0.7")
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["scale"] == 0.7
+    assert rep["translates"] and sum(rep["coverage"].values()) == pytest.approx(1)
+
+
 def test_degree_default_samples():
     r = run_cli("degree", "--config", str(CFG / "golden_greedy.json"))
     assert r.returncode == 0, r.stderr

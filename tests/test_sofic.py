@@ -12,14 +12,14 @@ from betatiling.betamap import (compute_v, endpoint_words, expand, prefix_interv
                                 preset, transform_from_config)
 from betatiling.errors import BudgetExceeded, ValidationError
 from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, gamma_abs_upper,
-                                 gamma_interval, qb_compare)
+                                 gamma_interval, make_field, qb_compare)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
                               ShiftAutomaton,
                               _component_walk, _difference_box, _minpoly_at_matrix,
-                              _sccs)
+                              _neighbour_core, _sccs)
 from betatiling.tiling import (clouds_at_depth, conj_block_bounds, gifs_build,
                                lattice_candidates)
 
@@ -723,7 +723,8 @@ _REFERENCES = {}
                                         if (n, k) != ("cubic_30m1_greedy", 16)])
 def test_decision_indexes_match_per_call_references(name, depth):
     # the gated triples and their windows are those of the exact per-triple
-    # test whatever tile clouds the graph holds
+    # test over the deltas of the neighbour core, whatever tile clouds the
+    # graph holds
     t = config_transform(name)
     vd, g, pset = stage_cache(t)
     held = set(g._cloud_cache)
@@ -734,7 +735,9 @@ def test_decision_indexes_match_per_call_references(name, depth):
         for k in set(g._cloud_cache) - held:
             del g._cloud_cache[k]
     if name not in _REFERENCES:     # the reference takes seconds and reads no depth
-        _REFERENCES[name] = _difference_pairs_reference(t, g)
+        core = set(_neighbour_core(t))
+        ref = [(p, w) for p, w in zip(*_difference_pairs_reference(t, g)) if p[0].coords in core]
+        _REFERENCES[name] = [p for p, _ in ref], [w for _, w in ref]
     ref, ref_windows = _REFERENCES[name]
     assert [(x.coords, i, j) for x, i, j in pairs] == [(x.coords, i, j) for x, i, j in ref]
     assert windows == ref_windows
@@ -761,7 +764,9 @@ def test_shared_graph_state_budget(golden_pm1):
     vd, g, pset = stage_cache(golden_pm1)
     with pytest.raises(BudgetExceeded) as err:
         decide_tiling(golden_pm1, g, pset, state_budget=5)
-    assert err.value.info["states"] == 5 and err.value.info["starts"] > 0
+    info = err.value.info
+    assert info["states"] == 5 and info["starts"] > 0
+    assert info["core"] == len(_neighbour_core(golden_pm1))
 
 
 def _in_box_reference(t):
@@ -817,22 +822,14 @@ def test_difference_box_matches_per_state_reference(name):
 
 
 @pytest.mark.parametrize("name", RIGHT_CONTINUOUS)
-def test_recurrent_states_lie_in_the_certified_box(name, monkeypatch):
-    # every state that reaches a recurrent component has |x| <= diam and
-    # certified conjugates within twice b_j, so states the box keeps beyond
-    # that bound cannot change a verdict
+def test_recurrent_states_lie_in_the_certified_box(name):
+    # in the whole-box graph, every state that reaches a recurrent component
+    # has |x| <= diam and certified conjugates within twice b_j, so states the
+    # box keeps beyond that bound cannot change a verdict; and its delta lies
+    # in the neighbour core, so the core drops no state that matters
     t = config_transform(name)
     vd, g, pset = stage_cache(t)
-    graphs = []
-    build = sofic.build_diff_transducer
-
-    def recording_build(*args, **kwargs):
-        graphs.append(build(*args, **kwargs))
-        return graphs[-1]
-
-    monkeypatch.setattr(sofic, "build_diff_transducer", recording_build)
-    decide_tiling(t, g, pset)
-    (td,) = graphs
+    td = _decide_whole_box(t, g, build_automaton(t))[3]
     n = len(td.states)
     adj = [[] for _ in range(n)]
     radj = [[] for _ in range(n)]
@@ -854,7 +851,86 @@ def test_recurrent_states_lie_in_the_certified_box(name, monkeypatch):
     f = t.field
     diam = t.xmax - t.xmin
     caps = [2 * b for b in conj_block_bounds(t)]
+    core = set(_neighbour_core(t))
     for s in seen:
         x = td.states[s][0]
         assert qb_compare(abs(x), diam) != GT
         assert all(gamma_abs_upper(x, j) <= cap for (_, j), cap in zip(f.hblocks, caps))
+        assert x.coords in core
+
+
+def _decide_whole_box(t, g, aut):
+    """The decision over the whole difference box: every delta of the box
+    gives starts, and the fine graph keeps every successor inside the box.
+    Returns the verdict, the overlapping pairs, the spectral gaps, the graph
+    and the number of starts."""
+    box = _difference_box(t)
+    pairs, windows = difference_pairs(t, g, box)
+    starts = [(delta, lo) for (delta, _, _), (lo, _) in zip(pairs, windows)]
+    td = build_diff_transducer(t, aut, starts, core=box)
+    hit, radius = _component_walk(t.field, td)
+    overlapping = [(delta, g.vertices[i], g.vertices[j])
+                   for (delta, i, j), s in zip(pairs, td.initials) if hit[s]]
+    gaps = [float(t.field.beta) - radius[s] for s in td.initials if not hit[s]]
+    return ("multiple" if overlapping else "tiling"), overlapping, gaps, td, len(pairs)
+
+
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS)
+def test_core_decision_matches_whole_box_reference(name):
+    # trimming the box to its core keeps the verdict and the overlapping
+    # pairs; the starts it drops reach no recurrent component, so the only
+    # spectral gaps that go are beta - 0, in the reference's order
+    t = config_transform(name)
+    vd, g, pset = stage_cache(t)
+    aut = build_automaton(t)
+    dec = decide_tiling(t, g, pset, automaton=aut)
+    verdict, overlapping, gaps, _, starts = _decide_whole_box(t, g, aut)
+    assert dec.verdict == verdict
+    assert list(dec.pairs) == overlapping
+    kept = iter(dec.spectral_gaps)
+    want = next(kept, None)
+    removed = []
+    for gap in gaps:
+        if want is not None and gap == pytest.approx(want, rel=1e-12):
+            want = next(kept, None)
+        else:
+            removed.append(gap)
+    assert want is None
+    assert set(removed) <= {float(t.field.beta)}
+    assert len(removed) == starts - dec.candidates_checked
+
+
+def _neighbour_core_reference(t):
+    """The coarse graph in field arithmetic: delta -> (delta + a - a') / beta
+    for every digit pair, kept inside the box, trimmed by removing every
+    state with no kept successor until nothing changes."""
+    f = t.field
+    box = _difference_box(t)
+    inv = f.one / f.beta
+    steps = {(a - b).coords: a - b for a in t.digits for b in t.digits}.values()
+    succ = {co: {((f.qb(co) + dd) * inv).coords for dd in steps} for co in box}
+    kept = set(box)
+    while True:
+        trimmed = {co for co in kept if succ[co] & kept}
+        if trimmed == kept:
+            return [co for co in box if co in kept]
+        kept = trimmed
+
+
+@pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "golden_pedicini",
+                                  "tribonacci_symmetric", "cubic_30m1_greedy"])
+def test_neighbour_core_matches_field_reference(name):
+    t = config_transform(name)
+    core = _neighbour_core(t)
+    assert core == _neighbour_core_reference(t)
+    assert 0 < len(core) and (0,) * t.field.degree in core
+
+
+def test_degree_four_greedy_decides_tiling():
+    # x^4 - x^3 - 1, greedy: its difference box holds 18,625 points and the
+    # starts over the whole box overflow the default state budget; those over
+    # the neighbour core do not
+    t = preset("greedy", make_field(1, 0, 0, 1))
+    vd, g, pset = stage_cache(t)
+    dec = decide_tiling(t, g, pset)
+    assert dec.verdict == "tiling" and dec.pairs == ()
