@@ -4,22 +4,27 @@
     python3 scripts/decision_dump.py CHECKOUT OUT.json
 
 Imports ``betatiling`` from CHECKOUT/src and, for every right-continuous
-config in CHECKOUT/configs, writes the ``invariant_density`` weights (of the
-unrestricted map for a ``restrict_to_support`` config: the map whose
-weights chose the support), the ``check_w`` report, and one decision entry:
-the size of the neighbour core, the ``difference_pairs`` triples and their
-windows, and the ``decide_tiling`` verdict, overlapping pairs,
-``candidates_checked``, spectral gaps and the state and edge counts of its
-difference graph (read by wrapping ``sofic.build_diff_transducer``), so a
-change to the graph shows even when the verdict holds.  Each config's factor
-automaton is written without its state numbering: the state count, the
-transitions relabeled breadth-first from the initial state over the digits in
-index order (-1 is the dead state) and ``forbidden_words(aut, 6)``, so two
-automata give the same entry exactly when they are isomorphic.  Field
-elements are written as their rational coordinates and floats as
-``float.hex``, and keys are sorted, so two checkouts give the same outputs
-exactly when ``diff`` finds the two files identical.  The dump of a checkout
-older than the neighbour core needs that checkout's own copy of this script.
+config in CHECKOUT/configs, writes the ``compute_v`` points V, their
+intervals J and the merge times m, the ``invariant_density`` weights (of the
+unrestricted map for a ``restrict_to_support`` config: the map whose weights
+chose the support), the ``check_w`` report, one decision entry and one field
+entry.  The decision entry holds the size of the neighbour core, the
+``difference_pairs`` triples and their windows, and the ``decide_tiling``
+verdict, overlapping pairs, ``candidates_checked``, spectral gaps and the
+state and edge counts of its difference graph (read by wrapping
+``sofic.build_diff_transducer``), so a change to the graph shows even when
+the verdict holds.  The field entry holds the certified real enclosures of
+the conjugates (``_real_encl``, read last, so a change in how far
+comparisons refine them shows) and the contraction bound ``rho``.  Each
+config's factor automaton is written without its state numbering: the state
+count, the transitions relabeled breadth-first from the initial state over
+the digits in index order (-1 is the dead state) and
+``forbidden_words(aut, 6)``, so two automata give the same entry exactly
+when they are isomorphic.  Field elements are written as their rational
+coordinates and floats as ``float.hex``, and keys are sorted, so two
+checkouts give the same outputs exactly when ``diff`` finds the two files
+identical.  The dump of a checkout older than the neighbour core needs that
+checkout's own copy of this script.
 """
 
 import json
@@ -72,10 +77,14 @@ def main(argv=None):
         if cfg.pop("restrict_to_support", False):
             full = betamap.transform_from_config(cfg)
         weights = betamap.invariant_density(full, betamap.compute_v(full))
-        g = tiling.gifs_build(t, betamap.compute_v(t))
+        vd = betamap.compute_v(t)
+        g = tiling.gifs_build(t, vd)
         pset = tiling.purely_periodic_points(t)
         w = tiling.check_w(t, pset)
-        row = {"density": [qb(h) for h in weights], "check_w": {
+        row = {"density": [qb(h) for h in weights], "compute_v": {
+            "V": [qb(v) for v in vd.V],
+            "J": [[qb(iv.lo), qb(iv.hi)] for iv in vd.intervals],
+            "m": sorted([qb(e), k] for e, k in vd.m.items())}, "check_w": {
             "status": w.status,
             "x": None if w.x is None else qb(w.x),
             "epsilon": qb(w.epsilon),
@@ -97,6 +106,10 @@ def main(argv=None):
             "spectral_gaps": [float(s).hex() for s in dec.spectral_gaps],
             "graph_states": len(td.states),
             "graph_edges": len(td.edges)}
+        f = t.field
+        row["field"] = {"real_enclosures": {str(j): [str(lo), str(hi)]
+                                            for j, (lo, hi) in sorted(f._real_encl.items())},
+                        "rho": f.rho.hex()}
         dump[path.stem] = row
         print(path.stem, file=sys.stderr, flush=True)
     out.write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")

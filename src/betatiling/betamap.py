@@ -18,7 +18,8 @@ from .errors import (BadAlpha, BudgetExceeded, EmptyPart, NoFixedPoint,
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
 from .numfield import (GT, LT, QBeta, _beta_eigenvector, _cramer, _float_span, _mul_matrix,
-                       _num_step, make_field, qb_ceil, qb_compare, qb_floor)
+                       _num_bisect, _num_sign, _num_sorted, _num_step, _span_compare,
+                       make_field, qb_ceil, qb_compare, qb_floor)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,15 @@ def _intersect(iv, jv):
 
 
 class BetaTransform:
-    """A validated expansion map.  Immutable; build with :func:`build_transform`."""
+    """A validated expansion map.  Immutable; build with :func:`build_transform`.
+
+    Its piece ends live in one numerator frame: ``_q`` is the lcm of the
+    denominators of the digits and of the piece ends, and each end is held as
+    integer numerators over ``_q`` (``_num_pieces``) next to its certified
+    float span (``_float_pieces``).  Orbits of points in (1/q) Z[beta], q a
+    multiple of ``_q``, are carried on integers (:func:`_num_frame`), and a
+    piece lookup that the spans leave open compares integer numerators.
+    """
 
     def __init__(self, field, digits, parts, side, _validated=False):
         self.field = field
@@ -81,7 +90,10 @@ class BetaTransform:
         self._float_pieces = tuple(
             (*_float_span(field, iv.lo.coords), *_float_span(field, iv.hi.coords), a)
             for iv, a in self.pieces)
-        self._digit_den = math.lcm(*(c.denominator for d in self.digits for c in d.coords))
+        self._q = q = math.lcm(*(c.denominator for x in (*self.digits, *(
+            e for iv, _ in self.pieces for e in (iv.lo, iv.hi))) for c in x.coords))
+        self._num_pieces = tuple((_nums(iv.lo.coords, q), _nums(iv.hi.coords, q), a)
+                                 for iv, a in self.pieces)
 
     # -- membership --------------------------------------------------------
 
@@ -112,15 +124,19 @@ class BetaTransform:
             near = True
         return None, near
 
-    def _exact_index(self, x):
+    def _exact_num(self, n, q):
+        """The piece lookup of the point n/q, q a multiple of ``_q``: each
+        piece end, scaled to q, is compared with n by :func:`numfield._num_sign`
+        of the integer difference."""
+        f, s = self.field, q // self._q
+        sign = lambda e: _num_sign(f, tuple(c - s * ec for c, ec in zip(n, e)), q)
         right = self.side == "right"
-        for iv, a in self.pieces:
+        for lo, hi, a in self._num_pieces:
             if right:
-                if qb_compare(x, iv.lo) != LT and qb_compare(x, iv.hi) == LT:
+                if sign(lo) != LT and sign(hi) == LT:
                     return a
-            else:
-                if qb_compare(x, iv.lo) == GT and qb_compare(x, iv.hi) != GT:
-                    return a
+            elif sign(lo) == GT and sign(hi) != GT:
+                return a
         return None
 
     def digit_index_of(self, x):
@@ -128,20 +144,24 @@ class BetaTransform:
 
         The float screen of :meth:`_screen` decides every point whose
         certified float interval lies inside a piece or clear of all pieces;
-        only a point whose interval meets a piece endpoint's falls through
-        to the exact comparisons of :meth:`_exact_index`.
+        only a point whose interval meets a piece endpoint's is put in the
+        numerator frame and falls through to :meth:`_exact_num`.
         """
         a, near = self._screen(x.coords)
-        return self._exact_index(x) if near else a
+        if not near:
+            return a
+        q = math.lcm(self._q, *(c.denominator for c in x.coords))
+        return self._exact_num(_nums(x.coords, q), q)
 
     def _index_num(self, n, q):
-        """:meth:`digit_index_of` for the point n/q given by integer numerators.
+        """:meth:`digit_index_of` for the point n/q given by integer numerators,
+        q a multiple of ``_q``.
 
         n_i / q rounds to the same float as the reduced coordinate, so the
         screen decides as in :meth:`digit_index_of`.
         """
         a, near = self._screen(n, q)
-        return self._exact_index(_from_num(self.field, n, q)) if near else a
+        return self._exact_num(n, q) if near else a
 
     def contains(self, x):
         return self.digit_index_of(x) is not None
@@ -332,17 +352,19 @@ class Expansion:
 
 
 # Integer orbit kernel.  An orbit of x under x -> beta*x - d stays in
-# (1/q) Z[beta] for q the lcm of the denominators of x and of the digits, so
-# it is carried as integer numerator tuples over that one q: a step is the
-# companion product minus q*digit, with no Fraction and no gcd.
+# (1/q) Z[beta] for q the lcm of the denominators of x and of the transform's
+# frame ``_q``, which the digits' divide, so it is carried as integer
+# numerator tuples over that one q: a step is the companion product minus
+# q*digit, with no Fraction and no gcd.
 
 def _from_num(field, n, q):
     return QBeta(field, tuple(Fraction(c, q) for c in n))
 
 
 def _num_frame(t, x):
-    """(q, numerators of x, numerators of q*digit per digit index)."""
-    q = math.lcm(t._digit_den, *(c.denominator for c in x.coords))
+    """(q, numerators of x, numerators of q*digit per digit index), for q the
+    lcm of the transform's frame ``_q`` and the denominators of x."""
+    q = math.lcm(t._q, *(c.denominator for c in x.coords))
     return q, _nums(x.coords, q), [_nums(d.coords, q) for d in t.digits]
 
 
@@ -392,7 +414,7 @@ def expansion_value(t, word):
         acc = _num_step(row, acc, minus[a])
         pw = _num_step(row, pw, zero)
     val, den = _cramer(_mul_matrix(f, (pw[0] - q, *pw[1:])), acc)
-    q = math.lcm(t._digit_den, den)
+    q = math.lcm(t._q, den)
     val = tuple(c * (q // den) for c in val)
     qd = [_nums(d.coords, q) for d in t.digits]
     minv = f.inv_beta_mat
@@ -480,10 +502,6 @@ class VData:
     def __post_init__(self):
         self.intervals = [self.J[v] for v in self.V]
 
-    def index_of_point(self, x):
-        """Index of the interval containing x (exact, right-continuous)."""
-        return interval_index(self.intervals, x)
-
 
 def interval_index(intervals, x):
     """Index of the interval [lo, hi) of a sorted disjoint list that contains
@@ -498,52 +516,55 @@ def compute_v(t, budget=20000):
     """Boundary-orbit set, intervals, and merge times of the two one-sided maps.
 
     For each interior discontinuity the orbits under the map and its twin are
-    iterated in lockstep with exact equality tests; the loop stops at the merge
-    time or, when the orbit pair closes a cycle without merging, after the pair
-    cycle is complete (all orbit points collected).
+    iterated in lockstep on the integer orbit kernel, over the transform's
+    frame, with exact equality of numerators; the loop stops at the merge
+    time or, when the orbit pair closes a cycle without merging, after the
+    pair cycle is complete (all orbit points collected).  The points are
+    sorted on their float spans (:func:`numfield._num_sorted`), and each cuts
+    the domain component it starts or lies in at the next point.
     """
     if t.side != "right":
         raise ValidationError("boundary-orbit analysis expects the right-continuous map")
+    f = t.field
     tw = t.twin()
-    pts = {iv.lo.coords: iv.lo for iv in t.components}
+    q, _, qd = _num_frame(t, f.zero)
+    row = f._pow_coords[f.degree]
+
+    def step(s, x):
+        a = s._index_num(x, q)
+        if a is None:
+            raise OutOfDomain(f"{_from_num(f, x, q)!r} is not in the domain")
+        return _num_step(row, x, qd[a])
+
+    pts = {_nums(iv.lo.coords, q) for iv in t.components}
     m = {}
     for (iv, a), (jv, b) in zip(t.pieces, t.pieces[1:]):
         if iv.hi != jv.lo or a == b:
             continue
-        e = jv.lo
-        u, w = e, e
+        u = w = _nums(jv.lo.coords, q)
         seen_pairs = set()
         merge = None
         collected = []
         for k in range(1, budget + 1):
-            _, u = t.step_index(u)
-            _, w = tw.step_index(w)
+            u, w = step(t, u), step(tw, w)
             if u == w:
                 merge = k
                 break
-            pair = (u.coords, w.coords)
-            if pair in seen_pairs:
+            if (u, w) in seen_pairs:
                 break
-            seen_pairs.add(pair)
-            collected.append(u)
-            collected.append(w)
+            seen_pairs.add((u, w))
+            collected += (u, w)
         else:
-            raise BudgetExceeded("orbit pair did not close", point=str(e), steps=budget)
-        m[e] = merge
-        for p in collected:
-            if t.contains(p):
-                pts[p.coords] = p
-    vlist = sorted(pts.values())
-    jmap = {}
-    for comp in t.components:
-        inside = [v for v in vlist if qb_compare(v, comp.lo) != LT and qb_compare(v, comp.hi) == LT]
-        for v, nxt in zip(inside, inside[1:] + [None]):
-            jmap[v] = IntervalQB(v, nxt if nxt is not None else comp.hi)
-    vd = VData(vlist, jmap, m)
-    total = _merge_union(list(jmap.values()))
-    if not _union_equal(total, t.components):
-        raise ValidationError("interval partition does not cover the domain")
-    return vd
+            raise BudgetExceeded("orbit pair did not close", point=str(jv.lo), steps=budget)
+        m[jv.lo] = merge
+        pts.update(p for p in collected if t._index_num(p, q) is not None)
+    vlist = [_from_num(f, p, q) for p in _num_sorted(f, pts, q)[0]]
+    comp_hi = {iv.lo: iv.hi for iv in t.components}
+    jmap, end = {}, None
+    for v, nxt in zip(vlist, vlist[1:] + [None]):
+        end = comp_hi.get(v, end)       # v starts a component or lies in the last one
+        jmap[v] = IntervalQB(v, end if nxt is None or nxt in comp_hi else nxt)
+    return VData(vlist, jmap, m)
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +573,24 @@ def compute_v(t, budget=20000):
 def branch_edges(t, vdata):
     """Per point V[i], the pairs (j, a), in digit order, of every digit a
     whose branch-a preimage (V[i] + a)/beta lies in piece a and in interval
-    j."""
-    out = [[] for _ in vdata.V]
-    for row, v in zip(out, vdata.V):
-        for a, dg in enumerate(t.digits):
-            y = (v + dg).div_beta()
-            if t.digit_index_of(y) == a:
-                j = vdata.index_of_point(y)
-                if j is None:
+    j.  The preimages are formed on integer numerators over one frame, and j
+    is read by one bisection over the V points (:func:`numfield._num_bisect`)
+    and checked against the end of J_j."""
+    f = t.field
+    q = math.lcm(t._q, *(c.denominator for v in vdata.V for c in v.coords))
+    qd = [_nums(d.coords, q) for d in t.digits]
+    vs = [_nums(v.coords, q) for v in vdata.V]
+    his = [_nums(iv.hi.coords, q) for iv in vdata.intervals]
+    spans, hspans = ([_float_span(f, x, q) for x in xs] for xs in (vs, his))
+    minv = f.inv_beta_mat
+    out = [[] for _ in vs]
+    for row, v in zip(out, vs):
+        for a, d in enumerate(qd):
+            y = tuple(sum(m * (c + e) for m, c, e in zip(mrow, v, d)) for mrow in minv)
+            if t._index_num(y, q) == a:
+                j = _num_bisect(f, vs, spans, y, q) - 1
+                if j < 0 or _span_compare(f, y, his[j], q, _float_span(f, y, q),
+                                          hspans[j]) != LT:
                     raise ValidationError("branch preimage escaped the interval partition")
                 row.append((j, a))
     return out

@@ -11,7 +11,11 @@ S = sum |c_k| B^k, delta bounds |beta - float beta|, B >= beta and u = 2^-53;
 the sum is doubled to cover the rounding of the bound itself.  Only when v is
 within e of zero (or of an integer, for the floor) does the exact path run:
 certified rational enclosures of the real embedding, refined until the sign
-is decided.
+is decided.  One routine, :func:`_num_sign`, decides every sign this way, on
+coordinates given as integer numerators over one denominator; a comparison
+forms its difference and calls it, and callers that hold points with
+certified float spans (:func:`_span_compare`) reach it only when two spans
+overlap.
 
 Every exact linear solve is one fraction-free forward elimination on
 integers (:func:`_bareiss`) and one back-substitution: inverses, periodic
@@ -29,6 +33,7 @@ norm contracts by |beta_j| blockwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -710,34 +715,77 @@ def _float_span(fld, coords, q=1):
     return math.nextafter(v - e, -math.inf), math.nextafter(v + e, math.inf)
 
 
-def qb_compare(x, y):
-    """Exact three-way comparison; -1, 0, 1 for <, =, >.
+def _num_sign(fld, n, q=1):
+    """Sign of sum_k n_k beta^k / q, as LT, EQ or GT, for coordinates n
+    (integers or Fractions) and an integer q > 0.
 
-    Equal coordinates are EQ.  Otherwise the sign of the float value v of
-    x - y is returned when |v| exceeds its certified bound e from
-    :func:`_float_value`; only inside that band does the exact loop run:
-    :func:`gamma_interval` of x - y, narrowed by 2^-64 per round until it
-    excludes zero.
+    The sign of the float value v of :func:`_float_value` is returned when
+    |v| exceeds its certified bound e; inside that band all-zero coordinates
+    are EQ, and otherwise the exact loop runs: :func:`gamma_interval`,
+    narrowed by 2^-64 per round until it excludes zero.  Every exact
+    comparison of the library ends here, on a difference it has formed.
     """
-    if x.field != y.field:
-        raise FieldMismatch("cannot compare elements of different fields")
-    if x.coords == y.coords:
-        return EQ
-    diff = tuple(a - b for a, b in zip(x.coords, y.coords))
-    fld = x.field
-    v, e = _float_value(fld, diff)
+    v, e = _float_value(fld, n, q)
     if v > e:
         return GT
     if -v > e:
         return LT
+    if not any(n):
+        return EQ
+    x = QBeta(fld, tuple(Fraction(c, q) for c in n))
     width = Fraction(1, 2 ** 64)
     while True:
-        lo, hi = gamma_interval(QBeta(fld, diff), 0, width)
+        lo, hi = gamma_interval(x, 0, width)
         if lo > 0:
             return GT
         if hi < 0:
             return LT
         width /= 2 ** 64
+
+
+def _span_compare(fld, x, y, q, sx, sy, ys=1):
+    """Three-way comparison of the points x/q and ys*y/q, given by integer
+    numerators and their certified float spans sx and sy
+    (:func:`_float_span`): disjoint spans decide, else :func:`_num_sign`
+    of x - ys*y."""
+    if sx[1] < sy[0]:
+        return LT
+    if sx[0] > sy[1]:
+        return GT
+    return _num_sign(fld, tuple(a - ys * b for a, b in zip(x, y)), q)
+
+
+def _num_sorted(fld, pts, q):
+    """The points pts of (1/q) Z[beta], given by integer numerators, sorted by
+    value with :func:`_span_compare`, and their float spans in that order."""
+    span = {p: _float_span(fld, p, q) for p in pts}
+    out = sorted(span, key=functools.cmp_to_key(
+        lambda x, y: _span_compare(fld, x, y, q, span[x], span[y])))
+    return out, [span[p] for p in out]
+
+
+def _num_bisect(fld, ends, spans, n, q, s=1):
+    """How many points of ``ends``, sorted integer numerators over q/s with
+    their float spans, are <= n/q: a bisection on :func:`_span_compare`."""
+    sx = _float_span(fld, n, q)
+    lo, hi = 0, len(ends)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _span_compare(fld, n, ends[mid], q, sx, spans[mid], s) == LT:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def qb_compare(x, y):
+    """Exact three-way comparison; -1, 0, 1 for <, =, >: equal coordinates
+    are EQ, else :func:`_num_sign` of the difference x - y."""
+    if x.field != y.field:
+        raise FieldMismatch("cannot compare elements of different fields")
+    if x.coords == y.coords:
+        return EQ
+    return _num_sign(x.field, tuple(a - b for a, b in zip(x.coords, y.coords)))
 
 
 def qb_floor(x):

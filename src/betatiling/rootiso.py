@@ -2,6 +2,10 @@
 
 Real roots are isolated with exact Sturm sequences and refined by bisection,
 so their enclosures are rational intervals that are correct by construction.
+The refinement runs on integers: the two ends share one denominator, which
+doubles at every halving, and the sign of p at a midpoint n/m is the sign of
+the integer p(n/m) m^deg, by homogeneous Horner; Fractions are formed only
+for the returned ends.
 Complex roots start from high-precision numeric approximations and are then
 certified with the classical bound: for a monic polynomial p of degree d and
 any point z with p'(z) != 0, the disk around z of radius d*|p(z)/p'(z)|
@@ -18,6 +22,8 @@ import math
 from fractions import Fraction
 
 import mpmath
+
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +130,45 @@ def isolate_real_roots(p):
     return out
 
 
+def _sign_at(p, n, m):
+    """Sign of p(n/m) for integer coefficients p and an integer m > 0: the
+    sign of p(n/m) m^deg, by homogeneous Horner on integers."""
+    acc, mk = p[-1], 1
+    for c in reversed(p[:-1]):
+        mk *= m
+        acc = acc * n + c * mk
+    return (acc > 0) - (acc < 0)
+
+
 def refine_root(p, lo, hi, width):
-    """Shrink an isolating interval by bisection until hi - lo <= width."""
-    flo = poly_eval(p, lo)
-    if flo == 0:
-        # left endpoint is excluded from (lo, hi]; move it inside
-        lo = (lo + hi) / 2 if poly_eval(p, (lo + hi) / 2) != 0 else (3 * lo + hi) / 4
-        flo = poly_eval(p, lo)
-    sign_lo = 1 if flo > 0 else -1
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = poly_eval(p, mid)
-        if fm == 0:
-            eps = (hi - lo) / 16
-            return (mid - eps, mid + eps) if hi - lo <= width * 8 else (mid - width / 2, mid + width / 2)
-        if (1 if fm > 0 else -1) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    """Shrink an interval (lo, hi] that isolates a simple root of p by
+    bisection until hi - lo <= width.
+
+    p is scaled to integer coefficients and the ends are held as integer
+    numerators a, b over one denominator m; a halving doubles m, so the
+    midpoint is (a + b) / 2m and its sign comes from :func:`_sign_at`.  When
+    p vanishes at the excluded left end, the sign just right of it is that of
+    p' there.  A midpoint that is a root is returned inside an interval around
+    it.  Raises ValidationError when p and p' both vanish at lo.
+    """
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    p = [int(c * scale) for c in p]
+    m = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (m // lo.denominator), hi.numerator * (m // hi.denominator)
+    sign_lo = _sign_at(p, a, m) or _sign_at(poly_deriv(p), a, m)
+    if not sign_lo:
+        raise ValidationError(f"multiple root at the left end {lo}")
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * m:
+        mid = a + b
+        s = _sign_at(p, mid, 2 * m)
+        if s == 0:
+            x, w = Fraction(mid, 2 * m), Fraction(b - a, m)
+            eps = w / 16 if w <= width * 8 else width / 2
+            return x - eps, x + eps
+        a, b, m = (mid, 2 * b, 2 * m) if s == sign_lo else (2 * a, mid, 2 * m)
+    return Fraction(a, m), Fraction(b, m)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ T^|w| of the cylinder [w], the points whose expansion starts with w, a
 finite union of half-open intervals (the follower-set presentation of a
 sofic shift).  A digit intersects the state with its pieces, then maps the
 parts by x -> beta*x - a; an empty image is the dead state.  The states
-containing a point x, its alive set, are read by exact interval membership.
+containing a point x, its alive set, are read by exact interval membership:
+the state ends are integer numerators over the transform's frame, and one
+bisection compares them on certified float spans, on integers where two
+spans overlap.
 
 The tiling decision works in two stages.  The coarse difference graph has
 the points of one finite difference box as states and an edge
@@ -27,15 +30,17 @@ eigenvalue, which is tested exactly over the integers, once per component.
 
 from __future__ import annotations
 
-import bisect
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import IntervalQB, _intersect, _merge_union, endpoint_words
+from .betamap import _from_num, _nums, endpoint_words
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
-from .numfield import (GT, LT, _beta_eigenvector, _float_span,
-                       _minpoly_at_matrix, qb_compare)
+from .numfield import (GT, LT, _beta_eigenvector, _float_span, _minpoly_at_matrix,
+                       _num_bisect, _num_sign, _num_sorted, _num_step, _span_compare,
+                       qb_compare)
 from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
 # and sofic.expand
@@ -71,10 +76,11 @@ class ShiftAutomaton:
 
     All live states are accepting; a word is a factor exactly when it labels a
     live path from the initial state.  ``images`` gives each state's interval
-    union (none for an automaton given by its transitions alone).  Their ends
-    cut the line into cells on which membership in every state is constant;
-    each cell's set of states is built here, so :meth:`alive` is one
-    bisection.
+    union as (lo, hi) pairs of integer numerators over the transform's frame
+    ``_q`` (none for an automaton given by its transitions alone).  Their ends
+    are held with their certified float spans and sorted on them; they cut the
+    line into cells on which membership in every state is constant, and each
+    cell's set of states is built here, so :meth:`alive` is one bisection.
     """
 
     def __init__(self, transform, states, delta, initial, images):
@@ -83,13 +89,13 @@ class ShiftAutomaton:
         self.delta = delta           # list of tuples, one per state; None = dead
         self.initial = initial
         self.alphabet = len(transform.digits)
-        self._ends = sorted({e.coords: e for img in images for iv in img
-                             for e in (iv.lo, iv.hi)}.values())
-        pos = {e.coords: k for k, e in enumerate(self._ends)}
+        self._ends, self._spans = _num_sorted(
+            transform.field, {e for img in images for iv in img for e in iv}, transform._q)
+        pos = {e: k for k, e in enumerate(self._ends)}
         cells = [set() for _ in range(len(self._ends) + 1)]
         for s, img in enumerate(images):
-            for iv in img:
-                for k in range(pos[iv.lo.coords] + 1, pos[iv.hi.coords] + 1):
+            for lo, hi in img:
+                for k in range(pos[lo] + 1, pos[hi] + 1):
                     cells[k].add(s)
         self._cells = [frozenset(c) for c in cells]
         self._pred_cache = {}
@@ -112,7 +118,17 @@ class ShiftAutomaton:
         """The states whose half-open intervals contain the point x.  This is
         the set :meth:`predecessor_set` steps back: x lies in S and in a piece
         of digit a exactly when beta*x - a lies in delta(S, a)."""
-        return self._cells[bisect.bisect_right(self._ends, x)]
+        t = self.transform
+        q = math.lcm(t._q, *(c.denominator for c in x.coords))
+        return self._alive_num(_nums(x.coords, q), q)
+
+    def _alive_num(self, n, q):
+        """:meth:`alive` of the point n/q, for integer numerators n and q a
+        multiple of the frame's: one bisection over the state ends
+        (:func:`numfield._num_bisect`), on their float spans and, where the
+        point's span meets an end's, on the integer difference."""
+        t = self.transform
+        return self._cells[_num_bisect(t.field, self._ends, self._spans, n, q, q // t._q)]
 
     def predecessor_set(self, alive, a):
         """States s with delta(s, a) inside the given alive set (memoized)."""
@@ -154,10 +170,15 @@ def build_automaton(t, state_budget=200000):
 
     The initial state is the domain; digit a sends a state S to the merged
     union of beta*(S & p) - a over a's pieces p, and an empty image is the
-    dead state.  States are keyed by their exact interval ends, which also
-    give the automaton its alive sets, and explored last in, first out, at most
-    ``state_budget`` of them.  A word is a factor exactly when its image is
-    nonempty, because the map is onto and so every factor is a prefix.
+    dead state.  State ends stay in the transform's numerator frame ``_q``
+    (the piece ends are in it, and beta*x - a keeps it), so a state is keyed
+    by integer numerator tuples and an image end is one integer step.  Ends
+    are compared on their certified float spans, and by
+    :func:`numfield._num_sign` only where two spans overlap.  The keys also
+    give the automaton its alive sets.  States are explored last in, first
+    out, at most ``state_budget`` of them.  A word is a factor exactly when
+    its image is nonempty, because the map is onto and so every factor is a
+    prefix.
 
     The automaton is minimal as built.  Two distinct states S != S' differ
     on a half-open interval, so some x lies inside one and at distance r > 0
@@ -173,21 +194,44 @@ def build_automaton(t, state_budget=200000):
     """
     if t.side != "right":
         raise ValidationError("automaton construction expects the right-continuous map")
-    beta = t.field.beta
-    initial = tuple(t.components)
+    f, q = t.field, t._q
+    row = f._pow_coords[f.degree]
+    qd = [_nums(dg.coords, q) for dg in t.digits]
+    frame = lambda ivs: tuple((_nums(iv.lo.coords, q), _nums(iv.hi.coords, q)) for iv in ivs)
+    parts = [frame(pp) for pp in t.parts]
+    span = {}
+
+    def cmp(x, y):
+        for e in (x, y):
+            if e not in span:
+                span[e] = _float_span(f, e, q)
+        return _span_compare(f, x, y, q, span[x], span[y])
+
+    initial = frame(t.components)
     index = {initial: 0}
     delta = [None]
     queue = [initial]
     while queue:
         state = queue.pop()
-        row = []
-        for a, dg in enumerate(t.digits):
-            image = tuple(_merge_union(
-                [IntervalQB(got.lo * beta - dg, got.hi * beta - dg)
-                 for iv in state for p in t.parts[a]
-                 if (got := _intersect(iv, p)) is not None]))
+        out = []
+        for a, pp in enumerate(parts):
+            # state and pieces are sorted and disjoint, so the intersections
+            # come in order, and their images only touch where ends coincide
+            image = []
+            for lo, hi in state:
+                for plo, phi in pp:
+                    x = lo if cmp(lo, plo) != LT else plo
+                    y = hi if cmp(hi, phi) != GT else phi
+                    if cmp(x, y) != LT:
+                        continue
+                    x, y = _num_step(row, x, qd[a]), _num_step(row, y, qd[a])
+                    if image and image[-1][1] == x:
+                        image[-1] = (image[-1][0], y)
+                    else:
+                        image.append((x, y))
+            image = tuple(image)
             if not image:
-                row.append(None)
+                out.append(None)
                 continue
             if image not in index:
                 if len(index) >= state_budget:
@@ -196,8 +240,8 @@ def build_automaton(t, state_budget=200000):
                 index[image] = len(delta)
                 delta.append(None)
                 queue.append(image)
-            row.append(index[image])
-        delta[index[state]] = tuple(row)
+            out.append(index[image])
+        delta[index[state]] = tuple(out)
     return ShiftAutomaton(t, len(delta), delta, 0, list(index))
 
 
@@ -323,32 +367,53 @@ def difference_pairs(t, g, core=None):
     geometric is screened here: the shared difference graph decides every
     start exactly.
 
-    The gate holds delta and the interval ends as certified float spans and
-    runs an exact comparison only when the span of a window's length
-    straddles zero; the exact window is built once per triple that passes.
+    delta, the interval ends and their differences are held as integer
+    numerators over the transform's frame ``_q`` and as certified float
+    spans.  The spans decide the delta filter, each window end and whether a
+    window is empty; only where two spans overlap does
+    :func:`numfield._span_compare` fall back to :func:`numfield._num_sign`.
     """
     _require_integral_digits(t)
-    f = t.field
-    diam = t.xmax - t.xmin
+    f, q = t.field, t._q
     core = _neighbour_core(t) if core is None else core
-    deltas = [x for x in map(f.qb, core)
-              if qb_compare(x, f.zero) == GT and qb_compare(x, diam) == LT]
-    if not deltas:
+    diam = _nums((t.xmax - t.xmin).coords, q)
+    sdiam = _float_span(f, diam, q)
+    keep = []
+    for co in core:
+        sx = _float_span(f, co)
+        if _num_sign(f, co) == GT and _span_compare(f, diam, co, q, sdiam, sx, q) == GT:
+            keep.append((co, sx))
+    if not keep:
         return [], []
-    jlo = np.array([_float_span(f, iv.lo.coords) for iv in g.J]).T
-    jhi = np.array([_float_span(f, iv.hi.coords) for iv in g.J]).T
-    ds = np.array([_float_span(f, x.coords) for x in deltas]).T[:, :, None]
-    lo = np.maximum(jlo[:, None, :, None], _span_sub(jlo[:, None, :], ds)[:, :, None, :])
-    hi = np.minimum(jhi[:, None, :, None], _span_sub(jhi[:, None, :], ds)[:, :, None, :])
+    jl = [_nums(iv.lo.coords, q) for iv in g.J]
+    jh = [_nums(iv.hi.coords, q) for iv in g.J]
+    jlo = np.array([_float_span(f, x, q) for x in jl]).T
+    jhi = np.array([_float_span(f, x, q) for x in jh]).T
+    ds = np.array([sx for _, sx in keep]).T[:, :, None]
+    blo, bhi = _span_sub(jlo[:, None, :], ds), _span_sub(jhi[:, None, :], ds)
+    lo = np.maximum(jlo[:, None, :, None], blo[:, :, None, :])
+    hi = np.minimum(jhi[:, None, :, None], bhi[:, :, None, :])
     gap = _span_sub(hi, lo)
+    jlo, jhi, blo, bhi = (np.moveaxis(a, 0, -1).tolist() for a in (jlo, jhi, blo, bhi))
+    deltas = {}
     triples, windows = [], []
-    for c, i, j in zip(*np.nonzero(gap[1] > 0)):
-        delta = deltas[c]
-        window = (max(g.J[i].lo, g.J[j].lo - delta), min(g.J[i].hi, g.J[j].hi - delta))
-        if gap[0][c, i, j] <= 0 and qb_compare(*window) != LT:
+    for c, i, j in np.argwhere(gap[1] > 0).tolist():
+        dq = [q * x for x in keep[c][0]]
+        # each window end: (numerators, span, the QBeta when it is J_i's end);
+        # lo = max(J_i.lo, J_j.lo - delta) and hi = min(J_i.hi, J_j.hi - delta)
+        lo, hi = (jl[i], jlo[i], g.J[i].lo), (jh[i], jhi[i], g.J[i].hi)
+        b = tuple(u - v for u, v in zip(jl[j], dq))
+        if _span_compare(f, lo[0], b, q, lo[1], blo[c][j]) == LT:
+            lo = (b, blo[c][j], None)
+        b = tuple(u - v for u, v in zip(jh[j], dq))
+        if _span_compare(f, hi[0], b, q, hi[1], bhi[c][j]) == GT:
+            hi = (b, bhi[c][j], None)
+        if gap[0][c, i, j] <= 0 and _span_compare(f, lo[0], hi[0], q, lo[1], hi[1]) != LT:
             continue
-        triples.append((delta, int(i), int(j)))
-        windows.append(window)
+        if c not in deltas:
+            deltas[c] = f.qb(keep[c][0])
+        triples.append((deltas[c], i, j))
+        windows.append(tuple(_from_num(f, n, q) if x is None else x for n, _, x in (lo, hi)))
     return triples, windows
 
 
@@ -376,23 +441,25 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
 
     Each start is a candidate (delta0, x): a point x of the domain whose
     translate x + delta0 lies in the domain too.  States combine the exact
-    remaining-value difference with the alive sets of both tapes, from
-    ``aut.alive(x + delta0)`` and ``aut.alive(x)`` (memoized by point); a
-    state is good when both sets hold the initial state.  A state and its
-    out-edges do not depend on the start that reached it, so all starts share
-    one graph, bounded by ``state_budget`` states.  Successors outside the
-    neighbour core (:func:`_neighbour_core`, computed when ``core`` is not
-    given) are dropped: a fine path projects onto a coarse path, so they have
-    no infinite path.  Differences stay in Z[beta], so the graph runs on
-    integer coordinate tuples.
+    remaining-value difference with the alive sets of both tapes, read by
+    ``aut.alive`` at x + delta0 and at x, both formed on integer numerators
+    in the automaton's frame (memoized by point); a state is good when both
+    sets hold the initial state.  A state and its out-edges do not depend on
+    the start that reached it, so all starts share one graph, bounded by
+    ``state_budget`` states.  Successors outside the neighbour core
+    (:func:`_neighbour_core`, computed when ``core`` is not given) are
+    dropped: a fine path projects onto a coarse path, so they have no
+    infinite path.  Differences stay in Z[beta], so the graph runs on integer
+    coordinate tuples: a successor is diff/beta plus (a - a')/beta, the first
+    formed once per state and the second once per digit pair.
     """
     f = t.field
-    d = f.degree
     core = set(_neighbour_core(t) if core is None else core)
     q0 = aut.initial
     minv = f.inv_beta_mat
     na = len(t.digits)
-    ddiff = _digit_differences(t)
+    div_beta = lambda x: tuple(sum(m * c for m, c in zip(mrow, x)) for mrow in minv)
+    ddiv = {key: div_beta(dd) for key, dd in _digit_differences(t).items()}
 
     index = {}
     states = []
@@ -410,14 +477,17 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
             queue.append(index[key])
         return index[key]
 
-    def alive_at(x):
-        if x.coords not in alive:
-            alive[x.coords] = aut.alive(x)
-        return alive[x.coords]
+    def alive_at(n, q):
+        if (n, q) not in alive:
+            alive[n, q] = aut._alive_num(n, q)
+        return alive[n, q]
 
     initials = []
     for delta0, x in starts:
-        p_in, p_out = alive_at(x + delta0), alive_at(x)
+        q = math.lcm(t._q, *(c.denominator for c in (*x.coords, *delta0.coords)))
+        n = _nums(x.coords, q)
+        p_in = alive_at(tuple(a + b for a, b in zip(n, _nums(delta0.coords, q))), q)
+        p_out = alive_at(n, q)
         if q0 not in p_in or q0 not in p_out:
             raise ValidationError("start point x or x + delta lies outside the domain")
         if not delta0.is_integral():
@@ -425,10 +495,10 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
         initials.append(intern((tuple(int(c) for c in delta0.coords), p_in, p_out)))
     pre = aut.predecessor_set
     edges = []
-    rng = range(d)
     while queue:
         si = queue.pop()
         diff, pin, pout = states[si]
+        base = div_beta(diff)
         for a_in in range(na):
             npin = pre(pin, a_in)
             if q0 not in npin:
@@ -437,9 +507,7 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
                 npout = pre(pout, a_out)
                 if q0 not in npout:
                     continue
-                dd = ddiff[(a_in, a_out)]
-                s = tuple(diff[k] + dd[k] for k in rng)
-                nd = tuple(sum(minv[i][k] * s[k] for k in rng) for i in rng)
+                nd = tuple(map(operator.add, base, ddiv[a_in, a_out]))
                 if nd not in core:
                     continue
                 edges.append((si, intern((nd, npin, npout)), a_in, a_out))

@@ -21,7 +21,8 @@ from .betamap import (_from_num, _num_frame, branch_edges, expand,
                       interval_index)
 from .errors import (BudgetExceeded, DigitsNotIntegral,
                      UnrenderableDimension, ValidationError)
-from .numfield import LT, _num_step, gamma_abs_upper, phi, qb_compare
+from .numfield import (GT, LT, _float_span, _num_sign, _num_step, _span_compare,
+                       gamma_abs_upper, phi, qb_compare)
 
 _FLOAT_STEP_SLACK = 1e-12
 _BYTE_LIMIT = 1 << 30       # largest cloud level, translate scene or lattice box
@@ -455,10 +456,11 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     A found witness certifies the tiling property.  Exhausting the budget is
     reported as such, never as a refutation.  The chains run on the integer
     orbit kernel of :mod:`betamap`: the periodic points, z and the digits lie
-    in Z[beta], so every chain point is an integer coordinate tuple.  Chains
-    of different candidates meet the same points again and again, so one
-    table per search maps a point's numerators to its successor's (None
-    outside the domain) and each distinct point is screened and stepped once.
+    in Z[beta], so every chain point is a tuple of integer numerators over the
+    transform's frame ``_q``.  Chains of different candidates meet the same
+    points again and again, so one table per search maps a point's numerators
+    to its successor's (None outside the domain) and each distinct point is
+    screened and stepped once.
     """
     _require_integral_digits(t)
     f = t.field
@@ -477,15 +479,18 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
             succ[c] = None if a is None else _num_step(row, c, qd[a])
         return succ[c]
 
+    # 0 <= z < eps on the float spans, and on integers where they overlap
+    qe, en, _ = _num_frame(t, eps)
+    seps = _float_span(f, en, qe)
     tried = 0
     for coords in cands:
-        z = f.qb(coords)
-        if qb_compare(z, f.zero) == LT or qb_compare(z, eps) != LT:
+        if (_num_sign(f, coords) == LT
+                or _span_compare(f, en, coords, qe, seps, _float_span(f, coords), qe) != GT):
             continue
         tried += 1
         if tried > max_candidates:
             break
-        cur = [tuple(a + b for a, b in zip(y, coords)) for y in ys]
+        cur = [tuple(a + q * b for a, b in zip(y, coords)) for y in ys]
         chains = [[c] for c in cur]
         seen_states = set()
         for k in range(k_budget + 1):
@@ -494,6 +499,7 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
                 break
             state = tuple(cur)
             if len(set(state)) == 1 and state[0] in periodic:
+                z = f.qb(coords)
                 return WitnessReport(
                     "holds", _from_num(f, state[0], q),
                     {y: (z, k) for y in pts},

@@ -516,6 +516,18 @@ def test_orbit_kernel_matches_fraction_reference():
 # ---------------------------------------------------------------------------
 # the certified float screen against the exact piece lookup
 
+def _exact_index_reference(t, x):
+    """The piece lookup by qb_compare against every piece end, in order."""
+    right = t.side == "right"
+    for iv, a in t.pieces:
+        if right:
+            if qb_compare(x, iv.lo) != LT and qb_compare(x, iv.hi) == LT:
+                return a
+        elif qb_compare(x, iv.lo) == GT and qb_compare(x, iv.hi) != GT:
+            return a
+    return None
+
+
 def test_screen_matches_exact_index():
     root = pathlib.Path(__file__).resolve().parent.parent / "configs"
     configs = {p.stem: transform_from_config(json.loads(p.read_text()))
@@ -537,7 +549,58 @@ def test_screen_matches_exact_index():
             for e in (iv.lo, iv.hi):
                 pts += [e, e + eps, e - eps]
         for x in pts:
-            want = t._exact_index(x)
+            want = _exact_index_reference(t, x)
             assert t.digit_index_of(x) == want, (name, x)
             q, n, _ = _num_frame(t, x)
             assert t._index_num(n, q) == want, (name, x)
+            assert t._exact_num(n, q) == want, (name, x)
+
+
+# ---------------------------------------------------------------------------
+# boundary orbits on the integer kernel against QBeta steps
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+RIGHT_CONTINUOUS_CONFIGS = [
+    p.stem for p in sorted(CONFIG_DIR.glob("*.json"))
+    if transform_from_config(json.loads(p.read_text())).side == "right"]
+
+
+def _compute_v_reference(t):
+    """V, J and m by QBeta steps (``step_index``) of each discontinuity
+    under the map and its twin, sorted by exact comparison."""
+    tw = t.twin()
+    pts = {iv.lo.coords: iv.lo for iv in t.components}
+    m = {}
+    for (iv, a), (jv, b) in zip(t.pieces, t.pieces[1:]):
+        if iv.hi != jv.lo or a == b:
+            continue
+        u = w = jv.lo
+        seen, merge, collected = set(), None, []
+        for k in range(1, 20001):
+            u, w = t.step_index(u)[1], tw.step_index(w)[1]
+            if u == w:
+                merge = k
+                break
+            if (u.coords, w.coords) in seen:
+                break
+            seen.add((u.coords, w.coords))
+            collected += (u, w)
+        m[jv.lo] = merge
+        pts.update((p.coords, p) for p in collected if t.contains(p))
+    vs = sorted(pts.values())
+    jmap = {}
+    for comp in t.components:
+        inside = [v for v in vs if comp.lo <= v < comp.hi]
+        for v, nxt in zip(inside, inside[1:] + [None]):
+            jmap[v] = IntervalQB(v, comp.hi if nxt is None else nxt)
+    return vs, jmap, m
+
+
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS_CONFIGS)
+def test_compute_v_matches_step_index_reference(name):
+    t = transform_from_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    vd = compute_v(t)
+    vs, jmap, m = _compute_v_reference(t)
+    assert vd.V == vs
+    assert vd.J == jmap and list(vd.J) == list(jmap)
+    assert vd.m == m

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betatiling import numfield
 from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
-from betatiling.errors import NotIrreducible, NotPisot, NotUnit
+from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
 from betatiling.numfield import (EQ, GT, LT, _back_substitute, _bareiss, _cramer,
                                  _float_value, _horner_interval, gamma, gamma_interval,
                                  make_field, phi, pi1, psi, qb_compare,
                                  qb_floor)
+from betatiling.rootiso import isolate_real_roots, refine_root
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -446,3 +448,73 @@ def test_float_filter_huge_coordinates_take_exact_path(golden, tribonacci):
             for y in (f.zero, f.one):
                 assert qb_compare(x, y) == _ref_compare(x, y), (x, y)
             assert qb_floor(x) == _ref_floor(x), x
+
+
+# ---------------------------------------------------------------------------
+# root refinement on integers against the Fraction bisection
+
+def _refine_root_reference(p, lo, hi, width):
+    """Bisection of (lo, hi] on Fractions, evaluating p by Fraction Horner."""
+    def ev(x):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    sign_lo = 1 if ev(lo) > 0 else -1
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = ev(mid)
+        if fm == 0:
+            eps = (hi - lo) / 16
+            return (mid - eps, mid + eps) if hi - lo <= width * 8 else (mid - width / 2, mid + width / 2)
+        if (1 if fm > 0 else -1) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+REFINE_FIELDS = {"golden": (1, 1), "tribonacci": (1, 1, 1), "smallest_pisot": (0, 1, 1),
+                 "cubic_30m1": (3, 0, -1), "quartic_1001": (1, 0, 0, 1),
+                 "tetranacci": (1, 1, 1, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_FIELDS))
+def test_integer_refine_root_matches_fraction_bisection(name):
+    f = make_field(*REFINE_FIELDS[name])
+    p = f.min_poly
+    ivs = isolate_real_roots(p)
+    assert ivs
+    for bits in (80, 200):
+        width = Fraction(1, 2 ** bits)
+        for lo, hi in ivs:
+            got = refine_root(p, lo, hi, width)
+            assert got == _refine_root_reference(p, lo, hi, width), (name, bits)
+            assert got[1] - got[0] <= width
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_FIELDS))
+def test_field_constants_match_fraction_refinement(name, monkeypatch):
+    # the enclosures, rho and the float-filter constants of make_field are
+    # those of the Fraction bisection
+    got = make_field(*REFINE_FIELDS[name])
+    monkeypatch.setattr(numfield, "refine_root", _refine_root_reference)
+    want = make_field(*REFINE_FIELDS[name])
+    assert got._real_encl == want._real_encl
+    assert got.rho.hex() == want.rho.hex()
+    for attr in ("_float_beta", "_float_big", "_float_rel", "_float_abs"):
+        assert getattr(got, attr).hex() == getattr(want, attr).hex(), attr
+
+
+def test_refine_root_keeps_the_root_when_p_vanishes_at_the_left_end():
+    # x^2 - 3x/10 has the roots 0 and 3/10; (0, 1] isolates 3/10
+    p = [0, Fraction(-3, 10), 1]
+    lo, hi = refine_root(p, 0, 1, Fraction(1, 1000))
+    assert lo < Fraction(3, 10) <= hi and hi - lo <= Fraction(1, 1000)
+    # the root at the right end is kept as well, and a left end at a root
+    # of p and p' is refused
+    lo, hi = refine_root([Fraction(-3, 10), 1], 0, Fraction(3, 10), Fraction(1, 1000))
+    assert lo < Fraction(3, 10) == hi
+    with pytest.raises(ValidationError):
+        refine_root([0, 0, -1, 1], 0, 2, Fraction(1, 1000))

@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from betatiling import sofic
-from betatiling.betamap import (compute_v, endpoint_words, expand, prefix_interval_set,
-                                preset, transform_from_config)
+from betatiling import numfield, sofic
+from betatiling.betamap import (IntervalQB, _intersect, _merge_union, compute_v,
+                                endpoint_words, expand, prefix_interval_set, preset,
+                                transform_from_config)
 from betatiling.errors import BudgetExceeded, ValidationError
 from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, gamma_abs_upper,
                                  gamma_interval, make_field, qb_compare)
@@ -136,6 +137,81 @@ def _ray_alive_states_reference(aut, word):
             for a in word.period:
                 cur = [None if s is None else aut.delta[s][a] for s in cur]
     return frozenset(i for i, s in enumerate(cur) if s is not None)
+
+
+def _reference_images(aut):
+    """Each state's interval union as QBeta intervals, rebuilt along the
+    automaton's transitions: digit a sends S to the merged union of
+    beta*(S & p) - a over a's pieces p, with exact QBeta arithmetic.  Checks
+    that a transition is dead exactly when the image is empty and that every
+    way into a state gives the same image."""
+    t = aut.transform
+    beta = t.field.beta
+    images = {aut.initial: _merge_union(list(t.components))}
+    stack = [aut.initial]
+    while stack:
+        s = stack.pop()
+        for a, nxt in enumerate(aut.delta[s]):
+            dg = t.digits[a]
+            img = _merge_union([IntervalQB(got.lo * beta - dg, got.hi * beta - dg)
+                                for iv in images[s] for p in t.parts[a]
+                                if (got := _intersect(iv, p)) is not None])
+            assert (nxt is None) == (not img)
+            if nxt is None:
+                continue
+            if nxt in images:
+                assert images[nxt] == img
+            else:
+                images[nxt] = img
+                stack.append(nxt)
+    return images
+
+
+@pytest.mark.parametrize("name", ["tribonacci_symmetric", "smallest_pisot_symmetric",
+                                  "golden_interleaved"])
+def test_span_gated_alive_matches_exact_membership(name):
+    # alive bisects on float spans and decides a straddle on integers; on
+    # every state end, and a tiny Z[beta] step (or a third of one) to either
+    # side of it, it gives the states whose QBeta intervals hold the point.
+    # beta^-90 has coordinates so large that every span straddles.
+    t = config_transform(name)
+    aut = build_automaton(t)
+    images = _reference_images(aut)
+    assert len(images) == aut.n_states
+    ends = {e.coords: e for img in images.values() for iv in img for e in (iv.lo, iv.hi)}
+    probes = list(ends.values())
+    for k in (40, 90):
+        tiny = t.field.one.div_beta() ** k
+        probes += [y for e in ends.values()
+                   for y in (e + tiny, e - tiny, e + tiny / 3, e - tiny / 3)]
+    for x in probes + [t.xmin - t.field.one, t.xmax]:
+        want = frozenset(s for s, img in images.items()
+                         if any(qb_compare(iv.lo, x) != GT and qb_compare(x, iv.hi) == LT
+                                for iv in img))
+        assert aut.alive(x) == want, (name, x)
+
+
+@pytest.mark.parametrize("name", ["golden_pm1", "tribonacci_symmetric", "golden_interleaved"])
+def test_integer_fallbacks_decide_when_every_span_straddles(name, monkeypatch):
+    # with every float span widened by 1, spans overlap wherever two points
+    # lie within 2 of each other, so the state ends, the alive sets, the
+    # delta filter and the window ends are decided by the integer sign routine
+    t = config_transform(name)
+    vd, g, pset = stage_cache(t)
+    aut = build_automaton(t)
+    pairs = difference_pairs(t, g)
+    probes = [x for iv in vd.intervals for x in (iv.lo, iv.hi, iv.lo - t.field.one)]
+
+    def wide(fld, coords, q=1):
+        lo, hi = _float_span(fld, coords, q)
+        return lo - 1.0, hi + 1.0
+
+    monkeypatch.setattr(sofic, "_float_span", wide)
+    monkeypatch.setattr(numfield, "_float_span", wide)
+    slow = build_automaton(t)
+    assert (slow.delta, slow._ends, slow._cells) == (aut.delta, aut._ends, aut._cells)
+    assert all(slow.alive(x) == aut.alive(x) for x in probes)
+    assert difference_pairs(t, g) == pairs
 
 
 @pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "golden_minweight",
