@@ -3,23 +3,24 @@
 A transform carries a digit set A in Q(beta) and, per digit, a finite union
 of half-open intervals.  The ``side`` flag selects between the right-continuous
 map (pieces [lo, hi)) and its left-continuous twin (pieces (lo, hi]).  All
-membership tests, orbits, and expansions are exact.
+membership tests, orbits, and expansions are exact.  Which piece holds a
+point, and which boundary-orbit interval J_v, is read from one end table per
+family (:class:`numfield._EndTable`) by one bisection.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BadAlpha, BudgetExceeded, EmptyPart, NoFixedPoint,
+from .errors import (BadAlpha, BudgetExceeded, EmptyPart, FieldMismatch, NoFixedPoint,
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
-from .numfield import (GT, LT, QBeta, _beta_eigenvector, _cramer, _float_span, _mul_matrix,
-                       _num_bisect, _num_sign, _num_sorted, _num_step, _span_compare,
-                       make_field, qb_ceil, qb_compare, qb_floor)
+from .numfield import (GT, LT, QBeta, _beta_eigenvector, _cramer, _EndTable, _mul_matrix,
+                       _nums, _num_sorted, _num_step, _sole, make_field, qb_ceil,
+                       qb_compare, qb_floor)
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,11 @@ class BetaTransform:
     """A validated expansion map.  Immutable; build with :func:`build_transform`.
 
     Its piece ends live in one numerator frame: ``_q`` is the lcm of the
-    denominators of the digits and of the piece ends, and each end is held as
-    integer numerators over ``_q`` (``_num_pieces``) next to its certified
-    float span (``_float_pieces``).  Orbits of points in (1/q) Z[beta], q a
-    multiple of ``_q``, are carried on integers (:func:`_num_frame`), and a
-    piece lookup that the spans leave open compares integer numerators.
+    denominators of the digits and of the piece ends, and ``_table`` is the
+    end table of the pieces over ``_q``, labelled by digit index (on the
+    left-continuous side a point on an end lies in the lower piece).  Orbits
+    of points in (1/q) Z[beta], q a multiple of ``_q``, are carried on
+    integers (:func:`_num_frame`) and looked up in it.
     """
 
     def __init__(self, field, digits, parts, side, _validated=False):
@@ -87,81 +88,22 @@ class BetaTransform:
         self.xmin = self.pieces[0][0].lo
         self.xmax = self.pieces[-1][0].hi
         self.components = _merge_union([iv for iv, _ in self.pieces])
-        self._float_pieces = tuple(
-            (*_float_span(field, iv.lo.coords), *_float_span(field, iv.hi.coords), a)
-            for iv, a in self.pieces)
         self._q = q = math.lcm(*(c.denominator for x in (*self.digits, *(
             e for iv, _ in self.pieces for e in (iv.lo, iv.hi))) for c in x.coords))
-        self._num_pieces = tuple((_nums(iv.lo.coords, q), _nums(iv.hi.coords, q), a)
-                                 for iv, a in self.pieces)
+        self._table = _EndTable(
+            field, q, [(_nums(iv.lo.coords, q), _nums(iv.hi.coords, q), a)
+                       for iv, a in self.pieces], _sole, side == "left")
 
     # -- membership --------------------------------------------------------
 
-    def _screen(self, coords, q=1):
-        """Float screen of the point sum_k c_k beta^k / q.
-
-        The point and every piece endpoint are held as float intervals
-        [v - e, v + e], rounded outwards, around their float values v with
-        the certified bounds e of :func:`numfield._float_value`.  Returns
-        (digit index, False) when the point's interval lies inside a piece
-        by these intervals, else (None, whether it meets a piece endpoint's
-        interval and so needs the exact test).
-        """
-        lo, hi = _float_span(self.field, coords, q)
-        right = self.side == "right"
-        near = False
-        for llo, lhi, rlo, rhi, a in self._float_pieces:
-            if right:
-                if lo >= lhi and hi < rlo:
-                    return a, False
-                if hi < llo or lo >= rhi:
-                    continue
-            else:
-                if lo > lhi and hi <= rlo:
-                    return a, False
-                if hi <= llo or lo > rhi:
-                    continue
-            near = True
-        return None, near
-
-    def _exact_num(self, n, q):
-        """The piece lookup of the point n/q, q a multiple of ``_q``: each
-        piece end, scaled to q, is compared with n by :func:`numfield._num_sign`
-        of the integer difference."""
-        f, s = self.field, q // self._q
-        sign = lambda e: _num_sign(f, tuple(c - s * ec for c, ec in zip(n, e)), q)
-        right = self.side == "right"
-        for lo, hi, a in self._num_pieces:
-            if right:
-                if sign(lo) != LT and sign(hi) == LT:
-                    return a
-            elif sign(lo) == GT and sign(hi) != GT:
-                return a
-        return None
-
     def digit_index_of(self, x):
-        """Index of the digit whose piece contains x, or None.
+        """Index of the digit whose piece contains x, or None; raises
+        FieldMismatch when x is not an element of the transform's field."""
+        return self._table.of(x)
 
-        The float screen of :meth:`_screen` decides every point whose
-        certified float interval lies inside a piece or clear of all pieces;
-        only a point whose interval meets a piece endpoint's is put in the
-        numerator frame and falls through to :meth:`_exact_num`.
-        """
-        a, near = self._screen(x.coords)
-        if not near:
-            return a
-        q = math.lcm(self._q, *(c.denominator for c in x.coords))
-        return self._exact_num(_nums(x.coords, q), q)
-
-    def _index_num(self, n, q):
-        """:meth:`digit_index_of` for the point n/q given by integer numerators,
-        q a multiple of ``_q``.
-
-        n_i / q rounds to the same float as the reduced coordinate, so the
-        screen decides as in :meth:`digit_index_of`.
-        """
-        a, near = self._screen(n, q)
-        return self._exact_num(n, q) if near else a
+    def _piece_end(self, x):
+        """The right end of the piece that contains x."""
+        return _from_num(self.field, self._table.ends[self._table.cell_of(x)], self._q)
 
     def contains(self, x):
         return self.digit_index_of(x) is not None
@@ -363,13 +305,12 @@ def _from_num(field, n, q):
 
 def _num_frame(t, x):
     """(q, numerators of x, numerators of q*digit per digit index), for q the
-    lcm of the transform's frame ``_q`` and the denominators of x."""
+    lcm of the transform's frame ``_q`` and the denominators of x; raises
+    FieldMismatch when x is not an element of the transform's field."""
+    if x.field != t.field:
+        raise FieldMismatch("point and transform belong to different fields")
     q = math.lcm(t._q, *(c.denominator for c in x.coords))
     return q, _nums(x.coords, q), [_nums(d.coords, q) for d in t.digits]
-
-
-def _nums(coords, q):
-    return tuple(c.numerator * (q // c.denominator) for c in coords)
 
 
 def expand(t, x, max_steps=100000):
@@ -388,7 +329,7 @@ def expand(t, x, max_steps=100000):
             j = seen[cur]
             return Expansion(tuple(word[:j]), tuple(word[j:]), True)
         seen[cur] = k
-        a = t._index_num(cur, q)
+        a = t._table.at(cur, q)
         if a is None:
             raise OutOfDomain(f"{_from_num(t.field, cur, q)!r} is not in the domain")
         word.append(a)
@@ -445,7 +386,7 @@ def is_admissible(t, word):
     q, cur, qd = _num_frame(t, expansion_value(t, word))
     row = t.field._pow_coords[t.field.degree]
     for a in letters:
-        if t._index_num(cur, q) != a:
+        if t._table.at(cur, q) != a:
             return False
         cur = _num_step(row, cur, qd[a])
     return True
@@ -497,19 +438,8 @@ class VData:
     V: list
     J: dict            # V point -> IntervalQB
     m: dict            # discontinuity -> merge time (None if the orbits never merge)
-    intervals: list = dfield(default_factory=list)     # J in the order of V
-
-    def __post_init__(self):
-        self.intervals = [self.J[v] for v in self.V]
-
-
-def interval_index(intervals, x):
-    """Index of the interval [lo, hi) of a sorted disjoint list that contains
-    x, or None; one bisection and one exact comparison."""
-    i = bisect.bisect_right(intervals, x, key=lambda iv: iv.lo) - 1
-    if i < 0 or qb_compare(x, intervals[i].hi) != LT:
-        return None
-    return i
+    table: object      # numfield._EndTable of the J intervals, labelled by index
+    intervals: list    # J in the order of V
 
 
 def compute_v(t, budget=20000):
@@ -521,7 +451,8 @@ def compute_v(t, budget=20000):
     time or, when the orbit pair closes a cycle without merging, after the
     pair cycle is complete (all orbit points collected).  The points are
     sorted on their float spans (:func:`numfield._num_sorted`), and each cuts
-    the domain component it starts or lies in at the next point.
+    the domain component it starts or lies in at the next point; the J
+    intervals, labelled by index, form the end table ``table``.
     """
     if t.side != "right":
         raise ValidationError("boundary-orbit analysis expects the right-continuous map")
@@ -531,7 +462,7 @@ def compute_v(t, budget=20000):
     row = f._pow_coords[f.degree]
 
     def step(s, x):
-        a = s._index_num(x, q)
+        a = s._table.at(x, q)
         if a is None:
             raise OutOfDomain(f"{_from_num(f, x, q)!r} is not in the domain")
         return _num_step(row, x, qd[a])
@@ -557,14 +488,16 @@ def compute_v(t, budget=20000):
         else:
             raise BudgetExceeded("orbit pair did not close", point=str(jv.lo), steps=budget)
         m[jv.lo] = merge
-        pts.update(p for p in collected if t._index_num(p, q) is not None)
-    vlist = [_from_num(f, p, q) for p in _num_sorted(f, pts, q)[0]]
-    comp_hi = {iv.lo: iv.hi for iv in t.components}
-    jmap, end = {}, None
-    for v, nxt in zip(vlist, vlist[1:] + [None]):
+        pts.update(p for p in collected if t._table.at(p, q) is not None)
+    vs = _num_sorted(f, pts, q)[0]
+    comp_hi = {_nums(iv.lo.coords, q): _nums(iv.hi.coords, q) for iv in t.components}
+    rows, end = [], None
+    for i, (v, nxt) in enumerate(zip(vs, vs[1:] + [None])):
         end = comp_hi.get(v, end)       # v starts a component or lies in the last one
-        jmap[v] = IntervalQB(v, end if nxt is None or nxt in comp_hi else nxt)
-    return VData(vlist, jmap, m)
+        rows.append((v, end if nxt is None or nxt in comp_hi else nxt, i))
+    ivs = [IntervalQB(_from_num(f, lo, q), _from_num(f, hi, q)) for lo, hi, _ in rows]
+    vlist = [iv.lo for iv in ivs]
+    return VData(vlist, dict(zip(vlist, ivs)), m, _EndTable(f, q, rows, _sole), ivs)
 
 
 # ---------------------------------------------------------------------------
@@ -573,26 +506,24 @@ def compute_v(t, budget=20000):
 def branch_edges(t, vdata):
     """Per point V[i], the pairs (j, a), in digit order, of every digit a
     whose branch-a preimage (V[i] + a)/beta lies in piece a and in interval
-    j.  The preimages are formed on integer numerators over one frame, and j
-    is read by one bisection over the V points (:func:`numfield._num_bisect`)
-    and checked against the end of J_j."""
+    j.  The preimages are formed on integer numerators over one frame, and
+    both lookups bisect an end table: the transform's pieces and the J
+    intervals of ``vdata.table``."""
     f = t.field
-    q = math.lcm(t._q, *(c.denominator for v in vdata.V for c in v.coords))
+    q = math.lcm(t._q, vdata.table.q)
     qd = [_nums(d.coords, q) for d in t.digits]
-    vs = [_nums(v.coords, q) for v in vdata.V]
-    his = [_nums(iv.hi.coords, q) for iv in vdata.intervals]
-    spans, hspans = ([_float_span(f, x, q) for x in xs] for xs in (vs, his))
     minv = f.inv_beta_mat
-    out = [[] for _ in vs]
-    for row, v in zip(out, vs):
+    out = []
+    for v in vdata.V:
+        n, row = _nums(v.coords, q), []
         for a, d in enumerate(qd):
-            y = tuple(sum(m * (c + e) for m, c, e in zip(mrow, v, d)) for mrow in minv)
-            if t._index_num(y, q) == a:
-                j = _num_bisect(f, vs, spans, y, q) - 1
-                if j < 0 or _span_compare(f, y, his[j], q, _float_span(f, y, q),
-                                          hspans[j]) != LT:
+            y = tuple(sum(m * (c + e) for m, c, e in zip(mrow, n, d)) for mrow in minv)
+            if t._table.at(y, q) == a:
+                j = vdata.table.at(y, q)
+                if j is None:
                     raise ValidationError("branch preimage escaped the interval partition")
                 row.append((j, a))
+        out.append(row)
     return out
 
 

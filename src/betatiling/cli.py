@@ -67,8 +67,6 @@ class Pipeline:
 
 def cmd_expand(pipe, args):
     x = pipe.t.field.qb([Fraction(c) for c in args.x.split(",")])
-    if not pipe.t.contains(x):
-        raise OutOfDomain(f"{args.x} is outside the domain")
     word = betamap.expand(pipe.t, x, args.budget)
     return {
         "preperiod": [_digit_json(pipe.t.digits[a]) for a in word.preperiod],

@@ -14,8 +14,12 @@ certified rational enclosures of the real embedding, refined until the sign
 is decided.  One routine, :func:`_num_sign`, decides every sign this way, on
 coordinates given as integer numerators over one denominator; a comparison
 forms its difference and calls it, and callers that hold points with
-certified float spans (:func:`_span_compare`) reach it only when two spans
-overlap.
+certified float spans reach it only when two spans overlap:
+:func:`_span_compare` (sorting ends, the automaton's intersections, the
+difference box, the delta filter and windows of the tiling decision, the
+merge-witness range) and :func:`_num_bisect`.  Every "which interval holds
+x" lookup is one :func:`_num_bisect` over an :class:`_EndTable`: the pieces
+of a map, its J intervals and the cells of the automaton's states.
 
 Every exact linear solve is one fraction-free forward elimination on
 integers (:func:`_bareiss`) and one back-substitution: inverses, periodic
@@ -764,18 +768,78 @@ def _num_sorted(fld, pts, q):
     return out, [span[p] for p in out]
 
 
-def _num_bisect(fld, ends, spans, n, q, s=1):
+def _num_bisect(fld, ends, spans, n, q, s=1, left=False):
     """How many points of ``ends``, sorted integer numerators over q/s with
-    their float spans, are <= n/q: a bisection on :func:`_span_compare`."""
-    sx = _float_span(fld, n, q)
+    their float spans, are <= n/q, or < n/q when ``left``: a bisection that
+    compares the point's certified float span with each end's inline and
+    calls :func:`_num_sign` of the difference only where the two overlap."""
+    xlo, xhi = _float_span(fld, n, q)
     lo, hi = 0, len(ends)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _span_compare(fld, n, ends[mid], q, sx, spans[mid], s) == LT:
+        elo, ehi = spans[mid]
+        c = LT if xhi < elo else GT if xlo > ehi else _num_sign(
+            fld, tuple(a - s * b for a, b in zip(n, ends[mid])), q)
+        if c == LT or (left and c == EQ):
             hi = mid
         else:
             lo = mid + 1
     return lo
+
+
+def _nums(coords, q):
+    """Integer numerators over q of coordinates whose denominators divide q."""
+    return tuple(c.numerator * (q // c.denominator) for c in coords)
+
+
+def _sole(labels):
+    """The label of a cell of a disjoint family: its one label, or None."""
+    return labels[0] if labels else None
+
+
+class _EndTable:
+    """The lookup table of a family of half-open intervals (lo, hi, label),
+    ends given as integer numerators over the frame q.
+
+    It holds the distinct ends sorted by value (:func:`_num_sorted`), their
+    certified float spans, and one label per cell: cell k is
+    [ends[k-1], ends[k]), or (ends[k-1], ends[k]] with ``left``, cell 0 lies
+    below every end and the last cell above them.  A cell's label is ``cell``
+    of the labels of the intervals that cover it: their set by default,
+    :func:`_sole` for a disjoint family.  Every lookup is one
+    :func:`_num_bisect`.
+    """
+
+    __slots__ = ("field", "q", "unit", "left", "ends", "spans", "labels")
+
+    def __init__(self, fld, q, intervals, cell=frozenset, left=False):
+        self.field, self.q, self.unit, self.left = fld, q, Fraction(1, q), left
+        self.ends, self.spans = _num_sorted(
+            fld, {e for lo, hi, _ in intervals for e in (lo, hi)}, q)
+        pos = {e: k for k, e in enumerate(self.ends)}
+        cells = [[] for _ in range(len(self.ends) + 1)]
+        for lo, hi, label in intervals:
+            for k in range(pos[lo] + 1, pos[hi] + 1):
+                cells[k].append(label)
+        self.labels = [cell(c) for c in cells]
+
+    def at(self, n, q):
+        """The label of the point n/q, for integer numerators n over a
+        multiple q of the table's frame."""
+        return self.labels[_num_bisect(self.field, self.ends, self.spans, n, q,
+                                       q // self.q, self.left)]
+
+    def cell_of(self, x):
+        """The cell of the field element x, bisected on its rational
+        coordinates (an end is its numerators times ``unit``); raises
+        FieldMismatch when x is not in the table's field."""
+        if x.field is not self.field and x.field != self.field:
+            raise FieldMismatch("point and intervals belong to different fields")
+        return _num_bisect(self.field, self.ends, self.spans, x.coords, 1, self.unit, self.left)
+
+    def of(self, x):
+        """The label of the field element x (:meth:`cell_of`)."""
+        return self.labels[self.cell_of(x)]
 
 
 def qb_compare(x, y):

@@ -7,9 +7,10 @@ finite union of half-open intervals (the follower-set presentation of a
 sofic shift).  A digit intersects the state with its pieces, then maps the
 parts by x -> beta*x - a; an empty image is the dead state.  The states
 containing a point x, its alive set, are read by exact interval membership:
-the state ends are integer numerators over the transform's frame, and one
-bisection compares them on certified float spans, on integers where two
-spans overlap.
+the state ends form one end table (:class:`numfield._EndTable`), as the
+pieces of the map and its J intervals do, and a lookup is one bisection on
+certified float spans, on integers where two spans overlap.  |x| <= diam
+for the difference box is decided the same way.
 
 The tiling decision works in two stages.  The coarse difference graph has
 the points of one finite difference box as states and an edge
@@ -30,17 +31,17 @@ eigenvalue, which is tested exactly over the integers, once per component.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import _from_num, _nums, endpoint_words
+from .betamap import _from_num, endpoint_words
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
-from .numfield import (GT, LT, _beta_eigenvector, _float_span, _minpoly_at_matrix,
-                       _num_bisect, _num_sign, _num_sorted, _num_step, _span_compare,
-                       qb_compare)
+from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span,
+                       _minpoly_at_matrix, _nums, _num_sign, _num_step, _span_compare)
 from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
 # and sofic.expand
@@ -77,10 +78,10 @@ class ShiftAutomaton:
     All live states are accepting; a word is a factor exactly when it labels a
     live path from the initial state.  ``images`` gives each state's interval
     union as (lo, hi) pairs of integer numerators over the transform's frame
-    ``_q`` (none for an automaton given by its transitions alone).  Their ends
-    are held with their certified float spans and sorted on them; they cut the
-    line into cells on which membership in every state is constant, and each
-    cell's set of states is built here, so :meth:`alive` is one bisection.
+    ``_q`` (none for an automaton given by its transitions alone).  They form
+    one :class:`numfield._EndTable`: the state ends cut the line into cells
+    on which membership in every state is constant, each labelled by its set
+    of states, so :meth:`alive` is one bisection.
     """
 
     def __init__(self, transform, states, delta, initial, images):
@@ -89,15 +90,8 @@ class ShiftAutomaton:
         self.delta = delta           # list of tuples, one per state; None = dead
         self.initial = initial
         self.alphabet = len(transform.digits)
-        self._ends, self._spans = _num_sorted(
-            transform.field, {e for img in images for iv in img for e in iv}, transform._q)
-        pos = {e: k for k, e in enumerate(self._ends)}
-        cells = [set() for _ in range(len(self._ends) + 1)]
-        for s, img in enumerate(images):
-            for lo, hi in img:
-                for k in range(pos[lo] + 1, pos[hi] + 1):
-                    cells[k].add(s)
-        self._cells = [frozenset(c) for c in cells]
+        self._table = _EndTable(transform.field, transform._q,
+                                [(lo, hi, s) for s, img in enumerate(images) for lo, hi in img])
         self._pred_cache = {}
 
     # -- runs ---------------------------------------------------------------
@@ -117,18 +111,9 @@ class ShiftAutomaton:
     def alive(self, x):
         """The states whose half-open intervals contain the point x.  This is
         the set :meth:`predecessor_set` steps back: x lies in S and in a piece
-        of digit a exactly when beta*x - a lies in delta(S, a)."""
-        t = self.transform
-        q = math.lcm(t._q, *(c.denominator for c in x.coords))
-        return self._alive_num(_nums(x.coords, q), q)
-
-    def _alive_num(self, n, q):
-        """:meth:`alive` of the point n/q, for integer numerators n and q a
-        multiple of the frame's: one bisection over the state ends
-        (:func:`numfield._num_bisect`), on their float spans and, where the
-        point's span meets an end's, on the integer difference."""
-        t = self.transform
-        return self._cells[_num_bisect(t.field, self._ends, self._spans, n, q, q // t._q)]
+        of digit a exactly when beta*x - a lies in delta(S, a).  Raises
+        FieldMismatch when x is not an element of the transform's field."""
+        return self._table.of(x)
 
     def predecessor_set(self, alive, a):
         """States s with delta(s, a) inside the given alive set (memoized)."""
@@ -282,21 +267,23 @@ def _difference_box(t):
     conjugate block within 2 b_j (b_j from ``conj_block_bounds``): the states
     of the coarse difference graph that :func:`_neighbour_core` trims.
 
-    |x| <= diam is decided exactly, by the certified float span unless it
-    meets -diam or diam, else by ``qb_compare``.  The conjugate test is the
+    |x| <= diam is decided exactly on integer numerators over the transform's
+    frame: by the certified float spans of x and of -diam and diam, and by
+    :func:`numfield._num_sign` where they overlap.  The conjugate test is the
     float superset of ``lattice_candidates``.  That is safe: a state on an
     infinite path has Gamma_j(x) = -sum_k beta_j^k Gamma_j(dd_k) for the digit
     differences dd_k along it, so |Gamma_j(x)| <= 2 b_j, and a state beyond
     that bound reaches no recurrent component.
     """
-    f = t.field
-    diam = t.xmax - t.xmin
-    dlo, dhi = _float_span(f, diam.coords)
+    f, q = t.field, t._q
+    diam = _nums((t.xmax - t.xmin).coords, q)
+    dlo, dhi = _float_span(f, diam, q)
+    neg = tuple(-c for c in diam)
     out = []
     for coords in lattice_candidates(f, -dhi, dhi, [2 * b for b in conj_block_bounds(t)]):
-        lo, hi = _float_span(f, coords)
-        if (-dlo <= lo and hi <= dlo) or (lo <= dhi and hi >= -dhi and
-                                          qb_compare(abs(f.qb(coords)), diam) != GT):
+        sx = _float_span(f, coords)
+        if (_span_compare(f, diam, coords, q, (dlo, dhi), sx, q) != LT
+                and _span_compare(f, neg, coords, q, (-dhi, -dlo), sx, q) != GT):
             out.append(coords)
     return out
 
@@ -441,9 +428,9 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
 
     Each start is a candidate (delta0, x): a point x of the domain whose
     translate x + delta0 lies in the domain too.  States combine the exact
-    remaining-value difference with the alive sets of both tapes, read by
-    ``aut.alive`` at x + delta0 and at x, both formed on integer numerators
-    in the automaton's frame (memoized by point); a state is good when both
+    remaining-value difference with the alive sets of both tapes, looked up
+    in the automaton's end table at x + delta0 and at x, both formed on
+    integer numerators (memoized by point); a state is good when both
     sets hold the initial state.  A state and its out-edges do not depend on
     the start that reached it, so all starts share one graph, bounded by
     ``state_budget`` states.  Successors outside the neighbour core
@@ -464,7 +451,7 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
     index = {}
     states = []
     queue = []
-    alive = {}
+    alive_at = functools.cache(aut._table.at)
 
     def intern(key):
         if key not in index:
@@ -476,11 +463,6 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
             states.append(key)
             queue.append(index[key])
         return index[key]
-
-    def alive_at(n, q):
-        if (n, q) not in alive:
-            alive[n, q] = aut._alive_num(n, q)
-        return alive[n, q]
 
     initials = []
     for delta0, x in starts:

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .betamap import (_from_num, _num_frame, branch_edges, expand,
-                      interval_index)
+from .betamap import _from_num, _num_frame, branch_edges, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral,
                      UnrenderableDimension, ValidationError)
 from .numfield import (GT, LT, _float_span, _num_sign, _num_step, _span_compare,
@@ -69,6 +68,7 @@ class GifsGraph:
     phi_digits: np.ndarray         # hyperplane coordinates of each digit
     phi_err: float
     cloud_constant: float          # Hausdorff bound for the depth-0 seed
+    table: object                  # numfield._EndTable of J, labelled by vertex index
     _cloud_cache: dict = dfield(default_factory=dict)
 
     @property
@@ -76,7 +76,8 @@ class GifsGraph:
         return self.transform.field
 
     def vertex_index(self, x):
-        return interval_index(self.J, x)
+        """Index of the interval J_i that contains x, or None."""
+        return self.table.of(x)
 
 
 def gifs_build(t, vdata):
@@ -95,7 +96,8 @@ def gifs_build(t, vdata):
     sq = sum((2 * float(b)) ** 2 if kind == "pair" else float(b) ** 2
              for (kind, _), b in zip(t.field.hblocks, bounds))
     cconst = math.sqrt(sq) * (1 + 1e-9) + 1e-9
-    return GifsGraph(t, verts, list(vdata.intervals), edges, phi_mat, phi_err, cconst)
+    return GifsGraph(t, verts, list(vdata.intervals), edges, phi_mat, phi_err, cconst,
+                     vdata.table)
 
 
 @dataclass(frozen=True)
@@ -192,10 +194,11 @@ def clouds_at_depth(g, depth):
 
 
 def tile_cloud(g, x, depth):
-    """Certified depth-k cloud of the tile owned by the interval containing x."""
+    """Certified depth-k cloud of the tile of vertex x (an index), or of the
+    interval containing the point x."""
     i = x if isinstance(x, int) else g.vertex_index(x)
-    if i is None:
-        raise ValidationError(f"{x!r} is not in the domain")
+    if i is None or not 0 <= i < len(g.vertices):
+        raise ValidationError(f"{x!r} is neither a vertex index nor a point of the domain")
     clouds, err = clouds_at_depth(g, depth)
     return TileCloud(g.vertices[i], depth, clouds[i], err)
 
@@ -363,8 +366,7 @@ def tiles_containing(t, pset, z, k_budget=400):
         raise ValidationError("z must be nonnegative")
     if not len(pset):
         raise ValidationError("empty periodic set")
-    ivs = [iv for iv, _ in t.pieces]
-    ends = [ivs[interval_index(ivs, y)].hi for y in pset.points]
+    ends = [t._piece_end(y) for y in pset.points]
 
     def owners_at(k):
         zk = z
@@ -430,14 +432,7 @@ def weak_finiteness_epsilon(t, pset):
     the right end of the containing piece."""
     if t.side != "right":
         raise ValidationError("weak-finiteness search expects the right-continuous map")
-    f = t.field
-    ivs = [iv for iv, _ in t.pieces]
-    eps = None
-    for y in pset.points:
-        cand = (ivs[interval_index(ivs, y)].hi - y) * f.beta
-        if eps is None or qb_compare(cand, eps) == LT:
-            eps = cand
-    return eps
+    return min(((t._piece_end(y) - y) * t.field.beta for y in pset.points), default=None)
 
 
 def _height_ordered_range(field, g1_lo, g1_hi, height):
@@ -460,7 +455,7 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     transform's frame ``_q``.  Chains of different candidates meet the same
     points again and again, so one table per search maps a point's numerators
     to its successor's (None outside the domain) and each distinct point is
-    screened and stepped once.
+    looked up and stepped once.
     """
     _require_integral_digits(t)
     f = t.field
@@ -475,7 +470,7 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
 
     def step(c):
         if c not in succ:
-            a = t._index_num(c, q)
+            a = t._table.at(c, q)
             succ[c] = None if a is None else _num_step(row, c, qd[a])
         return succ[c]
 

@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,11 @@ import pytest
 from betatiling import betamap, tiling
 from betatiling.betamap import IntervalQB, build_transform, preset, supported
 from betatiling.numfield import make_field
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+RIGHT_CONTINUOUS_CONFIGS = [
+    p.stem for p in sorted(CONFIG_DIR.glob("*.json"))
+    if betamap.transform_from_config(json.loads(p.read_text())).side == "right"]
 
 
 @pytest.fixture(scope="session")

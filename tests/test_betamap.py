@@ -13,11 +13,14 @@ from betatiling.betamap import (Expansion, IntervalQB, _num_frame,
                                 is_admissible, prefix_interval_set, preset,
                                 restrict_to_support, transfer_matrix,
                                 transform_from_config, word_from_digits)
-from betatiling.errors import (BudgetExceeded, NotSurjective, OutOfDomain,
-                               Overlap, PediciniGapViolated, UnknownDigit)
+from betatiling.errors import (BudgetExceeded, FieldMismatch, NotSurjective,
+                               OutOfDomain, Overlap, PediciniGapViolated,
+                               UnknownDigit)
 from betatiling.numfield import EQ, GT, LT, make_field, psi, qb_compare
+from betatiling.sofic import build_automaton
 
-from conftest import EXTRA_TRANSFORMS, extra_transform, stage_cache
+from conftest import (CONFIG_DIR, EXTRA_TRANSFORMS, RIGHT_CONTINUOUS_CONFIGS,
+                      extra_transform, stage_cache)
 
 
 def digits_of(t, word):
@@ -514,7 +517,7 @@ def test_orbit_kernel_matches_fraction_reference():
 
 
 # ---------------------------------------------------------------------------
-# the certified float screen against the exact piece lookup
+# the piece table against the exact piece lookup
 
 def _exact_index_reference(t, x):
     """The piece lookup by qb_compare against every piece end, in order."""
@@ -528,14 +531,19 @@ def _exact_index_reference(t, x):
     return None
 
 
-def test_screen_matches_exact_index():
+def test_piece_table_matches_exact_index():
+    # every bundled config and the left-continuous twin of every
+    # right-continuous one: on a twin a point on a piece end falls into the
+    # lower piece
     root = pathlib.Path(__file__).resolve().parent.parent / "configs"
     configs = {p.stem: transform_from_config(json.loads(p.read_text()))
                for p in sorted(root.glob("*.json"))}
     assert len(configs) == 13 and configs["golden_lazy"].side == "left"
+    configs |= {f"{name}_twin": t.twin() for name, t in configs.items() if t.side == "right"}
+    assert len(configs) == 25
     # mod-1 maps with alpha = beta^-k have a breakpoint (1 - alpha)/beta with
     # large coordinates within beta^-(k+1) of 1/beta, whose coordinates are
-    # small: there the endpoint's own float error decides the screen
+    # small: there the endpoint's own float error decides the lookup
     extra = {}
     for f in (make_field(1, 1), make_field(1, 1, 1)):
         for k in range(30, 51, 2):
@@ -552,18 +560,22 @@ def test_screen_matches_exact_index():
             want = _exact_index_reference(t, x)
             assert t.digit_index_of(x) == want, (name, x)
             q, n, _ = _num_frame(t, x)
-            assert t._index_num(n, q) == want, (name, x)
-            assert t._exact_num(n, q) == want, (name, x)
+            assert t._table.at(n, q) == want, (name, x)
+
+
+def test_lookups_reject_a_point_of_another_field(golden_greedy):
+    x = make_field(2, 1).qb([0, "1/3"])
+    aut = build_automaton(golden_greedy)
+    vd, g, _ = stage_cache(golden_greedy)
+    for lookup in (golden_greedy.contains, golden_greedy.digit_index_of,
+                   lambda x: expand(golden_greedy, x), aut.alive, g.vertex_index,
+                   lambda x: qb_compare(x, golden_greedy.xmin), lambda x: x < golden_greedy.xmax):
+        with pytest.raises(FieldMismatch):
+            lookup(x)
 
 
 # ---------------------------------------------------------------------------
 # boundary orbits on the integer kernel against QBeta steps
-
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
-RIGHT_CONTINUOUS_CONFIGS = [
-    p.stem for p in sorted(CONFIG_DIR.glob("*.json"))
-    if transform_from_config(json.loads(p.read_text())).side == "right"]
-
 
 def _compute_v_reference(t):
     """V, J and m by QBeta steps (``step_index``) of each discontinuity

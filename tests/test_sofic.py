@@ -194,13 +194,16 @@ def test_span_gated_alive_matches_exact_membership(name):
 @pytest.mark.parametrize("name", ["golden_pm1", "tribonacci_symmetric", "golden_interleaved"])
 def test_integer_fallbacks_decide_when_every_span_straddles(name, monkeypatch):
     # with every float span widened by 1, spans overlap wherever two points
-    # lie within 2 of each other, so the state ends, the alive sets, the
-    # delta filter and the window ends are decided by the integer sign routine
+    # lie within 2 of each other, so the end tables (state ends, pieces and
+    # J intervals), their lookups, the delta filter and the window ends are
+    # decided by the integer sign routine
     t = config_transform(name)
     vd, g, pset = stage_cache(t)
     aut = build_automaton(t)
     pairs = difference_pairs(t, g)
-    probes = [x for iv in vd.intervals for x in (iv.lo, iv.hi, iv.lo - t.field.one)]
+    eps = t.field.one.div_beta() ** 40
+    probes = [y for iv in vd.intervals + [iv for iv, _ in t.pieces]
+              for x in (iv.lo, iv.hi, iv.lo - t.field.one) for y in (x, x - eps, x + eps)]
 
     def wide(fld, coords, q=1):
         lo, hi = _float_span(fld, coords, q)
@@ -209,9 +212,17 @@ def test_integer_fallbacks_decide_when_every_span_straddles(name, monkeypatch):
     monkeypatch.setattr(sofic, "_float_span", wide)
     monkeypatch.setattr(numfield, "_float_span", wide)
     slow = build_automaton(t)
-    assert (slow.delta, slow._ends, slow._cells) == (aut.delta, aut._ends, aut._cells)
+    table = lambda tab: (tab.ends, tab.labels)
+    assert (slow.delta, table(slow._table)) == (aut.delta, table(aut._table))
     assert all(slow.alive(x) == aut.alive(x) for x in probes)
     assert difference_pairs(t, g) == pairs
+    t2 = config_transform(name)
+    vd2 = compute_v(t2)
+    g2 = gifs_build(t2, vd2)
+    assert table(t2._table) == table(t._table) and table(vd2.table) == table(vd.table)
+    assert all(t2.digit_index_of(x) == t.digit_index_of(x) for x in probes)
+    assert all(g2.vertex_index(x) == g.vertex_index(x) for x in probes)
+    assert g2.edges == g.edges
 
 
 @pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "golden_minweight",

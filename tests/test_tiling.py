@@ -27,7 +27,7 @@ from betatiling.tiling import (box_count_measure, check_f, check_w,
                                weak_finiteness_epsilon,
                                _height_ordered_range)
 
-from conftest import stage_cache
+from conftest import CONFIG_DIR, RIGHT_CONTINUOUS_CONFIGS, stage_cache
 
 
 def test_gifs_golden_greedy(golden, golden_greedy):
@@ -387,6 +387,30 @@ def test_field_vandermonde_matches_conjugate_enclosures(name):
     assert np.array_equal(f.vand_inv, np.linalg.inv(_conj_vandermonde(f)))
     f.conj_enclosure(0, Fraction(1, 2 ** 300))
     assert np.array_equal(f.vand, _conj_vandermonde(f))
+
+
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS_CONFIGS)
+def test_vertex_index_matches_linear_scan(name):
+    # the J table against a linear qb_compare scan, on every J end and a
+    # beta^-40 step to either side of it
+    t = transform_from_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    vd = compute_v(t)
+    g = gifs_build(t, vd)
+    eps = t.field.one.div_beta() ** 40
+    for x in [y for iv in g.J for e in (iv.lo, iv.hi) for y in (e, e - eps, e + eps)]:
+        want = next((i for i, iv in enumerate(g.J)
+                     if qb_compare(iv.lo, x) != 1 and qb_compare(x, iv.hi) == -1), None)
+        assert g.vertex_index(x) == want, (name, x)
+
+
+def test_tile_cloud_rejects_a_vertex_index_out_of_range(golden_pm1):
+    vd, g, _ = stage_cache(golden_pm1)
+    assert len(tile_cloud(g, len(g.vertices) - 1, 2)) > 0
+    for i in (-1, len(g.vertices), len(g.vertices) + 7):
+        with pytest.raises(ValidationError, match="neither a vertex index"):
+            tile_cloud(g, i, 2)
+    with pytest.raises(ValidationError, match="nor a point of the domain"):
+        tile_cloud(g, golden_pm1.xmax, 2)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
