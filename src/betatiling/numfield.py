@@ -45,14 +45,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FieldMismatch, NotIrreducible, NotPisot, NotUnit, ValidationError
-from .rootiso import (RootDisk, _cpoly_eval, certified_complex_roots,
+from .rootiso import (RootDisk, _gauss_horner, certified_complex_roots,
                       is_irreducible_monic, isolate_real_roots, poly_deriv,
-                      refine_root, sqrt_upper)
+                      refine_disk, refine_root, sqrt_upper)
 
 LT, EQ, GT = -1, 0, 1
 
 _FLOAT_SLACK = 1e-13
 _FLOAT_SUM_MAX = 2.0 ** 1000     # above it the float filter gives no bound
+_CIRCLE_TRIES = 4                # squarings of a disk radius that straddles |z| = 1
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +97,14 @@ class PisotField:
     """Algebraic environment for a Pisot unit: conjugates, companion matrix,
     normalized eigenvectors and the contracting-hyperplane basis.
 
+    The real conjugates are Sturm-isolated rational intervals; the complex
+    ones are disks certified by Newton steps on Gaussian dyadics with integer
+    Horner (:mod:`.rootiso`).  A request for a tighter enclosure refines it in
+    place, a disk by Newton steps from its own centre (its mirror partner
+    takes the mirror image); a new disk is kept only inside the old one, so
+    index j names the same root for the life of the field.
     Construct with :func:`make_field`; instances are immutable apart from
-    monotone internal refinement caches, and safe to share between threads.
+    these monotone refinement caches, and safe to share between threads.
     """
 
     def __init__(self, coeffs):
@@ -114,7 +121,6 @@ class PisotField:
         if not is_irreducible_monic([int(c) for c in self.min_poly]):
             raise NotIrreducible(f"x^{d} - " + " - ".join(
                 f"{c}*x^{d - i - 1}" for i, c in enumerate(coeffs)) + " factors over Q")
-        self._dps = 60
         self._init_conjugates()
         self._init_float_filter()
         self._init_linear_data()
@@ -127,7 +133,6 @@ class PisotField:
         real_ivs = isolate_real_roots(p)
         real_ivs = [refine_root(p, lo, hi, Fraction(1, 2 ** 80)) for lo, hi in real_ivs]
         n_complex = self.degree - len(real_ivs)
-        disks = certified_complex_roots([int(c) for c in p], n_complex, dps=self._dps)
 
         # classify: exactly one real root > 1, everything else inside the unit circle
         big = [iv for iv in real_ivs if iv[0] > 1]
@@ -143,33 +148,24 @@ class PisotField:
                     raise NotPisot(f"real conjugate in [{float(lo)}, {float(hi)}] not inside unit circle")
                 lo, hi = refine_root(p, lo, hi, (hi - lo) / 16)
             small.append((lo, hi))
-        for disk in disks:
-            if disk.abs_upper() >= 1:
-                if disk.abs_lower() > 1:
-                    raise NotPisot("complex conjugate outside unit circle")
-                disks = certified_complex_roots([int(c) for c in p], len(disks), dps=self._dps * 2)
-                self._dps *= 2
-                for dk in disks:
-                    if dk.abs_upper() >= 1:
-                        raise NotPisot("complex conjugate not certified inside unit circle")
-                break
-
         small.sort()
         # conjugates[0] is beta itself; then real conjugates ascending, then
         # complex conjugate pairs (Im > 0 first, mirror second)
-        self._real_encl = {0: beta1}
-        self._kinds = ["real"]
-        for iv in small:
-            self._kinds.append("real")
-            self._real_encl[len(self._kinds) - 1] = iv
-        self._disks = {}
-        for disk in disks:
-            self._kinds.append("complex")
-            self._disks[len(self._kinds) - 1] = disk
-
-        rho = Fraction(0)
-        for j in range(1, self.degree):
-            rho = max(rho, self.conj_abs_upper(j))
+        self._real_encl = dict(enumerate([beta1] + small))
+        self._kinds = ["real"] * len(self._real_encl) + ["complex"] * n_complex
+        self._disks = dict(enumerate(certified_complex_roots(p, n_complex), len(self._real_encl)))
+        for j in list(self._disks)[::2]:
+            # a pair that straddles the unit circle is refined in place
+            for _ in range(_CIRCLE_TRIES):
+                disk = self._disks[j]
+                if disk.abs_upper() < 1:
+                    break
+                if disk.abs_lower() > 1:
+                    raise NotPisot("complex conjugate outside unit circle")
+                self._refine_disk(j, disk.radius ** 2)
+            else:
+                raise NotPisot("complex conjugate not certified inside unit circle")
+        rho = max(self.conj_abs_upper(j) for j in range(1, self.degree))
         if rho >= 1:
             raise NotPisot("contraction ratio not below 1")
         self.rho = _to_float_up(rho) * (1 + 1e-12)
@@ -197,18 +193,11 @@ class PisotField:
         return self._real_encl[j]
 
     def _refine_disk(self, j, radius):
-        if self._disks[j].radius > radius:
-            bits = max(64, int(-radius.numerator.bit_length() + radius.denominator.bit_length()) + 16)
-            self._dps = max(self._dps, int(bits * 0.302) + 30)
-            n = len(self._disks)
-            disks = certified_complex_roots([int(c) for c in self.min_poly], n, dps=self._dps)
-            old = sorted(self._disks)
-            # match recomputed disks to existing indices by nearest center
-            for idx in old:
-                cur = self._disks[idx]
-                best = min(disks, key=lambda dk: (dk.re - cur.re) ** 2 + (dk.im - cur.im) ** 2)
-                self._disks[idx] = best
-        return self._disks[j]
+        disk = self._disks[j]
+        if disk.radius > radius:
+            disk = self._disks[j] = refine_disk(self.min_poly, disk, radius)
+            self._disks[j + 1 if disk.im > 0 else j - 1] = disk.mirror()
+        return disk
 
     def conj_kind(self, j):
         return self._kinds[j]
@@ -651,7 +640,11 @@ def gamma_disk(x, j, radius):
     r = Fraction(radius) / (scale * 4 * fld.degree)
     while True:
         disk = fld._refine_disk(j, r)
-        val = _cpoly_eval(x.coords, (disk.re, disk.im))
+        a, b, e = disk.dyadic()
+        den = math.lcm(*(c.denominator for c in x.coords))
+        vr, vi = _gauss_horner([int(c * den) for c in x.coords], a, b, e)
+        den <<= e * (len(x.coords) - 1)
+        val = Fraction(vr, den), Fraction(vi, den)
         cabs = sqrt_upper(disk.re ** 2 + disk.im ** 2) + disk.radius
         dbound = Fraction(0)
         for k, cf in enumerate(x.coords):

@@ -6,13 +6,16 @@ The refinement runs on integers: the two ends share one denominator, which
 doubles at every halving, and the sign of p at a midpoint n/m is the sign of
 the integer p(n/m) m^deg, by homogeneous Horner; Fractions are formed only
 for the returned ends.
-Complex roots start from high-precision numeric approximations and are then
-certified with the classical bound: for a monic polynomial p of degree d and
-any point z with p'(z) != 0, the disk around z of radius d*|p(z)/p'(z)|
-contains at least one root of p.  When the d disks obtained this way are
-pairwise disjoint, each contains exactly one root.  All disk arithmetic is
-done over exact rationals; square roots are replaced by certified rational
-upper/lower bounds.
+Complex roots are seeded by ``numpy.roots`` and polished by Newton steps on
+Gaussian dyadics (a + b i) / 2^k, with p(z) 2^(k deg) from homogeneous Horner
+on Gaussian integers and k doubled at every step.  They are certified with
+the classical bound: for a polynomial p of degree d and any point z with
+p'(z) != 0, the disk around z of radius d*|p(z)/p'(z)| contains at least one
+root of p; the radius is rounded up by integer square roots.  When the disks
+of the non-real roots are pairwise disjoint and each has radius below its
+|Im z|, each contains exactly one of them.  A disk is refined in place by
+Newton steps from its own centre, and the new disk is kept only when it lies
+inside the old one, so it holds the same root.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
+import numpy as np
 
 from .errors import ValidationError
 
@@ -99,15 +102,10 @@ def count_real_roots(chain, lo, hi):
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
-def cauchy_bound(p):
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
-
-
 def isolate_real_roots(p):
     """Disjoint rational intervals (lo, hi], one per distinct real root."""
     chain = sturm_chain(p)
-    bound = cauchy_bound(p)
+    bound = 1 + max(abs(c) for c in p[:-1]) / abs(p[-1])    # Cauchy
     lo, hi = -bound - 1, bound + 1
     total = count_real_roots(chain, lo, hi)
     out = []
@@ -175,53 +173,24 @@ def refine_root(p, lo, hi, width):
 # certified square-root bounds
 
 def sqrt_upper(s, guard_bits=64):
-    """Rational u with u >= sqrt(s), s a nonnegative Fraction.
-
-    Uses integer square roots at ``guard_bits`` of extra scale, so the
-    relative overshoot is at most 2**-guard_bits.
-    """
+    """Rational u >= sqrt(s) for a nonnegative Fraction s with denominator q,
+    by integer square roots at ``guard_bits`` of extra scale:
+    u - sqrt(s) <= 2**-guard_bits / q."""
     s = Fraction(s)
-    if s == 0:
-        return Fraction(0)
-    num, den = s.numerator, s.denominator
-    k = 1 << guard_bits
-    r = math.isqrt(num * den * k * k)
-    return Fraction(r + 1, den * k)
+    return sqrt_lower(s, guard_bits) + Fraction(1, s.denominator << guard_bits) if s else s
 
 
 def sqrt_lower(s, guard_bits=64):
+    """Rational l <= sqrt(s), as in :func:`sqrt_upper`; 0 for s <= 0."""
     s = Fraction(s)
     if s <= 0:
         return Fraction(0)
-    num, den = s.numerator, s.denominator
     k = 1 << guard_bits
-    return Fraction(math.isqrt(num * den * k * k), den * k)
+    return Fraction(math.isqrt(s.numerator * s.denominator * k * k), s.denominator * k)
 
 
 def _cabs2(re, im):
     return re * re + im * im
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cpoly_eval(p, z):
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(p):
-        acc = _cmul(acc, z)
-        acc = (acc[0] + c, acc[1])
-    return acc
-
-
-def mpf_to_fraction(x):
-    """Exact conversion of an mpmath mpf to Fraction (full mantissa, no
-    re-rounding through the active context)."""
-    if x == 0:
-        return Fraction(0)
-    sign, man, exp, _ = x._mpf_
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
 
 
 class RootDisk:
@@ -239,74 +208,113 @@ class RootDisk:
         lo = sqrt_lower(_cabs2(self.re, self.im)) - self.radius
         return lo if lo > 0 else Fraction(0)
 
+    def mirror(self):
+        return RootDisk(self.re, -self.im, self.radius)
+
+    def dyadic(self):
+        """(a, b, k) with centre (a + b i) / 2^k, for a Gaussian dyadic centre."""
+        k = max(self.re.denominator, self.im.denominator).bit_length() - 1
+        return (self.re.numerator << (k + 1 - self.re.denominator.bit_length()),
+                self.im.numerator << (k + 1 - self.im.denominator.bit_length()), k)
+
     def __repr__(self):
         return f"RootDisk({float(self.re):.6g}{float(self.im):+.6g}j, r<={float(self.radius):.2g})"
 
 
-def _certify_disk(p, dp, z_re, z_im, degree):
-    pv = _cpoly_eval(p, (z_re, z_im))
-    dv = _cpoly_eval(dp, (z_re, z_im))
-    dv2 = _cabs2(*dv)
-    if dv2 == 0:
-        return None
-    num = sqrt_upper(_cabs2(*pv))
-    den = sqrt_lower(dv2)
-    if den == 0:
-        return None
-    return RootDisk(z_re, z_im, degree * num / den)
+def _gauss_horner(p, a, b, k):
+    """p(z) 2^(k (len(p) - 1)) at z = (a + b i) / 2^k, for integer
+    coefficients p, as a Gaussian integer (re, im): homogeneous Horner on
+    integers."""
+    re, im, mk = p[-1], 0, 1
+    for c in reversed(p[:-1]):
+        mk <<= k
+        re, im = re * a - im * b + c * mk, re * b + im * a
+    return re, im
 
 
-def certified_complex_roots(p, n_complex, dps=60, max_tries=8):
-    """Certified disks for the n_complex non-real roots of p (conjugate pairs).
+def _polish(p, zs, bits, accept):
+    """Certified disks around the Gaussian dyadics z = (a + b i) / 2^k of
+    zs = [(a, b, k)] for the integer polynomial p of degree d.
 
-    Returns disks sorted deterministically, with the Im > 0 member of every
-    conjugate pair immediately followed by its mirror.
+    Newton steps z - p(z)/p'(z), each rounded to twice as many bits, run on
+    integers until k >= ``bits``; the disk around the last z has the radius
+    d |p(z)| / |p'(z)|, rounded up by integer square roots, so it holds a
+    root.  The disks are returned once ``accept(disks)`` holds; each failed
+    try doubles ``bits``.  Raises ArithmeticError after eight tries.
+    """
+    dp = poly_deriv(p)
+    for _ in range(8):
+        disks = []
+        for i, (a, b, k) in enumerate(zs):
+            while True:
+                pr, pi = _gauss_horner(p, a, b, k)
+                dr, di = _gauss_horner(dp, a, b, k)
+                n2 = dr * dr + di * di
+                if k >= bits or not n2:
+                    break
+                # 2^(2k) p(z)/p'(z) = 2^k P conj(D) / |D|^2 for the P, D above
+                nr, ni = (pr * dr + pi * di) << k, (pi * dr - pr * di) << k
+                a, b, k = ((a << k) - (2 * nr + n2) // (2 * n2),
+                           (b << k) - (2 * ni + n2) // (2 * n2), 2 * k)
+            zs[i] = a, b, k
+            num = math.isqrt(pr * pr + pi * pi)
+            num += num * num < pr * pr + pi * pi
+            disks.append(n2 and RootDisk(Fraction(a, 1 << k), Fraction(b, 1 << k),
+                                         Fraction((len(p) - 1) * num, math.isqrt(n2) << k)))
+        if all(disks) and accept(disks):
+            return disks
+        bits *= 2
+    raise ArithmeticError(f"could not certify the roots of {p!r}")
+
+
+def certified_complex_roots(p, n_complex):
+    """Certified disks for the n_complex non-real roots of the integer
+    polynomial p (conjugate pairs).
+
+    The roots of Im > 0 are seeded by ``numpy.roots`` and polished by
+    :func:`_polish` to 256 bits: radii near 2^-200 need no refinement for
+    double-precision embeddings; the disks certify when each has radius
+    < Im z and all, with their mirrors, are pairwise disjoint.  Returns the
+    disks sorted by centre, with the Im > 0 member of every conjugate pair
+    immediately followed by its mirror.
     """
     if n_complex == 0:
         return []
-    coeffs = [Fraction(c) for c in p]
-    dp = poly_deriv(coeffs)
-    degree = len(p) - 1
-    for _ in range(max_tries):
-        with mpmath.workdps(dps):
-            roots = mpmath.polyroots([mpmath.mpf(str(c)) for c in reversed(p)],
-                                     maxsteps=200, extraprec=80)
-        cand = sorted(roots, key=lambda z: -abs(mpmath.im(z)))[:n_complex]
-        ups = [z for z in cand if mpmath.im(z) > 0]
-        if 2 * len(ups) != n_complex:
-            dps *= 2
-            continue
-        disks = []
-        ok = True
-        for z in sorted(ups, key=lambda z: (mpmath.re(z), mpmath.im(z))):
-            re, im = mpf_to_fraction(mpmath.re(z)), mpf_to_fraction(mpmath.im(z))
-            disk = _certify_disk(coeffs, dp, re, im, degree)
-            if disk is None or disk.radius >= im:
-                ok = False
-                break
-            disks.append(disk)
-            disks.append(RootDisk(re, -im, disk.radius))
-        if ok and _pairwise_disjoint(disks):
-            return disks
-        dps *= 2
-    raise ArithmeticError("could not certify complex roots of %r" % (p,))
+    p = [int(c) for c in p]
+    seeds = sorted(np.roots(p[::-1]), key=lambda z: -abs(z.imag))[:n_complex]
+    zs = [(round(float(z.real) * 2.0 ** 64), round(float(z.imag) * 2.0 ** 64), 64)
+          for z in seeds if z.imag > 0]
+    if 2 * len(zs) != n_complex:
+        raise ArithmeticError(f"could not certify the roots of {p!r}")
+    ups = sorted(_polish(p, zs, 256, lambda ups: all(
+        dk.radius < dk.im for dk in ups) and _pairwise_disjoint(
+            ups + [dk.mirror() for dk in ups])), key=lambda dk: (dk.re, dk.im))
+    return [m for dk in ups for m in (dk, dk.mirror())]
+
+
+def refine_disk(p, disk, radius):
+    """A certified disk of radius <= ``radius`` inside ``disk``, which isolates
+    a root of the integer polynomial p; its centre is a Gaussian dyadic.
+
+    Newton steps run from the centre of ``disk`` (:func:`_polish`); the new
+    disk is accepted only when it lies inside ``disk``, so it holds the same
+    root.
+    """
+    p = [int(c) for c in p]
+    a, b, k = disk.dyadic()
+    bits = max(k + 1, radius.denominator.bit_length() - radius.numerator.bit_length() + 16)
+    new, = _polish(p, [(a, b, k)], bits, lambda ds: ds[0].radius <= radius and sqrt_upper(
+        _cabs2(ds[0].re - disk.re, ds[0].im - disk.im)) + ds[0].radius <= disk.radius)
+    return new
 
 
 def _pairwise_disjoint(disks):
-    for a, b in itertools.combinations(disks, 2):
-        d2 = _cabs2(a.re - b.re, a.im - b.im)
-        if sqrt_lower(d2) <= a.radius + b.radius:
-            return False
-    return True
+    return all(sqrt_lower(_cabs2(a.re - b.re, a.im - b.im)) > a.radius + b.radius
+               for a, b in itertools.combinations(disks, 2))
 
 
 # ---------------------------------------------------------------------------
 # irreducibility over Q for monic integer polynomials
-
-def _mignotte_bound(p):
-    norm2 = sqrt_upper(sum(Fraction(c) ** 2 for c in p))
-    return norm2
-
 
 def is_irreducible_monic(p):
     """Brute-force irreducibility test for a monic integer polynomial.
@@ -319,17 +327,14 @@ def is_irreducible_monic(p):
         return True
     if p[0] == 0:
         return False  # x divides
-    bound2 = _mignotte_bound(p)
+    bound2 = sqrt_upper(sum(Fraction(c) ** 2 for c in p))   # Mignotte
     for k in range(1, d // 2 + 1):
         bk = int(Fraction(2) ** k * bound2) + 1
         # constant term of a factor divides p(0)
-        consts = set()
         c0 = abs(p[0])
-        for t in range(1, c0 + 1):
-            if c0 % t == 0:
-                consts.update((t, -t))
+        consts = sorted(s * t for t in range(1, c0 + 1) if c0 % t == 0 for s in (1, -1))
         mid_ranges = [range(-bk, bk + 1)] * (k - 1)
-        for const in sorted(consts):
+        for const in consts:
             for mids in itertools.product(*mid_ranges):
                 g = [const, *mids, 1]
                 if int_poly_divides(g, p):

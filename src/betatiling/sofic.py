@@ -40,8 +40,8 @@ import numpy as np
 
 from .betamap import _from_num, endpoint_words
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
-from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span,
-                       _minpoly_at_matrix, _nums, _num_sign, _num_step, _span_compare)
+from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _nums,
+                       _num_sign, _num_step, _span_compare)
 from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
 # and sofic.expand
@@ -276,7 +276,7 @@ def _difference_box(t):
     that bound reaches no recurrent component.
     """
     f, q = t.field, t._q
-    diam = _nums((t.xmax - t.xmin).coords, q)
+    diam = _nums(t.diam().coords, q)
     dlo, dhi = _float_span(f, diam, q)
     neg = tuple(-c for c in diam)
     out = []
@@ -363,7 +363,7 @@ def difference_pairs(t, g, core=None):
     _require_integral_digits(t)
     f, q = t.field, t._q
     core = _neighbour_core(t) if core is None else core
-    diam = _nums((t.xmax - t.xmin).coords, q)
+    diam = _nums(t.diam().coords, q)
     sdiam = _float_span(f, diam, q)
     keep = []
     for co in core:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from betatiling import numfield
 from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
-from betatiling.numfield import (EQ, GT, LT, _back_substitute, _bareiss, _cramer,
+from betatiling.numfield import (EQ, GT, LT, PisotField, _back_substitute, _bareiss, _cramer,
                                  _float_value, _horner_interval, gamma, gamma_interval,
                                  make_field, phi, pi1, psi, qb_compare,
                                  qb_floor)
@@ -518,3 +519,92 @@ def test_refine_root_keeps_the_root_when_p_vanishes_at_the_left_end():
     assert lo < Fraction(3, 10) == hi
     with pytest.raises(ValidationError):
         refine_root([0, 0, -1, 1], 0, 2, Fraction(1, 1000))
+
+
+# ---------------------------------------------------------------------------
+# certified complex conjugates
+
+CUBIC_UNITS = [(0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, -1, 1), (2, 0, 1),
+               (2, 1, -1), (2, 1, 1), (2, 2, 1), (2, 3, 1), (3, -2, 1), (3, -1, 1),
+               (3, 0, -1), (3, 0, 1), (3, 1, -1), (3, 1, 1), (3, 2, -1), (3, 2, 1),
+               (3, 3, 1)]
+DISK_FIELDS = sorted({tuple(json.loads(p.read_text())["field"]) for p in CONFIGS.glob("*.json")}
+                     | set(CUBIC_UNITS)
+                     | {(1, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 1, 1)})
+
+
+def test_cubic_units_of_the_survey_range():
+    # make_field accepts exactly these 19 of x^3 - a x^2 - b x - c with
+    # a in [-1, 3], b in [-2, 3], c = +-1
+    accepted = []
+    for a, b, c in itertools.product(range(-1, 4), range(-2, 4), (1, -1)):
+        try:
+            make_field(a, b, c)
+        except (NotIrreducible, NotPisot):
+            continue
+        accepted.append((a, b, c))
+    assert sorted(accepted) == CUBIC_UNITS
+
+
+def _oracle_roots(p):
+    # the non-real roots of p by mpmath at 150 digits, far below any radius
+    with mpmath.workdps(150):
+        roots = mpmath.polyroots([int(c) for c in reversed(p)], maxsteps=400, extraprec=200)
+    return [r for r in roots if abs(mpmath.im(r)) > mpmath.mpf(10) ** -100]
+
+
+def _holds(disk, root):
+    with mpmath.workdps(150):
+        c = mpmath.mpc(mpmath.mpf(disk.re.numerator) / disk.re.denominator,
+                       mpmath.mpf(disk.im.numerator) / disk.im.denominator)
+        return abs(root - c) < mpmath.mpf(disk.radius.numerator) / disk.radius.denominator
+
+
+def _inside(inner, outer):
+    # |c_inner - c_outer| + r_inner <= r_outer, exactly
+    gap = outer.radius - inner.radius
+    return gap >= 0 and (inner.re - outer.re) ** 2 + (inner.im - outer.im) ** 2 <= gap ** 2
+
+
+@pytest.mark.parametrize("coeffs", DISK_FIELDS)
+def test_complex_conjugate_disks_are_certified(coeffs):
+    f = make_field(*coeffs)
+    disks = f._disks
+    oracle = _oracle_roots(f.min_poly)
+    assert len(disks) == len(oracle)
+    assert sorted(disks) == list(range(f.degree - len(disks), f.degree))
+    for j, disk in disks.items():
+        assert f.conj_kind(j) == "complex"
+        # each disk holds exactly one root, of |Im| above its radius
+        assert sum(_holds(disk, r) for r in oracle) == 1, (coeffs, j)
+        assert disk.radius < abs(disk.im)
+    for j in list(disks)[::2]:
+        up, down = disks[j], disks[j + 1]
+        assert up.im > 0 and (down.re, down.im, down.radius) == (up.re, -up.im, up.radius)
+    for a, b in itertools.combinations(disks.values(), 2):
+        gap = (a.re - b.re) ** 2 + (a.im - b.im) ** 2
+        assert gap > (a.radius + b.radius) ** 2
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (2, -1, 1), (1, 1, 1, 1, 1)])
+def test_refined_disk_lies_inside_the_disk_it_refined(coeffs):
+    f = PisotField(coeffs)
+    oracle = _oracle_roots(f.min_poly)
+    for j in list(f._disks)[::2]:
+        old = f._disks[j]
+        new = f.conj_enclosure(j, Fraction(1, 2 ** 300))
+        assert new.radius <= Fraction(1, 2 ** 300) and _inside(new, old)
+        assert sum(_holds(new, r) for r in oracle) == 1
+        # the mirror partner took the mirror image
+        mirror = f._disks[j + 1]
+        assert (mirror.re, mirror.im, mirror.radius) == (new.re, -new.im, new.radius)
+        assert f.conj_enclosure(j, Fraction(1, 2 ** 300)) is new
+
+
+def test_not_pisot_and_not_irreducible_quintics():
+    with pytest.raises(NotPisot):
+        make_field(0, 0, 0, 1, 1)       # x^5 - x - 1
+    with pytest.raises(NotIrreducible):
+        make_field(1, 0, 0, 0, 1)       # x^5 - x^4 - 1 = (x^2 - x + 1)(x^3 - x - 1)
+    with pytest.raises(NotPisot):
+        make_field(1, 1, 1, -1)         # Salem: two conjugates on the unit circle

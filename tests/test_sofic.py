@@ -12,15 +12,14 @@ from betatiling.betamap import (IntervalQB, _intersect, _merge_union, compute_v,
                                 endpoint_words, expand, prefix_interval_set, preset,
                                 transform_from_config)
 from betatiling.errors import BudgetExceeded, ValidationError
-from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, gamma_abs_upper,
-                                 gamma_interval, make_field, qb_compare)
+from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, _minpoly_at_matrix,
+                                 gamma_abs_upper, gamma_interval, make_field, qb_compare)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
                               forbidden_words, soficity_check, DiffTransducer,
                               ShiftAutomaton,
-                              _component_walk, _difference_box, _minpoly_at_matrix,
-                              _neighbour_core, _sccs)
+                              _component_walk, _difference_box, _neighbour_core, _sccs)
 from betatiling.tiling import (clouds_at_depth, conj_block_bounds, gifs_build,
                                lattice_candidates)
 

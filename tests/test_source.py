@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -41,3 +44,28 @@ def test_no_dead_private_definitions():
                 if named.get(node.name, 0) - own == 0:
                     dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, dead
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # every module the package imports, at any depth, is standard library,
+    # numpy or the package itself
+    outside = []
+    for path in sorted((SRC / "betatiling").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {top}" for top in tops
+                        if top not in sys.stdlib_module_names | {"numpy", "betatiling"}]
+    assert not outside, outside
+
+
+def test_import_leaves_mpmath_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", "import sys, betatiling; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
