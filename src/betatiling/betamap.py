@@ -19,8 +19,8 @@ from .errors import (BadAlpha, BudgetExceeded, EmptyPart, FieldMismatch, NoFixed
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
 from .numfield import (GT, LT, QBeta, _beta_eigenvector, _cramer, _EndTable, _mul_matrix,
-                       _nums, _num_sorted, _num_step, _sole, make_field, qb_ceil,
-                       qb_compare, qb_floor)
+                       _nums, _num_div, _num_sorted, _num_step, _sole, make_field,
+                       qb_ceil, qb_compare, qb_floor)
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,12 @@ class BetaTransform:
     """A validated expansion map.  Immutable; build with :func:`build_transform`.
 
     Its piece ends live in one numerator frame: ``_q`` is the lcm of the
-    denominators of the digits and of the piece ends, and ``_table`` is the
-    end table of the pieces over ``_q``, labelled by digit index (on the
-    left-continuous side a point on an end lies in the lower piece).  Orbits
-    of points in (1/q) Z[beta], q a multiple of ``_q``, are carried on
-    integers (:func:`_num_frame`) and looked up in it.
+    denominators of the digits and of the piece ends, ``_qd`` holds the
+    digits' numerators over ``_q``, and ``_table`` is the end table of the
+    pieces over ``_q``, labelled by digit index (on the left-continuous side
+    a point on an end lies in the lower piece).  Orbits of points in
+    (1/q) Z[beta], q a multiple of ``_q``, are carried on integers
+    (:func:`_num_frame`) and looked up in it.
     """
 
     def __init__(self, field, digits, parts, side, _validated=False):
@@ -90,6 +91,7 @@ class BetaTransform:
         self.components = _merge_union([iv for iv, _ in self.pieces])
         self._q = q = math.lcm(*(c.denominator for x in (*self.digits, *(
             e for iv, _ in self.pieces for e in (iv.lo, iv.hi))) for c in x.coords))
+        self._qd = tuple(_nums(d.coords, q) for d in self.digits)
         self._table = _EndTable(
             field, q, [(_nums(iv.lo.coords, q), _nums(iv.hi.coords, q), a)
                        for iv, a in self.pieces], _sole, side == "left")
@@ -296,11 +298,24 @@ class Expansion:
 # Integer orbit kernel.  An orbit of x under x -> beta*x - d stays in
 # (1/q) Z[beta] for q the lcm of the denominators of x and of the transform's
 # frame ``_q``, which the digits' divide, so it is carried as integer
-# numerator tuples over that one q: a step is the companion product minus
-# q*digit, with no Fraction and no gcd.
+# numerator tuples over that one q, with no Fraction and no gcd.  Both
+# directions are shifts of the coordinates: a step beta*x - d
+# (:func:`numfield._num_step`) adds the top coordinate times the row of
+# beta^d, a division (x + d)/beta (:func:`numfield._num_div`) the constant
+# coordinate times the row of 1/beta.  The digits' numerators over ``_q``
+# are held on the transform (``_qd``) and scaled to a larger frame; the
+# powers beta^p of a period's value come from the field's power table,
+# which grows on demand.
 
 def _from_num(field, n, q):
     return QBeta(field, tuple(Fraction(c, q) for c in n))
+
+
+def _digit_nums(t, q):
+    """The digits' numerators over q, a multiple of the frame ``_q``: the
+    transform's ``_qd``, scaled by q/_q."""
+    s = q // t._q
+    return t._qd if s == 1 else [tuple(s * c for c in v) for v in t._qd]
 
 
 def _num_frame(t, x):
@@ -310,7 +325,7 @@ def _num_frame(t, x):
     if x.field != t.field:
         raise FieldMismatch("point and transform belong to different fields")
     q = math.lcm(t._q, *(c.denominator for c in x.coords))
-    return q, _nums(x.coords, q), [_nums(d.coords, q) for d in t.digits]
+    return q, _nums(x.coords, q), _digit_nums(t, q)
 
 
 def expand(t, x, max_steps=100000):
@@ -337,32 +352,40 @@ def expand(t, x, max_steps=100000):
     raise BudgetExceeded("no period detected", x=str(x), steps=max_steps)
 
 
-def expansion_value(t, word):
-    """Exact value sum(digit_k * beta^-k) of an eventually periodic word."""
-    f = t.field
+def _value_nums(t, word):
+    """(q, numerators over q) of the value of an eventually periodic word,
+    q a multiple of the frame ``_q``; raises UnknownDigit for a letter that
+    is no digit index.
+
+    The period d_1 .. d_p by Horner in beta over ``_q``, on steps of the
+    orbit kernel: its numerators A stand for -sum_k d_k beta^(p-k), so the
+    period's value is A / (_q (1 - beta^p)).  One integer division by
+    1 - beta^p, with beta^p from the field's power table, gives numerators
+    over den, so over q = _q den; then the preperiod by Horner in 1/beta,
+    on divisions of the kernel, over q."""
+    f, na = t.field, len(t.digits)
     if not word.period:
         raise ValidationError("word must be eventually periodic (nonempty period)")
-    # period by Horner in beta over the digit denominator q, next to beta^n
-    # over q; then one integer division by beta^n - 1, where q cancels, gives
-    # numerators over a denominator den; then the preperiod by Horner in
-    # 1/beta over lcm(q, den)
-    q, acc, qd = _num_frame(t, f.zero)
-    minus = [tuple(-c for c in v) for v in qd]
-    zero = (0,) * f.degree
-    pw = (q, *zero[1:])
-    row = f._pow_coords[f.degree]
+    for a in itertools.chain(word.preperiod, word.period):
+        if not 0 <= a < na:
+            raise UnknownDigit(f"digit index {a} out of range")
+    acc, qd, row = (0,) * f.degree, t._qd, f._pow_coords[f.degree]
     for a in word.period:
-        acc = _num_step(row, acc, minus[a])
-        pw = _num_step(row, pw, zero)
-    val, den = _cramer(_mul_matrix(f, (pw[0] - q, *pw[1:])), acc)
-    q = math.lcm(t._q, den)
-    val = tuple(c * (q // den) for c in val)
-    qd = [_nums(d.coords, q) for d in t.digits]
-    minv = f.inv_beta_mat
+        acc = _num_step(row, acc, qd[a])
+    pw = f._power(len(word.period))
+    val, den = _cramer(_mul_matrix(f, (1 - pw[0], *(-c for c in pw[1:]))), acc)
+    q = t._q * den
+    qd, irow = _digit_nums(t, q), f._inv_row
     for a in reversed(word.preperiod):
-        s = [c + e for c, e in zip(val, qd[a])]
-        val = tuple(sum(m * c for m, c in zip(mrow, s)) for mrow in minv)
-    return _from_num(f, val, q)
+        val = _num_div(irow, val, qd[a])
+    return q, val
+
+
+def expansion_value(t, word):
+    """Exact value sum(digit_k * beta^-k) of an eventually periodic word;
+    raises UnknownDigit for a letter that is no digit index."""
+    q, val = _value_nums(t, word)
+    return _from_num(t.field, val, q)
 
 
 def word_from_digits(t, pre, per):
@@ -379,13 +402,9 @@ def is_admissible(t, word):
     the next tail.  Every distinct tail is visited, so this is exact tail-value
     membership, linear in the word length.
     """
-    letters = tuple(itertools.chain(word.preperiod, word.period))
-    for a in letters:
-        if not 0 <= a < len(t.digits):
-            raise UnknownDigit(f"digit index {a} out of range")
-    q, cur, qd = _num_frame(t, expansion_value(t, word))
-    row = t.field._pow_coords[t.field.degree]
-    for a in letters:
+    q, cur = _value_nums(t, word)
+    qd, row = _digit_nums(t, q), t.field._pow_coords[t.field.degree]
+    for a in itertools.chain(word.preperiod, word.period):
         if t._table.at(cur, q) != a:
             return False
         cur = _num_step(row, cur, qd[a])
@@ -458,8 +477,7 @@ def compute_v(t, budget=20000):
         raise ValidationError("boundary-orbit analysis expects the right-continuous map")
     f = t.field
     tw = t.twin()
-    q, _, qd = _num_frame(t, f.zero)
-    row = f._pow_coords[f.degree]
+    q, qd, row = t._q, t._qd, f._pow_coords[f.degree]
 
     def step(s, x):
         a = s._table.at(x, q)
@@ -511,13 +529,12 @@ def branch_edges(t, vdata):
     intervals of ``vdata.table``."""
     f = t.field
     q = math.lcm(t._q, vdata.table.q)
-    qd = [_nums(d.coords, q) for d in t.digits]
-    minv = f.inv_beta_mat
+    qd, irow = _digit_nums(t, q), f._inv_row
     out = []
     for v in vdata.V:
         n, row = _nums(v.coords, q), []
         for a, d in enumerate(qd):
-            y = tuple(sum(m * (c + e) for m, c, e in zip(mrow, n, d)) for mrow in minv)
+            y = _num_div(irow, n, d)
             if t._table.at(y, q) == a:
                 j = vdata.table.at(y, q)
                 if j is None:

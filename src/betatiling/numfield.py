@@ -21,6 +21,16 @@ merge-witness range) and :func:`_num_bisect`.  Every "which interval holds
 x" lookup is one :func:`_num_bisect` over an :class:`_EndTable`: the pieces
 of a map, its J intervals and the cells of the automaton's states.
 
+Orbits run on the integer orbit kernel: a point of (1/q) Z[beta] is a tuple
+of integer numerators over q, and both directions of x -> beta*x - d are
+shifts of it.  A step (:func:`_num_step`) moves the coordinates up one power
+and adds the top one times the row of beta^d; a division (x + d)/beta
+(:func:`_num_div`) moves them down one power and adds the constant one times
+the row of 1/beta = (beta^(d-1) - c1 beta^(d-2) - ... - c(d-1))/cd, integral
+because cd = +-1.  Each costs about d multiplications.  A transform holds
+its digits' numerators over its own frame once; the field holds the integer
+rows of beta^k in a table that grows on demand (:meth:`PisotField._power`).
+
 Every exact linear solve is one fraction-free forward elimination on
 integers (:func:`_bareiss`) and one back-substitution: inverses, periodic
 word values and ``pi1`` (:func:`_cramer`), and the beta-eigenvectors behind
@@ -233,13 +243,27 @@ class PisotField:
         inv = [_cramer(tuple(zip(*cols)), [int(i == j) for i in range(d)]) for j in range(d)]
         self._pi1_rows = tuple(zip(*([Fraction(x, den) for x in num] for num, den in inv)))
         # integer powers beta^0 .. beta^(2d-2) in the basis, for reduction after
-        # products; row d is the companion step of the integer orbit kernel
-        self._pow_coords = _basis_powers(c, 2 * d - 1)
-        # 1/beta and its integer multiplication matrix (beta is a unit)
-        self._inv_beta = tuple(
-            Fraction(-c[d - 2 - k], c[d - 1]) if k < d - 1 else Fraction(1, c[d - 1])
-            for k in range(d))
-        self.inv_beta_mat = _mul_matrix(self, tuple(int(x) for x in self._inv_beta))
+        # products; row d, beta^d = c1 beta^(d-1) + ... + cd, is the step of
+        # the integer orbit kernel, and the table grows on demand
+        self._pow_coords = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
+        self._pow_coords += (tuple(reversed(c)),)
+        self._power(2 * d - 2)
+        # 1/beta = (beta^(d-1) - c1 beta^(d-2) - ... - c(d-1)) / cd, integral
+        # as cd = +-1: the step of the kernel's division (:func:`_num_div`)
+        self._inv_row = tuple(-c[d - 2 - k] * c[d - 1] if k < d - 1 else c[d - 1]
+                              for k in range(d))
+        self._inv_beta = tuple(Fraction(x) for x in self._inv_row)
+
+    def _power(self, k):
+        """Integer coordinates of beta^k, k >= 0.  The table only grows, by
+        a longer copy swapped in whole, so a row once read never changes."""
+        pows = self._pow_coords
+        if k >= len(pows):
+            row, zero, rows = pows[self.degree], (0,) * self.degree, list(pows)
+            while len(rows) < max(k + 1, 2 * len(pows)):
+                rows.append(_num_step(row, rows[-1], zero))
+            pows = self._pow_coords = tuple(rows)
+        return pows[k]
 
     # -- geometry ------------------------------------------------------------
 
@@ -332,21 +356,20 @@ class PisotField:
         return hash(self.coeffs)
 
 
-def _basis_powers(c, upto):
-    """Coordinates of beta^k for k < upto over the basis, as integer rows;
-    beta^d = c1 beta^(d-1) + ... + cd is the companion row."""
-    row, zero = tuple(reversed(c)), (0,) * len(c)
-    rows = [(1,) + zero[1:]]
-    for _ in range(upto - 1):
-        rows.append(_num_step(row, rows[-1], zero))
-    return rows
-
-
 def _num_step(row, n, qd):
-    """Numerators of beta*x - d from those of x and of d, with row = beta^deg."""
+    """Numerators of beta*x - d from those of x and of d, with row = beta^deg:
+    n shifted up one power, plus its top coordinate times row."""
     top = n[-1]
-    return (top * row[0] - qd[0],
-            *(c + top * r - e for c, r, e in zip(n, row[1:], qd[1:])))
+    return tuple([c + top * r - e for c, r, e in zip((0, *n), row, qd)])
+
+
+def _num_div(irow, n, qd):
+    """Numerators of (x + d)/beta from those of x and of d, with irow the
+    integer coordinates of 1/beta: n + qd shifted down one power, plus its
+    constant coordinate times irow.  The coordinates may be ints or numpy
+    integer columns, one entry per point."""
+    low = n[0] + qd[0]
+    return tuple([c + e + low * r for c, e, r in zip((*n[1:], 0), (*qd[1:], 0), irow)])
 
 
 def _bareiss(m):
@@ -765,8 +788,19 @@ def _num_bisect(fld, ends, spans, n, q, s=1, left=False):
     """How many points of ``ends``, sorted integer numerators over q/s with
     their float spans, are <= n/q, or < n/q when ``left``: a bisection that
     compares the point's certified float span with each end's inline and
-    calls :func:`_num_sign` of the difference only where the two overlap."""
-    xlo, xhi = _float_span(fld, n, q)
+    calls :func:`_num_sign` of the difference only where the two overlap.
+    The point's span is :func:`_float_span`'s, formed inline: this is the
+    lookup of every orbit step."""
+    b, big, v, sm = fld._float_beta, fld._float_big, 0.0, 0.0
+    try:
+        for c in reversed(n):
+            c = c.numerator / (c.denominator * q)
+            v = v * b + c
+            sm = sm * big + abs(c)
+    except OverflowError:
+        sm = math.inf
+    e = fld._float_rel * sm + fld._float_abs if sm < _FLOAT_SUM_MAX else math.inf
+    xlo, xhi = math.nextafter(v - e, -math.inf), math.nextafter(v + e, math.inf)
     lo, hi = 0, len(ends)
     while lo < hi:
         mid = (lo + hi) // 2

@@ -66,9 +66,17 @@ def poly_divmod(p, q):
 
 
 def int_poly_divides(g, p):
-    """True iff integer polynomial g divides integer polynomial p exactly."""
-    q, r = poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in g])
-    return not r and all(c.denominator == 1 for c in q)
+    """True iff the monic integer polynomial g divides the integer polynomial
+    p exactly (ascending coefficients): long division on integers, exact as
+    g is monic, then a scan of the remainder that stops at its first nonzero
+    coefficient."""
+    r, dg = list(p), len(g) - 1
+    for k in range(len(r) - 1 - dg, -1, -1):
+        f = r[k + dg]
+        if f:
+            for i in range(dg):
+                r[k + i] -= f * g[i]
+    return not any(r[:dg])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 from .betamap import _from_num, endpoint_words
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
 from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _nums,
-                       _num_sign, _num_step, _span_compare)
+                       _num_div, _num_sign, _num_step, _span_compare)
 from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
 # and sofic.expand
@@ -179,9 +179,8 @@ def build_automaton(t, state_budget=200000):
     """
     if t.side != "right":
         raise ValidationError("automaton construction expects the right-continuous map")
-    f, q = t.field, t._q
+    f, q, qd = t.field, t._q, t._qd
     row = f._pow_coords[f.degree]
-    qd = [_nums(dg.coords, q) for dg in t.digits]
     frame = lambda ivs: tuple((_nums(iv.lo.coords, q), _nums(iv.hi.coords, q)) for iv in ivs)
     parts = [frame(pp) for pp in t.parts]
     span = {}
@@ -319,10 +318,10 @@ def _neighbour_core(t):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     radix = np.append(np.cumprod((hi - lo + 1)[:0:-1])[::-1], 1)
     keys = (pts - lo) @ radix
-    minv = np.array(f.inv_beta_mat, dtype=np.int64)
+    cols = tuple(pts.T)
     src, dst = [], []
     for dd in set(_digit_differences(t).values()):
-        nd = (pts + dd) @ minv.T
+        nd = np.column_stack(_num_div(f._inv_row, cols, dd))
         key = (nd - lo) @ radix
         pos = np.minimum(np.searchsorted(keys, key), len(box) - 1)
         (inside,) = np.nonzero(np.all((nd >= lo) & (nd <= hi), axis=1) & (keys[pos] == key))
@@ -443,10 +442,9 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
     f = t.field
     core = set(_neighbour_core(t) if core is None else core)
     q0 = aut.initial
-    minv = f.inv_beta_mat
+    irow, zero = f._inv_row, (0,) * f.degree
     na = len(t.digits)
-    div_beta = lambda x: tuple(sum(m * c for m, c in zip(mrow, x)) for mrow in minv)
-    ddiv = {key: div_beta(dd) for key, dd in _digit_differences(t).items()}
+    ddiv = {key: _num_div(irow, dd, zero) for key, dd in _digit_differences(t).items()}
 
     index = {}
     states = []
@@ -480,7 +478,7 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
     while queue:
         si = queue.pop()
         diff, pin, pout = states[si]
-        base = div_beta(diff)
+        base = _num_div(irow, diff, zero)
         for a_in in range(na):
             npin = pre(pin, a_in)
             if q0 not in npin:

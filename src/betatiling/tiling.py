@@ -462,7 +462,7 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     eps = weak_finiteness_epsilon(t, pset)
     cands = _height_ordered_range(f, 0.0, float(eps), z_height)
     pts = list(pset.points)
-    q, _, qd = _num_frame(t, f.zero)
+    q, qd = t._q, t._qd
     ys = [_num_frame(t, y)[1] for y in pts]
     periodic = set(ys)
     row = f._pow_coords[f.degree]

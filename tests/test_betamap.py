@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import pathlib
@@ -128,6 +129,47 @@ def test_expansion_value_roundtrip(golden_greedy):
         x = golden.qb([num])
         w = expand(golden_greedy, x)
         assert expansion_value(golden_greedy, w) == x
+
+
+def test_expansion_value_rejects_unknown_digit_indices(golden_greedy):
+    # a negative index must not wrap around to the last digit
+    for bad in (-1, 5):
+        for w in (Expansion((), (bad,)), Expansion((bad,), (0,)), Expansion((0,), (1, bad))):
+            with pytest.raises(UnknownDigit):
+                expansion_value(golden_greedy, w)
+            with pytest.raises(UnknownDigit):
+                is_admissible(golden_greedy, w)
+
+
+@functools.cache
+def _value_transform(name):
+    return transform_from_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+
+
+@given(name=st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_expansion_value_matches_geometric_sum(name, data):
+    # sum_k d_k beta^-(k+1) over the preperiod, plus beta^-n times the
+    # period's digit sum over 1 - beta^-p, on Fraction field elements; words
+    # of up to about 200 letters reach past the field's power table
+    t = _value_transform(name)
+    f = t.field
+    letter = st.integers(0, len(t.digits) - 1)
+    n, m = data.draw(st.integers(0, 60)), data.draw(st.integers(1, 150))
+    pre = data.draw(st.lists(letter, min_size=n, max_size=n))
+    per = data.draw(st.lists(letter, min_size=m, max_size=m))
+    ib = f.beta.inv()
+    val, scale = f.zero, f.one
+    for a in pre:
+        scale = scale * ib
+        val = val + t.digits[a] * scale
+    tail, pw = f.zero, f.one
+    for a in per:
+        pw = pw * ib
+        tail = tail + t.digits[a] * pw
+    val = val + scale * tail * (f.one - pw).inv()
+    assert expansion_value(t, Expansion(tuple(pre), tuple(per))) == val
 
 
 def test_twin(golden, golden_greedy, golden_symmetric):

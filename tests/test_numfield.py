@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -13,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from betatiling import numfield
 from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
+from betatiling import rootiso
 from betatiling.numfield import (EQ, GT, LT, PisotField, _back_substitute, _bareiss, _cramer,
-                                 _float_value, _horner_interval, gamma, gamma_interval,
-                                 make_field, phi, pi1, psi, qb_compare,
+                                 _float_value, _horner_interval, _num_div, _num_step, gamma,
+                                 gamma_interval, make_field, phi, pi1, psi, qb_compare,
                                  qb_floor)
-from betatiling.rootiso import isolate_real_roots, refine_root
+from betatiling.rootiso import isolate_real_roots, poly_divmod, refine_root
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -608,3 +610,85 @@ def test_not_pisot_and_not_irreducible_quintics():
         make_field(1, 0, 0, 0, 1)       # x^5 - x^4 - 1 = (x^2 - x + 1)(x^3 - x - 1)
     with pytest.raises(NotPisot):
         make_field(1, 1, 1, -1)         # Salem: two conjugates on the unit circle
+
+
+# ---------------------------------------------------------------------------
+# the integer orbit kernel: a step and a division, and the power table
+
+_kernel_field = functools.cache(lambda coeffs: make_field(*coeffs))
+kernel_ints = st.integers(-10 ** 30, 10 ** 30)
+
+
+@pytest.mark.parametrize("coeffs", FIELDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_num_step_and_num_div_are_inverse_shifts(coeffs, data):
+    # numerators n of x and e of a digit over a random q: the division undoes
+    # the step, and both agree with x*beta - d and (x + d).div_beta()
+    f = _kernel_field(coeffs)
+    d = f.degree
+    q = data.draw(st.integers(1, 10 ** 6))
+    n = tuple(data.draw(st.lists(kernel_ints, min_size=d, max_size=d)))
+    e = tuple(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d)))
+    step = _num_step(f._pow_coords[d], n, e)
+    assert _num_div(f._inv_row, step, e) == n
+    elem = lambda m: f.qb([Fraction(c, q) for c in m])
+    assert elem(step) == elem(n) * f.beta - elem(e)
+    assert elem(_num_div(f._inv_row, n, e)) == (elem(n) + elem(e)).div_beta()
+
+
+@pytest.mark.parametrize("coeffs", FIELDS)
+def test_num_div_on_numpy_columns_matches_tuples(coeffs):
+    f = _kernel_field(coeffs)
+    rng = np.random.default_rng(len(coeffs))
+    pts = rng.integers(-10 ** 6, 10 ** 6, size=(50, f.degree))
+    e = tuple(int(c) for c in rng.integers(-3, 4, size=f.degree))
+    cols = np.column_stack(_num_div(f._inv_row, tuple(pts.T), e))
+    assert [tuple(r) for r in cols.tolist()] == [
+        _num_div(f._inv_row, tuple(int(c) for c in r), e) for r in pts]
+
+
+@pytest.mark.parametrize("coeffs", FIELDS)
+def test_power_table_grows_on_demand(coeffs):
+    f = make_field(*coeffs)
+    d = f.degree
+    first = f._pow_coords
+    assert 2 * d - 1 <= len(first) < 300
+    ks = [0, d, 2 * d - 2, 2 * d - 1, 7 * d, 300, 150, 301]
+    for k in ks:
+        assert f.qb(f._power(k)) == f.beta ** k, k
+    # the table only grows, and a row once read never changes
+    assert len(f._pow_coords) > 301
+    assert f._pow_coords[:len(first)] == first
+
+
+# ---------------------------------------------------------------------------
+# irreducibility: the integer division against the Fraction one
+
+def _divides_reference(g, p):
+    q, r = poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in g])
+    return not r and all(c.denominator == 1 for c in q)
+
+
+@pytest.mark.parametrize("coeffs", FIELDS + [(1, 0, 0, 1), (1, 1, 1, 1, 1), (1, 0, 0, 0, 1)])
+def test_int_poly_divides_matches_fraction_division(coeffs, monkeypatch):
+    # every candidate factor that make_field's irreducibility test tries;
+    # x^5 - x^4 - 1 = (x^2 - x + 1)(x^3 - x - 1) also meets a true divisor
+    seen = []
+
+    def checked(g, p):
+        verdict = int_poly_divides(g, p)
+        assert verdict == _divides_reference(g, p), (g, p)
+        seen.append(verdict)
+        return verdict
+
+    int_poly_divides = rootiso.int_poly_divides
+    monkeypatch.setattr(rootiso, "int_poly_divides", checked)
+    try:
+        make_field(*coeffs)
+    except NotIrreducible:
+        assert coeffs == (1, 0, 0, 0, 1)
+    assert seen and seen[-1] == (coeffs == (1, 0, 0, 0, 1)) and True not in seen[:-1]
+    for g, p in [([1, 1], [1, 2, 1]), ([-1, 0, 1], [1, 0, -1]), ([2, 1], [3, 1]),
+                 ([1, 1], []), ([0, 1], [0, 0, 5]), ([1, 0, 1], [1])]:
+        assert int_poly_divides(g, p) == _divides_reference(g, p), (g, p)
