@@ -22,9 +22,11 @@ ratio of the medians, and a verdict against the metric's bound:
   better by more than the parent's quartile spread;
 - ``ok``: none of these.
 
-Below the table, each entry of the report line's ``latency_p50_ms_by_kind``
-(one per op kind, e.g. one per config in ``decide``) gets the median over
-each side's runs and their ratio, so that a claim shows which kind moved.
+Below the table come the median of each side's ``tail_percentile`` (the
+percentile that ``latency_tail_ms`` reads, so that a tail claim names it)
+and, for each entry of the report line's ``latency_p50_ms_by_kind`` (one per
+op kind, e.g. one per config in ``decide``), the median over each side's
+runs and their ratio, so that a claim shows which kind moved.
 Failed ops are summed per side.  The script reads ``BENCHMARK.json`` from
 CHANGE_DIR and writes nothing.
 """
@@ -91,11 +93,13 @@ def compare(args, bench, workload):
     names = [m["name"] for m in bench["end_to_end"]]
     values = {side: {n: [] for n in names} for side in ("parent", "change")}
     by_kind = {side: {} for side in ("parent", "change")}
+    tail_pct = {side: [] for side in ("parent", "change")}
     failed = {"parent": [0, 0], "change": [0, 0]}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             report, res = run(getattr(args, side), bench, workload, args.seed)
+            tail_pct[side].append(report["tail_percentile"])
             for kind, ms in report["latency_p50_ms_by_kind"].items():
                 by_kind[side].setdefault(kind, []).append(ms)
             for n in names:
@@ -114,6 +118,8 @@ def compare(args, bench, workload):
         cell = lambda q: f"{q[0]:.4g} [{q[1]:.4g}, {q[2]:.4g}]"
         print(f"{r['name']:18s} {cell(r['parent']):>26s} {cell(r['change']):>26s} "
               f"{r['wins']:>3d}/{args.pairs:<2d} {r['ratio']:6.3f} {r['bound']:5.2f}  {r['verdict']}")
+    print("latency_tail_ms reads percentile (median): " + ", ".join(
+        f"{side} {statistics.median(tail_pct[side]):.4g}" for side in ("parent", "change")))
     print(f"{'latency_p50_ms of':30s} {'parent':>10s} {'change':>10s} {'ratio':>6s}")
     for kind in sorted(set(by_kind["parent"]) | set(by_kind["change"])):
         pm, cm = (statistics.median(by_kind[side].get(kind, [math.nan]))

@@ -8,8 +8,9 @@ Imports ``betatiling`` from CHECKOUT/src and the render configs
 it writes, at every depth from 0 to its cloud depth, the shape and the sha256
 of the bytes of each vertex's cloud and ``err.hex()``; the ``natext_domain``
 area at the cloud depth as ``float.hex``; and, for a quadratic field, the
-``torus_translates`` translates and coverage (fractions as ``float.hex``) at
-its translate depth.  Keys are sorted, so two checkouts render the same
+``torus_translates`` translates, coverage (fractions as ``float.hex``) and
+the shape and sha256 of the bytes of ``scene_points`` at its translate
+depth.  Keys are sorted, so two checkouts render the same
 clouds, areas and scenes exactly when ``cmp`` finds the two files identical.
 """
 
@@ -47,7 +48,9 @@ def main(argv=None):
             row["translates"] = {
                 "depth": tdepth,
                 "translates": [list(m) for m in scene.translates],
-                "coverage": {str(k): v.hex() for k, v in scene.coverage.items()}}
+                "coverage": {str(k): v.hex() for k, v in scene.coverage.items()},
+                "scene": [list(scene.scene_points.shape),
+                          hashlib.sha256(scene.scene_points.tobytes()).hexdigest()]}
         dump[name] = row
         print(name, file=sys.stderr, flush=True)
     out.write_text(json.dumps(dump, indent=1, sort_keys=True) + "\n")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -27,7 +28,8 @@ _FLOAT_STEP_SLACK = 1e-12
 _BYTE_LIMIT = 1 << 30       # largest cloud level, translate scene or lattice box
 _SLICE_ROWS = 1 << 14       # scene rows per slice of the translate pass
 _SNAP_POINTS = 4000         # cloud size above which a level is snapped to its grid
-_STEPS = np.array([0, 1, -1])   # translate steps from -floor(x/scale), indexed by step
+_STEPS = np.array([0, 1, -1])   # translate steps from -floor(x/scale) tried in the
+                                # rounding band of torus_translates, indexed by step
 
 
 def _require_integral_digits(t):
@@ -521,6 +523,28 @@ class TorusScene:
     scale: float
 
 
+def _step_keys(xs, scale, h, resolution, lo_m, hi_m, frame):
+    """(translate, cell) keys of the rows of xs, given column-major, in every
+    translate m0 + e of the box that holds them, with m0 = -floor(x/scale)
+    and e in _STEPS per coordinate: the exact product for the rounding band."""
+    m0s = -np.floor(xs / scale)
+    # ok[k][e]: coordinate k of translate m0 + e is in the box and lands in [0, scale)
+    ok = []
+    for x, m0, lo, hi in zip(xs, m0s, lo_m, hi_m):
+        m = m0 + _STEPS[:, None]
+        sh = x + m * scale
+        ok.append((sh >= 0) & (sh < scale) & (m >= lo) & (m <= hi))
+    part = [np.zeros(0, dtype=np.int64)]
+    for off in itertools.product(_STEPS, repeat=len(xs)):
+        sel = np.flatnonzero(np.logical_and.reduce([ok[k][e] for k, e in enumerate(off)]))
+        if len(sel):
+            ms = [m0s[k, sel] + e for k, e in enumerate(off)]
+            cells = [np.clip(np.floor((xs[k, sel] + m * scale) / h).astype(np.int64),
+                             0, resolution - 1) for k, m in enumerate(ms)]
+            part.append(cell_keys([m.astype(np.int64) for m in ms] + cells, frame))
+    return np.concatenate(part)
+
+
 def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=120):
     """Lattice translates of the extension domain with a coverage histogram.
 
@@ -528,14 +552,35 @@ def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=1
     counts how many translates hit each cell of the fundamental domain of the
     scaled lattice, in one pass over slices of the scene, a coordinate at a
     time.  Point x lies in a translate m of the box when
-    0 <= x + m*scale < scale; each coordinate of m is tried at
-    -floor(x/scale) and one either side, as x/scale can round.  The scale
-    must be positive and the resolution at least 1, or ``ValidationError``
-    is raised.
+    0 <= x + m*scale < scale, in floats.  Each coordinate is tried once, at
+    m = -floor(x/scale), giving the shift sh = x + m*scale and its cell.
+
+    The rounding band.  Let X be the largest |x| of the coordinate's column
+    and u = 2**-53.  For m' = m + e with e in (0, 1, -1),
+    |m'| <= (1 + u)*X/scale + 2, so the float x + m'*scale, two roundings,
+    is within E <= u*(3X + 4*scale)*(1 + 3u) + 2**-1074 of its exact value.
+    The band is delta = 16*ulp(X + scale) > 2E wide.  If
+    delta <= sh < scale - delta, the exact x + m*scale lies in
+    (E, scale - E), so x + (m + 1)*scale computes to more than scale and
+    x + (m - 1)*scale to less than 0: only m can hold the coordinate.  A row
+    with a coordinate in the band, where x/scale can round, takes the exact
+    product of the steps in ``_STEPS`` per coordinate instead; on the bundled
+    render scenes that is at most two rows.  Where X/scale reaches 2**48 the
+    band covers [0, scale) and every row takes the product.
+
+    The scale must be finite and positive, the resolution an integer of at
+    least 1 and the lattice box None or an integer of at least 0, or
+    ``ValidationError`` is raised.  A scene or coverage grid above the
+    memory budget raises ``BudgetExceeded`` before the scene is built.
     """
-    if not (scale > 0 and resolution >= 1):
-        raise ValidationError(f"translates need scale > 0 and resolution >= 1, "
-                              f"got scale {scale} and resolution {resolution}")
+    if not (isinstance(resolution, numbers.Integral) and resolution >= 1
+            and 0 < scale < math.inf
+            and (lattice_box is None
+                 or isinstance(lattice_box, numbers.Integral) and lattice_box >= 0)):
+        raise ValidationError(
+            f"translates need scale > 0 and resolution >= 1 (a finite scale, an integer "
+            f"resolution) and lattice_box None or an integer >= 0, got scale {scale}, "
+            f"resolution {resolution} and lattice_box {lattice_box}")
     f = g.field
     d = f.degree
     if d > 3:
@@ -543,49 +588,54 @@ def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=1
     clouds, err = clouds_at_depth(g, depth)
     v1 = f.v[0].real
     h = scale / resolution
-    ns = [max(2, int((float(iv.hi) - float(iv.lo)) / (h / 2)) + 1) for iv in g.J]
+    ends = [(float(iv.lo), float(iv.hi)) for iv in g.J]
+    ns = [max(2, int((hi - lo) / (h / 2)) + 1) for lo, hi in ends]
     size = sum(n * len(c) for n, c in zip(ns, clouds))
     _check_bytes(size, d, "translate scene")
+    ncells = int(resolution) ** d
+    _check_bytes(ncells, 1, "coverage grid")
     # the scene column-major: row k of cols holds coordinate k of every point
     cols = np.empty((d, size))
     r = 0
-    for iv, n, c in zip(g.J, ns, clouds):
-        line = np.linspace(float(iv.lo), float(iv.hi), n, endpoint=False)
+    for (lo, hi), n, c in zip(ends, ns, clouds):
+        line = np.linspace(lo, hi, n, endpoint=False)
         amb = c @ f.hmat
         for k in range(d):
             # a contiguous slice, so reshape gives a view for outer to fill
             np.subtract.outer(line * v1[k], amb[:, k],
                               out=cols[k, r:r + n * len(c)].reshape(n, len(c)))
         r += n * len(c)
+    top, bottom = cols.max(axis=1), cols.min(axis=1)
     if lattice_box is None:
-        lo_m = np.floor(-cols.max(axis=1) / scale).astype(int) - 1
-        hi_m = np.ceil((scale - cols.min(axis=1)) / scale).astype(int) + 1
+        lo_m = np.floor(-top / scale).astype(int) - 1
+        hi_m = np.ceil((scale - bottom) / scale).astype(int) + 1
     else:
         lo_m = np.full(d, -lattice_box, dtype=int)
         hi_m = np.full(d, lattice_box, dtype=int)
     # (translate, cell) keys: translates in the box, cells in [0, resolution)
     frame = cell_frame(np.array([np.r_[lo_m, [0] * d], np.r_[hi_m, [resolution - 1] * d]]))
+    # cell_keys' mixed radix is linear: a key is sum((column - lo) * weight)
+    weights = [math.prod(int(s) for s in frame[1][k + 1:]) for k in range(2 * d)]
+    band = [16 * math.ulp(max(-a, b) + scale) for a, b in zip(bottom, top)]
     keys = []
     for s in range(0, cols.shape[1], _SLICE_ROWS):
         xs = cols[:, s:s + _SLICE_ROWS]
-        m0s = -np.floor(xs / scale)
-        # ok[k][e]: coordinate k of translate m0 + e is in the box and lands in [0, scale)
-        ok = []
-        for x, m0, lo, hi in zip(xs, m0s, lo_m, hi_m):
-            m = m0 + _STEPS[:, None]
+        key = np.zeros(xs.shape[1], dtype=np.int64)
+        clear = np.ones(xs.shape[1], dtype=bool)    # no coordinate in the band
+        boxed = np.ones(xs.shape[1], dtype=bool)    # m in the box
+        for k, x in enumerate(xs):
+            m = -np.floor(x / scale)
             sh = x + m * scale
-            ok.append((sh >= 0) & (sh < scale) & (m >= lo) & (m <= hi))
-        part = [np.zeros(0, dtype=np.int64)]
-        for off in itertools.product(_STEPS, repeat=d):
-            sel = np.flatnonzero(np.logical_and.reduce([ok[k][e] for k, e in enumerate(off)]))
-            if len(sel):
-                ms = [m0s[k, sel] + e for k, e in enumerate(off)]
-                cells = [np.clip(np.floor((xs[k, sel] + m * scale) / h).astype(np.int64),
-                                 0, resolution - 1) for k, m in enumerate(ms)]
-                part.append(cell_keys([m.astype(np.int64) for m in ms] + cells, frame))
+            clear &= (sh >= band[k]) & (sh < scale - band[k])
+            boxed &= (m >= lo_m[k]) & (m <= hi_m[k])
+            cell = np.clip(np.floor(sh / h).astype(np.int64), 0, resolution - 1)
+            key += (m.astype(np.int64) - lo_m[k]) * weights[k] + cell * weights[d + k]
+        part = [key[clear & boxed]]
+        rows = np.flatnonzero(~clear)
+        if len(rows):
+            part.append(_step_keys(xs[:, rows], scale, h, resolution, lo_m, hi_m, frame))
         keys.append(np.unique(np.concatenate(part), return_counts=True)[0])    # see unique_cells
     keys = np.unique(np.concatenate(keys), return_counts=True)[0]
-    ncells = resolution ** d
     mvs = np.stack(np.unravel_index(np.unique(keys // ncells), tuple(frame[1][:d])), axis=1)
     translates = tuple(map(tuple, (mvs + lo_m).tolist()))
     counts = np.bincount(keys % ncells, minlength=ncells)

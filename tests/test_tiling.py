@@ -642,36 +642,83 @@ def test_cloud_depth_is_validated_and_walked_without_recursion(golden_pm1):
 
 
 @pytest.mark.parametrize("kw", [{"scale": 0}, {"scale": -1}, {"scale": -0.5},
-                                {"resolution": 0}, {"scale": float("nan")}])
+                                {"resolution": 0}, {"scale": float("nan")},
+                                {"resolution": 2.5}, {"lattice_box": -1},
+                                {"lattice_box": 1.5}, {"scale": float("inf")}])
 def test_translates_reject_bad_scale_and_resolution(golden_pm1, kw):
     vd, g, _ = stage_cache(golden_pm1)
     with pytest.raises(ValidationError, match="scale > 0 and resolution >= 1"):
         torus_translates(golden_pm1, vd, g, 4, **kw)
 
 
-def test_translates_match_loop_where_x_over_scale_rounds():
+def _pairs_graph(xs):
     # a stand-in graph whose scene is every pair of the given coordinates:
     # the interval [x, x] and v1 = (1, 0) give the first, the cloud the second
-    xs = []
-    for scale in (0.7, 1.5, 0.3):
+    field = types.SimpleNamespace(degree=2, v=[np.array([1.0, 0.0])],
+                                  hmat=np.array([[0.0, -1.0]]))
+    cloud = np.array(xs)[:, None]
+    return types.SimpleNamespace(field=field, J=[types.SimpleNamespace(lo=x, hi=x) for x in xs],
+                                 _cloud_cache={1: ([cloud] * len(xs), 0.0)})
+
+
+def test_translates_match_loop_where_x_over_scale_rounds(monkeypatch):
+    # rows in the rounding band go to the exact three-step product: count them
+    band = []
+    step_keys = tiling._step_keys
+    monkeypatch.setattr(tiling, "_step_keys",
+                        lambda xs, *args: band.append(xs.shape[1]) or step_keys(xs, *args))
+
+    def match(xs, **kw):
+        band.clear()
+        scene = _assert_translates_match(None, None, _pairs_graph(xs), 1, **kw)
+        return scene, sum(band)
+
+    scales = (0.7, 1.5, 0.3, 1.0)
+    xs = [-2.0 ** -60]
+    for scale in scales:
         for k in range(-3, 4):
             x = k * scale
             for _ in range(4):
                 xs.append(x)
                 x = np.nextafter(x, -np.inf)
-    field = types.SimpleNamespace(degree=2, v=[np.array([1.0, 0.0])],
-                                  hmat=np.array([[0.0, -1.0]]))
-    cloud = np.array(xs)[:, None]
-    g = types.SimpleNamespace(field=field, J=[types.SimpleNamespace(lo=x, hi=x) for x in xs],
-                              _cloud_cache={1: ([cloud] * len(xs), 0.0)})
     rounded = 0
-    for scale in (0.7, 1.5, 0.3):
+    for scale in scales:
         m = -np.floor(np.array(xs) / scale)
         rounded += int(np.sum(np.array(xs) + m * scale < 0))
         for kw in ({}, {"lattice_box": 2}, {"resolution": 7}):
-            scene = _assert_translates_match(None, None, g, 1, scale=scale, **kw)
+            scene, rows = match(xs, scale=scale, **kw)
             assert len(scene.translates) > 1
+            assert 0 < rows < len(scene.scene_points)
     assert rounded > 0      # the scene does hold points where x/scale rounds up
+    # at scale 1, x = -2**-60 has x + 1 round to 1.0: no step lands
+    assert -2.0 ** -60 + 1.0 == 1.0
+    scene, rows = match([-2.0 ** -60], scale=1)
+    assert scene.translates == () and scene.coverage == {0: 1.0}
+    assert rows == len(scene.scene_points)
+    # far from the origin the band, 16 ulps of |x|, is widest: 2**-11 near
+    # 1.9e11, 2**-8 near 1.6e12, all of [0, 0.7) past 2**47; points on and
+    # halfway between multiples of the scale
+    for m, scale in ((3 * 2 ** 38, 0.7), (-(2 ** 40), 1.5), (2 ** 48, 0.7)):
+        xs = [(m + k + half) * scale for k in range(-3, 4) for half in (0, 0.5)]
+        scene, rows = match(xs, scale=scale)
+        assert scene.translates
+        if abs(xs[0]) < 2 ** 47:
+            assert 0 < rows < len(scene.scene_points)
+        else:
+            assert rows == len(scene.scene_points)
+
+
+def test_translates_peak_memory_is_the_scene(golden_pm1):
+    # the pass allocates per slice, never a second copy of the scene
+    vd, g, _ = stage_cache(golden_pm1)
+    clouds_at_depth(g, 15)
+    tracemalloc.start()
+    try:
+        scene = torus_translates(golden_pm1, vd, g, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= scene.scene_points.nbytes + 4 * 2 ** 20, (peak, scene.scene_points.nbytes)
 
 
 def test_byte_budget_stops_large_allocations(monkeypatch, golden_pm1, tribonacci):
@@ -689,6 +736,10 @@ def test_byte_budget_stops_large_allocations(monkeypatch, golden_pm1, tribonacci
         torus_translates(t, vd, g, 16)
     assert ei.value.info["bytes"] > limit
     assert torus_translates(t, vd, g, 6, resolution=10).coverage
+    # a small scene with 10**12 coverage cells stops before it is built
+    with pytest.raises(BudgetExceeded, match="coverage grid") as ei:
+        torus_translates(t, vd, g, 6, scale=10 ** 6, resolution=10 ** 6)
+    assert ei.value.info == {"points": 10 ** 12, "bytes": 8 * 10 ** 12, "limit": limit}
     # the decision allocates no cloud, so it fits under the same limit
     pset = purely_periodic_points(t)
     assert decide_tiling(t, g, pset).verdict == "multiple"
