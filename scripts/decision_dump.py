@@ -13,9 +13,10 @@ entry.  The decision entry holds the size of the neighbour core, the
 verdict, overlapping pairs, ``candidates_checked``, spectral gaps and the
 state and edge counts of its difference graph (read by wrapping
 ``sofic.build_diff_transducer``), so a change to the graph shows even when
-the verdict holds.  The field entry holds the certified real enclosures of
-the conjugates (``_real_encl``, read last, so a change in how far
-comparisons refine them shows) and the contraction bound ``rho``.  Each
+the verdict holds.  The field entry holds the certified disk of every
+conjugate in index order, as the exact rational centre (real and imaginary
+part) and radius (``_disks``, read last, so a change in how far comparisons
+refine them shows), and the contraction bound ``rho``.  Each
 config's factor automaton is written without its state numbering: the state
 count, the transitions relabeled breadth-first from the initial state over
 the digits in index order (-1 is the dead state) and
@@ -23,8 +24,9 @@ the digits in index order (-1 is the dead state) and
 when they are isomorphic.  Field elements are written as their rational
 coordinates and floats as ``float.hex``, and keys are sorted, so two
 checkouts give the same outputs exactly when ``diff`` finds the two files
-identical.  The dump of a checkout older than the neighbour core needs that
-checkout's own copy of this script.
+identical.  The dump of a checkout older than the neighbour core, or older
+than the disks for real conjugates, needs that checkout's own copy of this
+script.
 """
 
 import json
@@ -107,8 +109,8 @@ def main(argv=None):
             "graph_states": len(td.states),
             "graph_edges": len(td.edges)}
         f = t.field
-        row["field"] = {"real_enclosures": {str(j): [str(lo), str(hi)]
-                                            for j, (lo, hi) in sorted(f._real_encl.items())},
+        row["field"] = {"disks": [[str(dk.re), str(dk.im), str(dk.radius)]
+                                  for _, dk in sorted(f._disks.items())],
                         "rho": f.rho.hex()}
         dump[path.stem] = row
         print(path.stem, file=sys.stderr, flush=True)

@@ -10,8 +10,8 @@ rounding u*S and the Horner rounding gamma_2d*S (Higham), where
 S = sum |c_k| B^k, delta bounds |beta - float beta|, B >= beta and u = 2^-53;
 the sum is doubled to cover the rounding of the bound itself.  Only when v is
 within e of zero (or of an integer, for the floor) does the exact path run:
-certified rational enclosures of the real embedding, refined until the sign
-is decided.  One routine, :func:`_num_sign`, decides every sign this way, on
+the certified embedding of :func:`_embed`, refined until the sign is
+decided.  One routine, :func:`_num_sign`, decides every sign this way, on
 coordinates given as integer numerators over one denominator; a comparison
 forms its difference and calls it, and callers that hold points with
 certified float spans reach it only when two spans overlap:
@@ -30,6 +30,13 @@ the row of 1/beta = (beta^(d-1) - c1 beta^(d-2) - ... - c(d-1))/cd, integral
 because cd = +-1.  Each costs about d multiplications.  A transform holds
 its digits' numerators over its own frame once; the field holds the integer
 rows of beta^k in a table that grows on demand (:meth:`PisotField._power`).
+
+Every conjugate beta_j, real or not, is one certified disk with a Gaussian
+dyadic centre, and one counting argument certifies them all
+(:mod:`.rootiso`): d pairwise disjoint disks that each hold a root hold one
+each.  Every embedding Gamma_j(x), for the float value, the floor, the sign
+and the hyperplane, is one routine (:func:`_embed`): integer Horner at the
+disk's centre plus the radius times a derivative bound.
 
 Every exact linear solve is one fraction-free forward elimination on
 integers (:func:`_bareiss`) and one back-substitution: inverses, periodic
@@ -55,9 +62,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FieldMismatch, NotIrreducible, NotPisot, NotUnit, ValidationError
-from .rootiso import (RootDisk, _gauss_horner, certified_complex_roots,
-                      is_irreducible_monic, isolate_real_roots, poly_deriv,
-                      refine_disk, refine_root, sqrt_upper)
+from .rootiso import (_ceil_scaled, _gauss_horner, certified_roots, is_irreducible_monic,
+                      poly_deriv, refine_disk)
 
 LT, EQ, GT = -1, 0, 1
 
@@ -67,20 +73,7 @@ _CIRCLE_TRIES = 4                # squarings of a disk radius that straddles |z|
 
 
 # ---------------------------------------------------------------------------
-# rational interval helpers
-
-def _imul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(ps), max(ps)
-
-
-def _horner_interval(coords, lo, hi):
-    acc = (Fraction(0), Fraction(0))
-    for c in reversed(coords):
-        acc = _imul(acc, (lo, hi))
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
-
+# numeric helpers
 
 def _to_float_up(fr):
     """Float upper bound of a nonnegative Fraction."""
@@ -107,17 +100,23 @@ class PisotField:
     """Algebraic environment for a Pisot unit: conjugates, companion matrix,
     normalized eigenvectors and the contracting-hyperplane basis.
 
-    The real conjugates are Sturm-isolated rational intervals; the complex
-    ones are disks certified by Newton steps on Gaussian dyadics with integer
-    Horner (:mod:`.rootiso`).  A request for a tighter enclosure refines it in
-    place, a disk by Newton steps from its own centre (its mirror partner
-    takes the mirror image); a new disk is kept only inside the old one, so
-    index j names the same root for the life of the field.
+    Every conjugate, real or not, is one disk in ``_disks`` with a Gaussian
+    dyadic centre, certified by one counting argument (:mod:`.rootiso`): the
+    d disks from Newton steps, with the mirrors of the non-real ones, are
+    pairwise disjoint, so each holds exactly one root, real exactly when the
+    disk is centred on the axis.  A request for a tighter enclosure refines a
+    disk in place by Newton steps from its own centre (a non-real disk's
+    mirror partner takes the mirror image); a new disk is kept only inside
+    the old one, so index j names the same root for the life of the field.
+    Every embedding x -> Gamma_j(x) is one routine, :func:`_embed`: integer
+    Horner at the disk's centre plus the radius times a derivative bound.
     Construct with :func:`make_field`; instances are immutable apart from
     these monotone refinement caches, and safe to share between threads.
     """
 
     def __init__(self, coeffs):
+        if any(int(c) != c for c in coeffs):
+            raise ValidationError(f"coefficients {coeffs} are not all integers")
         coeffs = tuple(int(c) for c in coeffs)
         d = len(coeffs)
         if d < 2:
@@ -127,8 +126,8 @@ class PisotField:
         self.coeffs = coeffs
         self.degree = d
         # minimal polynomial x^d - c1 x^(d-1) - ... - cd, ascending coefficients
-        self.min_poly = [Fraction(-c) for c in reversed(coeffs)] + [Fraction(1)]
-        if not is_irreducible_monic([int(c) for c in self.min_poly]):
+        self.min_poly = [-c for c in reversed(coeffs)] + [1]
+        if not is_irreducible_monic(self.min_poly):
             raise NotIrreducible(f"x^{d} - " + " - ".join(
                 f"{c}*x^{d - i - 1}" for i, c in enumerate(coeffs)) + " factors over Q")
         self._init_conjugates()
@@ -139,42 +138,25 @@ class PisotField:
     # -- conjugate certification ------------------------------------------
 
     def _init_conjugates(self):
-        p = self.min_poly
-        real_ivs = isolate_real_roots(p)
-        real_ivs = [refine_root(p, lo, hi, Fraction(1, 2 ** 80)) for lo, hi in real_ivs]
-        n_complex = self.degree - len(real_ivs)
-
-        # classify: exactly one real root > 1, everything else inside the unit circle
-        big = [iv for iv in real_ivs if iv[0] > 1]
-        if len(big) != 1:
+        disks = certified_roots(self.min_poly)
+        # conjugates[0] is beta itself, the largest real root; then the real
+        # conjugates ascending, then complex conjugate pairs (Im > 0 first,
+        # mirror second)
+        n_real = sum(1 for dk in disks if not dk.im)
+        if not n_real or disks[n_real - 1].re - disks[n_real - 1].radius <= 1:
             raise NotPisot("expected exactly one real root > 1")
-        beta1 = big[0]
-        small = []
-        for lo, hi in real_ivs:
-            if (lo, hi) == beta1:
-                continue
-            while not (abs(lo) < 1 and abs(hi) < 1):
-                if lo >= 1 or hi <= -1:
-                    raise NotPisot(f"real conjugate in [{float(lo)}, {float(hi)}] not inside unit circle")
-                lo, hi = refine_root(p, lo, hi, (hi - lo) / 16)
-            small.append((lo, hi))
-        small.sort()
-        # conjugates[0] is beta itself; then real conjugates ascending, then
-        # complex conjugate pairs (Im > 0 first, mirror second)
-        self._real_encl = dict(enumerate([beta1] + small))
-        self._kinds = ["real"] * len(self._real_encl) + ["complex"] * n_complex
-        self._disks = dict(enumerate(certified_complex_roots(p, n_complex), len(self._real_encl)))
-        for j in list(self._disks)[::2]:
-            # a pair that straddles the unit circle is refined in place
+        self._disks = dict(enumerate([disks[n_real - 1]] + disks[:n_real - 1] + disks[n_real:]))
+        for j in range(1, self.degree):
+            # a disk that straddles the unit circle is refined in place
             for _ in range(_CIRCLE_TRIES):
                 disk = self._disks[j]
                 if disk.abs_upper() < 1:
                     break
                 if disk.abs_lower() > 1:
-                    raise NotPisot("complex conjugate outside unit circle")
+                    raise NotPisot(f"conjugate {disk!r} outside unit circle")
                 self._refine_disk(j, disk.radius ** 2)
             else:
-                raise NotPisot("complex conjugate not certified inside unit circle")
+                raise NotPisot("conjugate not certified inside unit circle")
         rho = max(self.conj_abs_upper(j) for j in range(1, self.degree))
         if rho >= 1:
             raise NotPisot("contraction ratio not below 1")
@@ -183,9 +165,9 @@ class PisotField:
     def _init_float_filter(self):
         # beta-hat, delta >= |beta - beta-hat| and a float B >= beta-hat + delta
         # for the bound of _float_value, from the current beta enclosure
-        lo, hi = self._refine_real(0, Fraction(1, 2 ** 64))
-        b = float((lo + hi) / 2)
-        delta = _to_float_up(max(hi - Fraction(b), Fraction(b) - lo))
+        disk = self._disks[0]
+        b = float(disk.re)
+        delta = _to_float_up(abs(disk.re - Fraction(b)) + disk.radius)
         big = Fraction(b) + Fraction(delta)
         d = self.degree
         u = 2.0 ** -53
@@ -195,34 +177,23 @@ class PisotField:
         # underflow: each of the at most 4d roundings adds at most 2^-1075
         self._float_abs = _to_float_up(sum(big ** k for k in range(d)) / 2 ** 1000)
 
-    def _refine_real(self, j, width):
-        lo, hi = self._real_encl[j]
-        if hi - lo > width:
-            lo, hi = refine_root(self.min_poly, lo, hi, width)
-            self._real_encl[j] = (lo, hi)
-        return self._real_encl[j]
-
     def _refine_disk(self, j, radius):
         disk = self._disks[j]
         if disk.radius > radius:
             disk = self._disks[j] = refine_disk(self.min_poly, disk, radius)
-            self._disks[j + 1 if disk.im > 0 else j - 1] = disk.mirror()
+            if disk.im:
+                self._disks[j + 1 if disk.im > 0 else j - 1] = disk.mirror()
         return disk
 
     def conj_kind(self, j):
-        return self._kinds[j]
+        return "complex" if self._disks[j].im else "real"
 
     def conj_enclosure(self, j, width=Fraction(1, 2 ** 60)):
-        """Certified enclosure of the j-th conjugate (0-based; 0 is beta)."""
-        if self._kinds[j] == "real":
-            lo, hi = self._refine_real(j, width)
-            return RootDisk((lo + hi) / 2, Fraction(0), (hi - lo) / 2)
+        """Certified disk of radius <= ``width`` around the j-th conjugate
+        (0-based; 0 is beta)."""
         return self._refine_disk(j, width)
 
     def conj_abs_upper(self, j):
-        if self._kinds[j] == "real":
-            lo, hi = self._real_encl[j]
-            return max(abs(lo), abs(hi))
         return self._disks[j].abs_upper()
 
     # -- linear data --------------------------------------------------------
@@ -291,7 +262,7 @@ class PisotField:
         blocks = []   # ('real', j) or ('pair', j) with j the Im>0 member
         j = 1
         while j < d:
-            if self._kinds[j] == "real":
+            if self.conj_kind(j) == "real":
                 blocks.append(("real", j))
                 j += 1
             else:
@@ -628,8 +599,8 @@ class QBeta:
         return qb_compare(self, self._chk(other)) != LT
 
     def __float__(self):
-        lo, hi = gamma_interval(self, 0, Fraction(1, 2 ** 60))
-        return float((lo + hi) / 2)
+        v, _, _, den = _embed(self.field, self.coords, 0, Fraction(1, 2 ** 61))
+        return v / den
 
     def __abs__(self):
         return -self if qb_compare(self, self.field.zero) == LT else self
@@ -641,42 +612,42 @@ class QBeta:
 # ---------------------------------------------------------------------------
 # embeddings
 
+def _embed(fld, coords, j, radius, q=1):
+    """The j-th embedding of sum_k c_k beta^k / q, for coordinates c (ints or
+    Fractions) and an integer q > 0, as integers (re, im, rad, den): the
+    value lies within rad / den of (re + im i) / den, and rad / den <=
+    ``radius``.
+
+    (re + im i) / den is the value at the Gaussian dyadic centre z of the
+    conjugate's disk, by integer Horner (:func:`_gauss_horner`) on the
+    numerators n_k over one denominator m.  Every point of a disk of radius
+    r holds |.| <= B for the integer B = floor(|Re z| + |Im z|) + 1 + ceil(r),
+    so the value moves by at most r sum_k k |n_k| B^(k-1) / m across it.
+    While that exceeds ``radius`` the disk is refined in place.
+    """
+    m = math.lcm(*(c.denominator for c in coords))
+    n = [c.numerator * (m // c.denominator) for c in coords]
+    shift, m = len(n) - 1, m * q
+    while True:
+        disk = fld._disks[j]
+        a, b, e = disk.a, disk.b, disk.k
+        big = ((abs(a) + abs(b)) >> e) + 1 + _ceil_scaled(disk.radius, 0)
+        slope = sum(k * abs(c) * big ** (k - 1) for k, c in enumerate(n) if k)
+        den = m << (e * shift)
+        rad = _ceil_scaled(disk.radius, e * shift) * slope
+        if rad * radius.denominator <= radius.numerator * den:
+            re, im = _gauss_horner(n, a, b, e)
+            return re, im, rad, den
+        fld._refine_disk(j, min(disk.radius / 2, radius * m / (2 * slope)))
+
+
 def gamma_interval(x, j, width):
-    """Certified rational interval for a real embedding of x (0-based j)."""
-    fld = x.field
-    if fld.conj_kind(j) != "real":
+    """Certified rational interval of width <= ``width`` for a real
+    embedding of x (0-based j): the real-axis view of :func:`_embed`."""
+    if x.field.conj_kind(j) != "real":
         raise ValidationError("gamma_interval needs a real conjugate")
-    scale = 1 + sum(abs(c) for c in x.coords)
-    w = Fraction(width) / (scale * 4 * fld.degree)
-    while True:
-        lo, hi = fld._refine_real(j, w)
-        vlo, vhi = _horner_interval(x.coords, lo, hi)
-        if vhi - vlo <= width:
-            return vlo, vhi
-        w /= 16
-
-
-def gamma_disk(x, j, radius):
-    """Certified rational disk (re, im, rad) for a complex embedding of x."""
-    fld = x.field
-    scale = 1 + sum(abs(c) for c in x.coords)
-    r = Fraction(radius) / (scale * 4 * fld.degree)
-    while True:
-        disk = fld._refine_disk(j, r)
-        a, b, e = disk.dyadic()
-        den = math.lcm(*(c.denominator for c in x.coords))
-        vr, vi = _gauss_horner([int(c * den) for c in x.coords], a, b, e)
-        den <<= e * (len(x.coords) - 1)
-        val = Fraction(vr, den), Fraction(vi, den)
-        cabs = sqrt_upper(disk.re ** 2 + disk.im ** 2) + disk.radius
-        dbound = Fraction(0)
-        for k, cf in enumerate(x.coords):
-            if k >= 1 and cf != 0:
-                dbound += k * abs(cf) * cabs ** (k - 1)
-        rad = disk.radius * dbound
-        if rad <= radius:
-            return val[0], val[1], rad
-        r /= 16
+    re, _, rad, den = _embed(x.field, x.coords, j, Fraction(width) / 2)
+    return Fraction(re - rad, den), Fraction(re + rad, den)
 
 
 def gamma(x, j, precision=53):
@@ -686,23 +657,17 @@ def gamma(x, j, precision=53):
     times max(1, |x|) plus float-conversion slack.
     """
     target = Fraction(1, 2 ** precision) * (1 + sum(abs(c) for c in x.coords))
-    if x.field.conj_kind(j) == "real":
-        lo, hi = gamma_interval(x, j, target)
-        mid = (lo + hi) / 2
-        conv = abs(mid - Fraction(float(mid)))
-        return Enclosure(float(mid), _to_float_up((hi - lo) / 2 + conv) + 5e-324)
-    re, im, rad = gamma_disk(x, j, target)
-    conv = abs(re - Fraction(float(re))) + abs(im - Fraction(float(im)))
-    return Enclosure(complex(float(re), float(im)), _to_float_up(rad + conv) + 5e-324)
+    re, im, rad, den = _embed(x.field, x.coords, j, target)
+    center = complex(re / den, im / den)
+    conv = (abs(Fraction(re, den) - Fraction(center.real))
+            + abs(Fraction(im, den) - Fraction(center.imag)))
+    return Enclosure(center, _to_float_up(Fraction(rad, den) + conv) + 5e-324)
 
 
 def gamma_abs_upper(x, j):
     """Certified rational upper bound for |Gamma_j(x)|."""
-    if x.field.conj_kind(j) == "real":
-        lo, hi = gamma_interval(x, j, Fraction(1, 2 ** 30))
-        return max(abs(lo), abs(hi))
-    re, im, rad = gamma_disk(x, j, Fraction(1, 2 ** 30))
-    return sqrt_upper(re * re + im * im) + rad
+    re, im, rad, den = _embed(x.field, x.coords, j, Fraction(1, 2 ** 30))
+    return Fraction(math.isqrt(re * re + im * im) + 1 + rad, den)
 
 
 def _float_value(fld, coords, q=1):
@@ -741,7 +706,7 @@ def _num_sign(fld, n, q=1):
 
     The sign of the float value v of :func:`_float_value` is returned when
     |v| exceeds its certified bound e; inside that band all-zero coordinates
-    are EQ, and otherwise the exact loop runs: :func:`gamma_interval`,
+    are EQ, and otherwise the exact loop runs: :func:`_embed` at beta,
     narrowed by 2^-64 per round until it excludes zero.  Every exact
     comparison of the library ends here, on a difference it has formed.
     """
@@ -752,15 +717,14 @@ def _num_sign(fld, n, q=1):
         return LT
     if not any(n):
         return EQ
-    x = QBeta(fld, tuple(Fraction(c, q) for c in n))
-    width = Fraction(1, 2 ** 64)
+    radius = Fraction(1, 2 ** 64)
     while True:
-        lo, hi = gamma_interval(x, 0, width)
-        if lo > 0:
+        v, _, rad, _ = _embed(fld, n, 0, radius, q)
+        if v > rad:
             return GT
-        if hi < 0:
+        if v < -rad:
             return LT
-        width /= 2 ** 64
+        radius /= 2 ** 64
 
 
 def _span_compare(fld, x, y, q, sx, sy, ys=1):
@@ -883,20 +847,20 @@ def qb_floor(x):
     """Exact floor of a field element.
 
     Returns the floor of the float interval of :func:`_float_span` when both
-    its ends have the same floor; otherwise refines rational enclosures of x
-    until their floors agree.
+    its ends have the same floor; otherwise narrows the enclosure of x from
+    :func:`_embed` until its ends have the same floor.
     """
     if x.is_rational():
         return math.floor(x.coords[0])
     lo, hi = _float_span(x.field, x.coords)
     if hi - lo < 1 and math.floor(lo) == math.floor(hi):
         return math.floor(lo)
-    width = Fraction(1, 16)
+    radius = Fraction(1, 32)
     while True:
-        lo, hi = gamma_interval(x, 0, width)
-        if math.floor(lo) == math.floor(hi):
-            return math.floor(lo)
-        width /= 256
+        v, _, rad, den = _embed(x.field, x.coords, 0, radius)
+        if (v - rad) // den == (v + rad) // den:
+            return (v - rad) // den
+        radius /= 256
 
 
 def qb_ceil(x):

@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from betatiling import numfield
 from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
 from betatiling import rootiso
 from betatiling.numfield import (EQ, GT, LT, PisotField, _back_substitute, _bareiss, _cramer,
-                                 _float_value, _horner_interval, _num_div, _num_step, gamma,
-                                 gamma_interval, make_field, phi, pi1, psi, qb_compare,
-                                 qb_floor)
-from betatiling.rootiso import isolate_real_roots, poly_divmod, refine_root
+                                 _float_value, _num_div, _num_step, gamma, gamma_interval,
+                                 make_field, phi, pi1, psi, qb_compare, qb_floor)
+from betatiling.rootiso import certified_roots, is_irreducible_monic
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -62,6 +60,15 @@ def test_not_irreducible():
         make_field(0, 1)          # x^2 - 1
     with pytest.raises(NotIrreducible):
         make_field(2, 0, -2, 1)   # has rational root 1
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 1), (Fraction(3, 2), 1), (1, 1.000001)])
+def test_non_integer_coefficients_are_refused(coeffs):
+    with pytest.raises(ValidationError):
+        make_field(*coeffs)
+    with pytest.raises(ValidationError):
+        transform_from_config({"preset": "greedy", "field": list(coeffs)})
+    assert make_field(1.0, Fraction(1)) == make_field(1, 1)
 
 
 def test_not_pisot():
@@ -359,14 +366,33 @@ def test_floor_and_simple_rational(golden):
 # ---------------------------------------------------------------------------
 # float filter against the exact interval loop
 
+def _imul(a, b):
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(ps), max(ps)
+
+
+def _horner_interval(coords, lo, hi):
+    acc = (Fraction(0), Fraction(0))
+    for c in reversed(coords):
+        acc = _imul(acc, (lo, hi))
+        acc = (acc[0] + c, acc[1] + c)
+    return acc
+
+
+def _beta_interval(f, width):
+    disk = f.conj_enclosure(0, width / 2)
+    return disk.re - disk.radius, disk.re + disk.radius
+
+
 def _ref_compare(x, y):
-    """qb_compare without the float filter: the exact interval Horner loop."""
+    """qb_compare without the float filter: Fraction interval Horner on a
+    rational interval around beta."""
     if x.coords == y.coords:
         return EQ
     diff = tuple(a - b for a, b in zip(x.coords, y.coords))
     width = Fraction(1, 2 ** 64)
     while True:
-        lo, hi = x.field._refine_real(0, width)
+        lo, hi = _beta_interval(x.field, width)
         vlo, vhi = _horner_interval(diff, lo, hi)
         if vlo > 0:
             return GT
@@ -378,7 +404,7 @@ def _ref_compare(x, y):
 def _ref_floor(x):
     width = Fraction(1, 16)
     while True:
-        lo, hi = x.field._refine_real(0, width)
+        lo, hi = _beta_interval(x.field, width)
         vlo, vhi = _horner_interval(x.coords, lo, hi)
         if math.floor(vlo) == math.floor(vhi):
             return math.floor(vlo)
@@ -454,76 +480,6 @@ def test_float_filter_huge_coordinates_take_exact_path(golden, tribonacci):
 
 
 # ---------------------------------------------------------------------------
-# root refinement on integers against the Fraction bisection
-
-def _refine_root_reference(p, lo, hi, width):
-    """Bisection of (lo, hi] on Fractions, evaluating p by Fraction Horner."""
-    def ev(x):
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * x + c
-        return acc
-
-    sign_lo = 1 if ev(lo) > 0 else -1
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = ev(mid)
-        if fm == 0:
-            eps = (hi - lo) / 16
-            return (mid - eps, mid + eps) if hi - lo <= width * 8 else (mid - width / 2, mid + width / 2)
-        if (1 if fm > 0 else -1) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-REFINE_FIELDS = {"golden": (1, 1), "tribonacci": (1, 1, 1), "smallest_pisot": (0, 1, 1),
-                 "cubic_30m1": (3, 0, -1), "quartic_1001": (1, 0, 0, 1),
-                 "tetranacci": (1, 1, 1, 1)}
-
-
-@pytest.mark.parametrize("name", sorted(REFINE_FIELDS))
-def test_integer_refine_root_matches_fraction_bisection(name):
-    f = make_field(*REFINE_FIELDS[name])
-    p = f.min_poly
-    ivs = isolate_real_roots(p)
-    assert ivs
-    for bits in (80, 200):
-        width = Fraction(1, 2 ** bits)
-        for lo, hi in ivs:
-            got = refine_root(p, lo, hi, width)
-            assert got == _refine_root_reference(p, lo, hi, width), (name, bits)
-            assert got[1] - got[0] <= width
-
-
-@pytest.mark.parametrize("name", sorted(REFINE_FIELDS))
-def test_field_constants_match_fraction_refinement(name, monkeypatch):
-    # the enclosures, rho and the float-filter constants of make_field are
-    # those of the Fraction bisection
-    got = make_field(*REFINE_FIELDS[name])
-    monkeypatch.setattr(numfield, "refine_root", _refine_root_reference)
-    want = make_field(*REFINE_FIELDS[name])
-    assert got._real_encl == want._real_encl
-    assert got.rho.hex() == want.rho.hex()
-    for attr in ("_float_beta", "_float_big", "_float_rel", "_float_abs"):
-        assert getattr(got, attr).hex() == getattr(want, attr).hex(), attr
-
-
-def test_refine_root_keeps_the_root_when_p_vanishes_at_the_left_end():
-    # x^2 - 3x/10 has the roots 0 and 3/10; (0, 1] isolates 3/10
-    p = [0, Fraction(-3, 10), 1]
-    lo, hi = refine_root(p, 0, 1, Fraction(1, 1000))
-    assert lo < Fraction(3, 10) <= hi and hi - lo <= Fraction(1, 1000)
-    # the root at the right end is kept as well, and a left end at a root
-    # of p and p' is refused
-    lo, hi = refine_root([Fraction(-3, 10), 1], 0, Fraction(3, 10), Fraction(1, 1000))
-    assert lo < Fraction(3, 10) == hi
-    with pytest.raises(ValidationError):
-        refine_root([0, 0, -1, 1], 0, 2, Fraction(1, 1000))
-
-
-# ---------------------------------------------------------------------------
 # certified complex conjugates
 
 CUBIC_UNITS = [(0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, -1, 1), (2, 0, 1),
@@ -549,10 +505,12 @@ def test_cubic_units_of_the_survey_range():
 
 
 def _oracle_roots(p):
-    # the non-real roots of p by mpmath at 150 digits, far below any radius
+    # every root of p by mpmath at 150 digits, far below any radius; a root
+    # of |Im| below 10^-100 is real
     with mpmath.workdps(150):
         roots = mpmath.polyroots([int(c) for c in reversed(p)], maxsteps=400, extraprec=200)
-    return [r for r in roots if abs(mpmath.im(r)) > mpmath.mpf(10) ** -100]
+        return [mpmath.mpf(mpmath.re(r)) if abs(mpmath.im(r)) < mpmath.mpf(10) ** -100 else r
+                for r in roots]
 
 
 def _holds(disk, root):
@@ -570,37 +528,124 @@ def _inside(inner, outer):
 
 @pytest.mark.parametrize("coeffs", DISK_FIELDS)
 def test_complex_conjugate_disks_are_certified(coeffs):
+    # every conjugate's disk, the real ones included, against mpmath
     f = make_field(*coeffs)
-    disks = f._disks
+    d, disks = f.degree, f._disks
     oracle = _oracle_roots(f.min_poly)
-    assert len(disks) == len(oracle)
-    assert sorted(disks) == list(range(f.degree - len(disks), f.degree))
+    assert sorted(disks) == list(range(d)) and len(oracle) == d
+    held = []
     for j, disk in disks.items():
-        assert f.conj_kind(j) == "complex"
-        # each disk holds exactly one root, of |Im| above its radius
-        assert sum(_holds(disk, r) for r in oracle) == 1, (coeffs, j)
-        assert disk.radius < abs(disk.im)
-    for j in list(disks)[::2]:
-        up, down = disks[j], disks[j + 1]
-        assert up.im > 0 and (down.re, down.im, down.radius) == (up.re, -up.im, up.radius)
+        # each disk holds exactly one root; the axis-centred ones hold the
+        # real roots, the others the non-real ones
+        (root,) = [r for r in oracle if _holds(disk, r)]
+        held.append(root)
+        assert isinstance(root, mpmath.mpf) == (disk.im == 0) == (f.conj_kind(j) == "real")
+    assert len({id(r) for r in held}) == d
     for a, b in itertools.combinations(disks.values(), 2):
         gap = (a.re - b.re) ** 2 + (a.im - b.im) ** 2
         assert gap > (a.radius + b.radius) ** 2
+    # beta, then the real conjugates ascending, then the pairs: Im > 0 first,
+    # its mirror second, the pairs by centre
+    kinds = [f.conj_kind(j) for j in range(d)]
+    n_real = kinds.count("real")
+    assert kinds == ["real"] * n_real + ["complex"] * (d - n_real)
+    assert held[0] > 1 and all(held[j] < held[j + 1] for j in range(1, n_real - 1))
+    ups = [disks[j] for j in range(n_real, d, 2)]
+    for j in range(n_real, d, 2):
+        up, down = disks[j], disks[j + 1]
+        assert up.im > 0 and (down.re, down.im, down.radius) == (up.re, -up.im, up.radius)
+    assert ups == sorted(ups, key=lambda dk: (dk.re, dk.im))
+    # rho bounds every other conjugate and is below 1; the float filter's
+    # bound on beta covers |beta - beta-hat|
+    assert f.rho < 1 and all(abs(r) <= f.rho for r in held[1:])
+    v, e = _float_value(f, (0, 1) + (0,) * (d - 2))
+    assert v == f._float_beta
+    with mpmath.workdps(150):
+        assert abs(held[0] - mpmath.mpf(v)) <= e / (2 * d * f._float_big)
+        assert held[0] <= f._float_big
 
 
-@pytest.mark.parametrize("coeffs", [(1, 1, 1), (2, -1, 1), (1, 1, 1, 1, 1)])
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (2, -1, 1), (1, 1, 1, 1, 1), (3, 0, -1),
+                                    (1, 1, 1, 1)])
 def test_refined_disk_lies_inside_the_disk_it_refined(coeffs):
     f = PisotField(coeffs)
     oracle = _oracle_roots(f.min_poly)
-    for j in list(f._disks)[::2]:
-        old = f._disks[j]
+    for j in range(f.degree):
+        before = dict(f._disks)
+        old = before[j]
         new = f.conj_enclosure(j, Fraction(1, 2 ** 300))
         assert new.radius <= Fraction(1, 2 ** 300) and _inside(new, old)
         assert sum(_holds(new, r) for r in oracle) == 1
-        # the mirror partner took the mirror image
-        mirror = f._disks[j + 1]
-        assert (mirror.re, mirror.im, mirror.radius) == (new.re, -new.im, new.radius)
+        assert (new.im == 0) == (old.im == 0)
+        # a pair's mirror partner took the mirror image; a real disk wrote
+        # no mirror, and no other disk changed
+        partner = j + 1 if new.im > 0 else j - 1 if new.im < 0 else None
+        if partner is not None:
+            mirror = f._disks[partner]
+            assert (mirror.re, mirror.im, mirror.radius) == (new.re, -new.im, new.radius)
+        assert all(f._disks[k] is before[k] for k in before if k not in (j, partner))
         assert f.conj_enclosure(j, Fraction(1, 2 ** 300)) is new
+
+
+def _duplicate_real_seed(zs):
+    reals = [z for z in zs if z.imag == 0]
+    return [reals[0] if z == reals[1] else z for z in zs]
+
+
+def _real_seed_as_pair(zs):
+    x = next(z for z in zs if z.imag == 0)
+    return [w for z in zs for w in ((x.real + 1e-30j, x.real - 1e-30j) if z == x else (z,))]
+
+
+def _two_real_seeds_as_a_pair(zs):
+    # the seed count and the pair count stay right; only the mirror catches it
+    x, y = [z for z in zs if z.imag == 0][:2]
+    return [x.real + 1e-30j if z == x else x.real - 1e-30j if z == y else z for z in zs]
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (3, 0, -1), (1, 1, 1, 1)])
+@pytest.mark.parametrize("mutate", [_duplicate_real_seed, _real_seed_as_pair,
+                                    _two_real_seeds_as_a_pair,
+                                    lambda zs: zs[1:], lambda zs: zs[:-1]])
+def test_miscounted_seeds_are_refused(coeffs, mutate, monkeypatch):
+    # seeds that do not name every root once each never certify
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda p: np.array(mutate(list(roots(p))), dtype=complex))
+    with pytest.raises(ArithmeticError):
+        make_field(*coeffs)
+
+
+def test_monic_units_of_degree_two_to_four_are_certified():
+    # every irreducible x^d - c1 x^(d-1) - ... - cd with c in [-3, 3] and
+    # cd = +-1: d disks, as many of them axis-centred as mpmath finds real roots
+    polys = [[-cd] + [-c for c in reversed(cs)] + [1] for d in (2, 3, 4)
+             for cs in itertools.product(range(-3, 4), repeat=d - 1) for cd in (1, -1)]
+    polys = [p for p in polys if is_irreducible_monic(p)]
+    assert len(polys) == 616
+    for p in polys:
+        disks = certified_roots(p)
+        assert len(disks) == len(p) - 1
+        roots = mpmath.polyroots(p[::-1], maxsteps=50)
+        assert sum(1 for dk in disks if not dk.im) == sum(1 for r in roots if mpmath.im(r) == 0), p
+
+
+def _nearest_double(x):
+    sign, man, exp, _ = x._mpf_
+    return float((-1) ** sign * Fraction(man) * Fraction(2) ** exp)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1), (0, 1, 1)])
+def test_float_is_the_nearest_double(coeffs):
+    f = make_field(*coeffs)
+    rng = random.Random(f"float-{coeffs}")
+    with mpmath.workdps(100):
+        beta = mpmath.findroot(lambda x: mpmath.polyval(f.min_poly[::-1], x), f._float_beta)
+        for _ in range(200):
+            q, k = rng.randint(1, 10 ** 6), rng.randint(1, 40)
+            x = f.qb([Fraction(rng.randint(-10 ** k, 10 ** k), q) for _ in range(f.degree)])
+            want = sum(mpmath.mpf(c.numerator) / c.denominator * beta ** i
+                       for i, c in enumerate(x.coords))
+            assert float(x) == _nearest_double(want), x
 
 
 def test_not_pisot_and_not_irreducible_quintics():
@@ -665,8 +710,30 @@ def test_power_table_grows_on_demand(coeffs):
 # ---------------------------------------------------------------------------
 # irreducibility: the integer division against the Fraction one
 
+def _poly_divmod(p, q):
+    """Exact division of rational polynomials; returns (quotient, remainder)."""
+    p = list(p)
+    q = list(q)
+    dq = len(q) - 1
+    quot = [Fraction(0)] * max(1, len(p) - dq)
+    while len(p) - 1 >= dq and any(c != 0 for c in p):
+        while p and p[-1] == 0:
+            p.pop()
+        if len(p) - 1 < dq:
+            break
+        k = len(p) - 1 - dq
+        f = p[-1] / q[-1]
+        quot[k] = f
+        for i, c in enumerate(q):
+            p[i + k] -= f * c
+        p.pop()
+    while p and p[-1] == 0:
+        p.pop()
+    return quot, p
+
+
 def _divides_reference(g, p):
-    q, r = poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in g])
+    q, r = _poly_divmod([Fraction(c) for c in p], [Fraction(c) for c in g])
     return not r and all(c.denominator == 1 for c in q)
 
 

@@ -25,10 +25,15 @@ def _names(tree):
 
 def test_no_dead_private_definitions():
     # a private (underscore, non-dunder) function, method or class that
-    # nothing else in src/ names is dead code; names inside its own body
-    # (recursion) do not count
+    # nothing else in src/ names is dead code, and so is any module-level
+    # function or class of rootiso, public or not; names inside its own body
+    # (recursion) do not count.  The package re-exports nothing of rootiso,
+    # so an export cannot keep a root finder alive
     trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
     assert any(p.parent.name == "betatiling" for p in trees)
+    init = trees[SRC / "betatiling" / "__init__.py"]
+    assert "rootiso" not in set(_names(init)) | {
+        (n.module or "").split(".")[-1] for n in ast.walk(init) if isinstance(n, ast.ImportFrom)}
     named = {}
     for tree in trees.values():
         for name in _names(tree):
@@ -39,7 +44,7 @@ def test_no_dead_private_definitions():
             continue
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and _private(node.name)):
+                    and (_private(node.name) or path.name == "rootiso.py" and node in tree.body)):
                 own = sum(1 for name in _names(node) if name == node.name)
                 if named.get(node.name, 0) - own == 0:
                     dead.append(f"{path.name}:{node.lineno} {node.name}")
