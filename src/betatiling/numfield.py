@@ -641,15 +641,6 @@ def _embed(fld, coords, j, radius, q=1):
         fld._refine_disk(j, min(disk.radius / 2, radius * m / (2 * slope)))
 
 
-def gamma_interval(x, j, width):
-    """Certified rational interval of width <= ``width`` for a real
-    embedding of x (0-based j): the real-axis view of :func:`_embed`."""
-    if x.field.conj_kind(j) != "real":
-        raise ValidationError("gamma_interval needs a real conjugate")
-    re, _, rad, den = _embed(x.field, x.coords, j, Fraction(width) / 2)
-    return Fraction(re - rad, den), Fraction(re + rad, den)
-
-
 def gamma(x, j, precision=53):
     """Certified numeric enclosure of the j-th embedding of x (0-based).
 

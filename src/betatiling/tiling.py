@@ -114,11 +114,10 @@ class TileCloud:
         return len(self.points)
 
 
-def cell_frame(cells):
-    """Offset and span of integer rows; their mixed-radix keys must fit int64."""
-    # column by column: numpy reduces (n, d) rows along axis 0 slowly
-    lo = np.array([c.min() for c in cells.T])
-    span = np.array([c.max() for c in cells.T]) - lo + 1
+def cell_frame(columns):
+    """Offset and span of integer columns; their mixed-radix keys must fit int64."""
+    lo = np.array([c.min() for c in columns])
+    span = np.array([c.max() for c in columns]) - lo + 1
     if math.prod(int(s) for s in span) >= 1 << 63:
         raise BudgetExceeded("cell keys overflow int64", span=[int(s) for s in span])
     return lo, span
@@ -135,16 +134,37 @@ def cell_keys(columns, frame):
     return keys
 
 
-def unique_cells(cells):
-    """The distinct integer rows, in lexicographic order."""
-    lo, span = frame = cell_frame(cells)
-    # return_counts selects numpy's sort path, ~10x faster than its hash on int64
-    keys = np.unique(cell_keys(cells.T, frame), return_counts=True)[0]
-    return np.stack(np.unravel_index(keys, tuple(span)), axis=1) + lo
+def _sorted_distinct(a, kind=None):
+    """The distinct elements of a 1-d array in ascending order: one sort, then
+    a mask of equal neighbours.  A stable sort keeps the first of equal
+    elements in input order."""
+    a = np.sort(a, kind=kind)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
-def _snap(points, grid):
-    return unique_cells(np.round(points / grid).astype(np.int64)) * grid
+def _key_rows(keys, frame):
+    """The integer rows of cell keys, the inverse of :func:`cell_keys`: one
+    divmod per column, written straight into the rows."""
+    lo, span = frame
+    rows = np.empty((len(keys), len(span)), dtype=np.int64)
+    for k in range(len(span) - 1, 0, -1):
+        keys = np.divmod(keys, span[k], out=(None, rows[:, k]))[0]
+    rows[:, 0] = keys
+    rows += lo
+    return rows
+
+
+def unique_cells(columns):
+    """The distinct rows of integer columns, in lexicographic order.
+
+    The rows' cell keys are sorted once and equal neighbours masked; no
+    counts are built, and the rows come back from the distinct keys.
+    """
+    frame = cell_frame(columns)
+    return _key_rows(_sorted_distinct(cell_keys(columns, frame)), frame)
 
 
 def unique_rows(points):
@@ -152,13 +172,23 @@ def unique_rows(points):
 
     Rows equal under ``==`` are one row, kept as the first of them in input
     order, so of two rows differing only in the sign of a zero the earlier
-    stays.  A stable sort of the columns is several times faster than
-    numpy's row-wise unique, which sorts through a structured dtype.
+    stays.  A row of width 1 or 2 is one float64 or complex128 element,
+    which numpy orders lexicographically, so one stable sort of those
+    elements orders the rows; wider rows take ``np.lexsort`` of the columns.
+    Equal neighbours are masked after the sort and no counts are built.
+    Both sorts are several times faster than numpy's row-wise unique, which
+    sorts through a structured dtype.
     """
-    rows = points[np.lexsort(points.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in rows.T])
-    return rows[keep]
+    width = points.shape[1]
+    if width <= 2:
+        elems = np.ascontiguousarray(points).view(np.complex128 if width == 2 else np.float64)
+        rows = _sorted_distinct(elems.ravel(), kind="stable")
+    else:
+        rows = points[np.lexsort(points.T[::-1])]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in rows.T])
+        rows = rows[keep]
+    return rows.view(np.float64).reshape(-1, width)
 
 
 def clouds_at_depth(g, depth):
@@ -167,14 +197,15 @@ def clouds_at_depth(g, depth):
     Returns (list of arrays, err).  Each level is built from the one below it,
     starting at the deepest cached level.  A level of at most ``_SNAP_POINTS``
     points per vertex holds its distinct float points in lexicographic row
-    order; a larger one is snapped to a grid.  The error bound accounts for
-    truncation at the given depth, for grid snapping, and for float slack.
-    A negative depth raises ``ValidationError``.
+    order; a larger one is snapped to a grid, its cells formed column by
+    column.  The error bound accounts for truncation at the given depth, for
+    grid snapping, and for float slack.  A depth that is not an integer of at
+    least 0 raises ``ValidationError``.
     """
+    if not (isinstance(depth, numbers.Integral) and depth >= 0):
+        raise ValidationError(f"cloud depth must be a non-negative integer, got {depth!r}")
     if depth in g._cloud_cache:
         return g._cloud_cache[depth]
-    if depth < 0:
-        raise ValidationError(f"cloud depth must be non-negative, got {depth}")
     f = g.field
     dim = f.degree - 1
     g._cloud_cache.setdefault(0, ([np.zeros((1, dim)) for _ in g.vertices], g.cloud_constant))
@@ -187,8 +218,14 @@ def clouds_at_depth(g, depth):
         contracted = [p @ mh.T for p in prev]
         clouds = []
         for es in g.edges:
-            pts = np.vstack([contracted[j] + g.phi_digits[a] for j, a in es])
-            clouds.append(_snap(pts, grid) if len(pts) > _SNAP_POINTS else unique_rows(pts))
+            if sum(len(contracted[j]) for j, _ in es) > _SNAP_POINTS:
+                cells = [np.round(np.concatenate([contracted[j][:, k] + g.phi_digits[a, k]
+                                                  for j, a in es]) / grid).astype(np.int64)
+                         for k in range(dim)]
+                clouds.append(unique_cells(cells) * grid)
+            else:
+                clouds.append(unique_rows(np.vstack([contracted[j] + g.phi_digits[a]
+                                                     for j, a in es])))
         # snapping displacement enters contracted at later depths; charge it now
         err += grid * math.sqrt(dim) * 0.5
         g._cloud_cache[level] = (clouds, err)
@@ -206,10 +243,19 @@ def tile_cloud(g, x, depth):
 
 
 def box_count_measure(points, cell):
-    """Box-counting measure of a point cloud at the given cell size."""
+    """Box-counting measure of a point cloud at the given cell size.
+
+    The cells' keys are sorted once and their distinct values counted; no
+    rows and no counts are built.  The cell size must satisfy
+    0 < cell < inf, or ``ValidationError`` is raised.
+    """
+    if not 0 < cell < math.inf:
+        raise ValidationError(f"box cell size must be finite and positive, got {cell}")
     if len(points) == 0:
         return 0.0
-    return len(unique_cells(np.floor(points / cell).astype(np.int64))) * cell ** points.shape[1]
+    cells = [np.floor(c / cell).astype(np.int64) for c in points.T]
+    keys = cell_keys(cells, cell_frame(cells))
+    return len(_sorted_distinct(keys)) * cell ** points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -613,7 +659,7 @@ def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=1
         lo_m = np.full(d, -lattice_box, dtype=int)
         hi_m = np.full(d, lattice_box, dtype=int)
     # (translate, cell) keys: translates in the box, cells in [0, resolution)
-    frame = cell_frame(np.array([np.r_[lo_m, [0] * d], np.r_[hi_m, [resolution - 1] * d]]))
+    frame = cell_frame(np.array([np.r_[lo_m, [0] * d], np.r_[hi_m, [resolution - 1] * d]]).T)
     # cell_keys' mixed radix is linear: a key is sum((column - lo) * weight)
     weights = [math.prod(int(s) for s in frame[1][k + 1:]) for k in range(2 * d)]
     band = [16 * math.ulp(max(-a, b) + scale) for a, b in zip(bottom, top)]
@@ -634,11 +680,11 @@ def torus_translates(t, vdata, g, depth, lattice_box=None, scale=1, resolution=1
         rows = np.flatnonzero(~clear)
         if len(rows):
             part.append(_step_keys(xs[:, rows], scale, h, resolution, lo_m, hi_m, frame))
-        keys.append(np.unique(np.concatenate(part), return_counts=True)[0])    # see unique_cells
-    keys = np.unique(np.concatenate(keys), return_counts=True)[0]
-    mvs = np.stack(np.unravel_index(np.unique(keys // ncells), tuple(frame[1][:d])), axis=1)
-    translates = tuple(map(tuple, (mvs + lo_m).tolist()))
+        keys.append(_sorted_distinct(np.concatenate(part)))
+    keys = _sorted_distinct(np.concatenate(keys))
+    translates = tuple(map(tuple, _key_rows(_sorted_distinct(keys // ncells),
+                                            (lo_m, frame[1][:d])).tolist()))
     counts = np.bincount(keys % ncells, minlength=ncells)
-    vals, freq = np.unique(counts, return_counts=True)
-    hist = {int(v): c / counts.size for v, c in zip(vals, freq)}
+    freq = np.bincount(counts)
+    hist = {int(v): freq[v] / counts.size for v in np.flatnonzero(freq)}
     return TorusScene(cols.T, translates, hist, resolution, scale)

@@ -6,12 +6,22 @@ import pytest
 
 from betatiling import betamap, tiling
 from betatiling.betamap import IntervalQB, build_transform, preset, supported
-from betatiling.numfield import make_field
+from betatiling.errors import ValidationError
+from betatiling.numfield import _embed, make_field
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 RIGHT_CONTINUOUS_CONFIGS = [
     p.stem for p in sorted(CONFIG_DIR.glob("*.json"))
     if betamap.transform_from_config(json.loads(p.read_text())).side == "right"]
+
+
+def gamma_interval(x, j, width):
+    """Certified rational interval of width <= ``width`` for a real
+    embedding of x (0-based j): the real-axis view of :func:`_embed`."""
+    if x.field.conj_kind(j) != "real":
+        raise ValidationError("gamma_interval needs a real conjugate")
+    re, _, rad, den = _embed(x.field, x.coords, j, Fraction(width) / 2)
+    return Fraction(re - rad, den), Fraction(re + rad, den)
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,10 @@ from betatiling.betamap import Expansion, expand, expansion_value, transform_fro
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
 from betatiling import rootiso
 from betatiling.numfield import (EQ, GT, LT, PisotField, _back_substitute, _bareiss, _cramer,
-                                 _float_value, _num_div, _num_step, gamma, gamma_interval,
+                                 _float_value, _num_div, _num_step, gamma,
                                  make_field, phi, pi1, psi, qb_compare, qb_floor)
 from betatiling.rootiso import certified_roots, is_irreducible_monic
+from conftest import gamma_interval
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 

@@ -13,7 +13,7 @@ from betatiling.betamap import (IntervalQB, _intersect, _merge_union, compute_v,
                                 transform_from_config)
 from betatiling.errors import BudgetExceeded, ValidationError
 from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, _minpoly_at_matrix,
-                                 gamma_abs_upper, gamma_interval, make_field, qb_compare)
+                                 gamma_abs_upper, make_field, qb_compare)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling,
                               difference_candidates, difference_pairs,
@@ -23,7 +23,7 @@ from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
 from betatiling.tiling import (clouds_at_depth, conj_block_bounds, gifs_build,
                                lattice_candidates)
 
-from conftest import EXTRA_TRANSFORMS, extra_transform, stage_cache
+from conftest import EXTRA_TRANSFORMS, extra_transform, gamma_interval, stage_cache
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"

@@ -16,7 +16,7 @@ from betatiling.betamap import (compute_v, expand, invariant_density, preset,
                                 transform_from_config)
 from betatiling.errors import (BudgetExceeded, DigitsNotIntegral, OutOfDomain,
                                ValidationError)
-from betatiling.numfield import phi, psi, qb_compare
+from betatiling.numfield import make_field, phi, psi, qb_compare
 from betatiling.sofic import decide_tiling
 from betatiling.tiling import (box_count_measure, check_f, check_w,
                                clouds_at_depth, conj_block_bounds,
@@ -570,10 +570,15 @@ def _assert_translates_match(t, vd, g, depth, **kw):
 @pytest.mark.parametrize("name,depth", [("golden_greedy", 20), ("golden_pm1", 20),
                                         ("golden_minweight", 20),
                                         ("tribonacci_symmetric", 15),
-                                        ("cubic_2m11_symmetric", 15)])
+                                        ("cubic_2m11_symmetric", 15),
+                                        ("tetranacci_greedy", 13)])
 def test_cell_keys_match_row_reference(name, depth):
-    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-    t = transform_from_config(json.loads(path.read_text()))
+    # Tetranacci has no bundled config; depth 13 is the first with a snapped
+    # level, whose three-column keys take the divmod rows
+    if name == "tetranacci_greedy":
+        t = preset("greedy", make_field(1, 1, 1, 1))
+    else:
+        t = transform_from_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
     vd = compute_v(t)
     g = gifs_build(t, vd)
     clouds, err = clouds_at_depth(g, depth)
@@ -589,11 +594,11 @@ def test_cell_keys_match_row_reference(name, depth):
         for kw in ({}, {"scale": 2, "resolution": 100}, {"scale": 0.7}, {"lattice_box": 1},
                    {"lattice_box": 0}):
             _assert_translates_match(t, vd, g, 11, **kw)
-    else:
+    elif g.field.degree == 3:
         _assert_translates_match(t, vd, g, 6, resolution=30)
 
 
-@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("width", [1, 2, 3])
 def test_unique_rows_match_np_unique_bitwise(width):
     rng = np.random.default_rng(5)
     values = np.array([-2.5, -1e-300, 1e-300, 0.75, 3.0, np.pi])
@@ -618,8 +623,9 @@ def test_unique_rows_match_np_unique_bitwise(width):
 
 def test_cloud_depth_is_validated_and_walked_without_recursion(golden_pm1):
     g = gifs_build(golden_pm1, compute_v(golden_pm1))
-    with pytest.raises(ValidationError, match="non-negative"):
-        clouds_at_depth(g, -1)
+    for bad in (-1, 2.5, "3", 2.0):
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            clouds_at_depth(g, bad)
     assert g._cloud_cache == {}
     # a one-vertex stand-in graph, x -> x/2 + 1, keeps one point per level
     line = types.SimpleNamespace(
@@ -639,6 +645,15 @@ def test_cloud_depth_is_validated_and_walked_without_recursion(golden_pm1):
     assert sorted(line._cloud_cache) == list(range(3001)) and point.tolist() == [[2.0]]
     ref, ref_err = _clouds_reference(g, 22)
     assert err == ref_err and all(map(np.array_equal, clouds, ref))
+    # a float depth equal to a cached level is refused too
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        clouds_at_depth(g, 2.0)
+
+
+@pytest.mark.parametrize("cell", [-0.1, 0, float("nan"), float("inf")])
+def test_box_count_rejects_bad_cell_sizes(cell):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        box_count_measure(np.array([[0.1], [0.2], [0.35]]), cell)
 
 
 @pytest.mark.parametrize("kw", [{"scale": 0}, {"scale": -1}, {"scale": -0.5},
