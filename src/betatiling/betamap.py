@@ -6,6 +6,9 @@ map (pieces [lo, hi)) and its left-continuous twin (pieces (lo, hi]).  All
 membership tests, orbits, and expansions are exact.  Which piece holds a
 point, and which boundary-orbit interval J_v, is read from one end table per
 family (:class:`numfield._EndTable`) by one bisection.
+Transforms are validated on the integer orbit kernel, by one sort of the
+piece ends and their images on one numerator frame, and restricted to the
+support of the invariant density by the signs of an integer eigenvector.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .errors import (BadAlpha, BudgetExceeded, EmptyPart, FieldMismatch, NoFixed
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
 from .numfield import (GT, LT, QBeta, _beta_eigenvector, _cramer, _EndTable, _mul_matrix,
-                       _nums, _num_div, _num_sorted, _num_step, _sole, make_field,
+                       _nums, _num_cmp, _num_div, _num_sign, _num_sorted, _num_step, _sole,
+                       make_field,
                        qb_ceil, qb_compare, qb_floor)
 
 
@@ -36,32 +40,39 @@ class IntervalQB:
         return f"[{float(self.lo):.6g}, {float(self.hi):.6g})"
 
 
-def _merge_union(intervals):
-    """Disjoint normal form of a union of half-open intervals."""
-    ivs = sorted(intervals, key=lambda iv: iv.lo)
+def _frame(ivs, q):
+    """The (lo, hi) integer numerators over q of intervals on a frame dividing q."""
+    return [(_nums(iv.lo.coords, q), _nums(iv.hi.coords, q)) for iv in ivs]
+
+
+def _merged(ivs):
+    """Disjoint normal form of a union of half-open intervals (lo, hi), lo < hi,
+    with ends ranked in one order: sorted, merged where they overlap or touch."""
     out = []
-    for iv in ivs:
-        if qb_compare(iv.lo, iv.hi) != LT:
-            continue
-        if out and qb_compare(iv.lo, out[-1].hi) != GT:
-            if qb_compare(iv.hi, out[-1].hi) == GT:
-                out[-1] = IntervalQB(out[-1].lo, iv.hi)
+    for lo, hi in sorted(ivs):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
         else:
-            out.append(iv)
+            out.append((lo, hi))
     return out
 
 
-def _union_equal(a, b):
-    a, b = _merge_union(a), _merge_union(b)
-    if len(a) != len(b):
-        return False
-    return all(x.lo == y.lo and x.hi == y.hi for x, y in zip(a, b))
-
-
-def _intersect(iv, jv):
-    lo = iv.lo if qb_compare(iv.lo, jv.lo) == GT else jv.lo
-    hi = iv.hi if qb_compare(iv.hi, jv.hi) == LT else jv.hi
-    return IntervalQB(lo, hi) if qb_compare(lo, hi) == LT else None
+def _cut(cmp, ivs, jvs):
+    """The nonempty intersections of two sorted disjoint families of half-open
+    intervals, (lo, hi) numerator pairs on one frame, in order and merged
+    where they touch; ``cmp`` compares ends (:func:`numfield._num_cmp`)."""
+    out = []
+    for lo, hi in ivs:
+        for jlo, jhi in jvs:
+            x = lo if cmp(lo, jlo) != LT else jlo
+            y = hi if cmp(hi, jhi) != GT else jhi
+            if cmp(x, y) != LT:
+                continue
+            if out and out[-1][1] == x:
+                out[-1] = (out[-1][0], y)
+            else:
+                out.append((x, y))
+    return out
 
 
 class BetaTransform:
@@ -73,28 +84,16 @@ class BetaTransform:
     pieces over ``_q``, labelled by digit index (on the left-continuous side
     a point on an end lies in the lower piece).  Orbits of points in
     (1/q) Z[beta], q a multiple of ``_q``, are carried on integers
-    (:func:`_num_frame`) and looked up in it.
+    (:func:`_num_frame`) and looked up in it.  Pieces, components and table
+    come from the one sort of :func:`build_transform`.
     """
 
-    def __init__(self, field, digits, parts, side, _validated=False):
-        self.field = field
-        self.digits = list(digits)
-        self.parts = [list(p) for p in parts]
-        self.side = side
-        if not _validated:
-            raise ValidationError("use build_transform()")
-        self.pieces = sorted(
-            ((iv, a) for a, pp in enumerate(self.parts) for iv in pp),
-            key=lambda t: t[0].lo)
-        self.xmin = self.pieces[0][0].lo
-        self.xmax = self.pieces[-1][0].hi
-        self.components = _merge_union([iv for iv, _ in self.pieces])
-        self._q = q = math.lcm(*(c.denominator for x in (*self.digits, *(
-            e for iv, _ in self.pieces for e in (iv.lo, iv.hi))) for c in x.coords))
-        self._qd = tuple(_nums(d.coords, q) for d in self.digits)
-        self._table = _EndTable(
-            field, q, [(_nums(iv.lo.coords, q), _nums(iv.hi.coords, q), a)
-                       for iv, a in self.pieces], _sole, side == "left")
+    def __init__(self, field, digits, parts, side, pieces, components, table):
+        self.field, self.digits, self.parts, self.side = field, digits, parts, side
+        self.pieces, self.components, self._table = pieces, components, table
+        self.xmin, self.xmax = components[0].lo, components[-1].hi
+        self._q = table.q
+        self._qd = tuple(_nums(d.coords, table.q) for d in digits)
 
     # -- membership --------------------------------------------------------
 
@@ -134,7 +133,7 @@ class BetaTransform:
         """The companion map with flipped interval sides; an involution."""
         return BetaTransform(self.field, self.digits, self.parts,
                              "left" if self.side == "right" else "right",
-                             _validated=True)
+                             self.pieces, self.components, self._table.flipped())
 
     def digits_integral(self):
         return all(d.is_integral() for d in self.digits)
@@ -157,63 +156,89 @@ class BetaTransform:
 
 
 def build_transform(field, digits, parts, side="right"):
-    """Validate digit pieces and the exact surjectivity identity.
+    """Validate digit pieces and the exact surjectivity identity, on integers.
 
-    ``digits`` are field elements, ``parts`` one interval list per digit.
-    Raises EmptyPart, Overlap, or NotSurjective.
+    ``digits`` are distinct field elements, ``parts`` one interval list per
+    digit, all over one numerator frame q.  One :func:`numfield._num_sorted`
+    ranks every piece end and image end beta*x - d (:func:`numfield._num_step`):
+    reversed intervals, overlaps and the equality of the images' union with
+    the domain are read off the ranks, and the same order gives the pieces,
+    components and end table.  Raises EmptyPart, Overlap, NotSurjective,
+    FieldMismatch or ValidationError.
     """
     if side not in ("right", "left"):
         raise ValidationError("side must be 'right' or 'left'")
     if not digits:
         raise EmptyPart("no digits")
+    if len(parts) != len(digits):
+        raise ValidationError(f"{len(digits)} digits but {len(parts)} interval lists")
     digits = [d if isinstance(d, QBeta) else field.qb([d]) for d in digits]
-    norm_parts = []
-    for a, pp in enumerate(parts):
+    ends = [x for pp in parts for iv in pp for x in (iv.lo, iv.hi)]
+    if any(x.field != field for x in (*digits, *ends)):
+        raise FieldMismatch("digits and interval ends must lie in the transform's field")
+    for k, d in enumerate(digits):
+        if d in digits[:k]:
+            raise ValidationError(f"digit {d!r} is given twice")
+    q = math.lcm(*(c.denominator for x in (*digits, *ends) for c in x.coords))
+    qd, row = [_nums(d.coords, q) for d in digits], field._pow_coords[field.degree]
+    nparts = [_frame(pp, q) for pp in parts]
+    images = [(_num_step(row, lo, qd[a]), _num_step(row, hi, qd[a]))
+              for a, npp in enumerate(nparts) for lo, hi in npp]
+    order, spans = _num_sorted(
+        field, {e for iv in itertools.chain(*nparts, images) for e in iv}, q)
+    rank, value, ranked = {e: k for k, e in enumerate(order)}, {}, []
+    for a, (pp, npp) in enumerate(zip(parts, nparts)):
         if not pp:
             raise EmptyPart(f"digit {digits[a]!r} has no interval")
-        for iv in pp:
-            if qb_compare(iv.lo, iv.hi) != LT:
+        for iv, (lo, hi) in zip(pp, npp):
+            if rank[lo] >= rank[hi]:
                 raise ValidationError(f"empty or reversed interval {iv!r}")
-        norm_parts.append(_merge_union(pp))
-    flat = sorted(((iv, a) for a, pp in enumerate(norm_parts) for iv in pp),
-                  key=lambda t: t[0].lo)
-    for (iv, a), (jv, b) in zip(flat, flat[1:]):
-        if qb_compare(jv.lo, iv.hi) == LT:
-            raise Overlap(f"{iv!r} (digit {digits[a]!r}) overlaps {jv!r} (digit {digits[b]!r})")
-    beta = field.beta
-    images = [IntervalQB(iv.lo * beta - digits[a], iv.hi * beta - digits[a])
-              for a, pp in enumerate(norm_parts) for iv in pp]
-    domain = [iv for iv, _ in flat]
-    if not _union_equal(images, domain):
-        raise NotSurjective(
-            "images of the branches do not cover the domain exactly: "
-            f"{[str(i) for i in _merge_union(images)]} vs {[str(i) for i in _merge_union(domain)]}")
-    order = sorted(range(len(digits)), key=lambda a: norm_parts[a][0].lo)
-    return BetaTransform(field, [digits[a] for a in order],
-                         [norm_parts[a] for a in order], side, _validated=True)
+            value[rank[lo]], value[rank[hi]] = iv.lo, iv.hi
+        ranked.append(_merged((rank[lo], rank[hi]) for lo, hi in npp))
+    flat = sorted(((*iv, a) for a, pp in enumerate(ranked) for iv in pp), key=lambda r: r[0])
+    ivq = {lo: IntervalQB(value[lo], value[hi]) for lo, hi, _ in flat}
+    for (lo, hi, a), (nxt, _, b) in zip(flat, flat[1:]):
+        if nxt < hi:
+            raise Overlap(f"{ivq[lo]!r} (digit {digits[a]!r}) overlaps "
+                          f"{ivq[nxt]!r} (digit {digits[b]!r})")
+    domain, image = _merged(r[:2] for r in flat), _merged((rank[x], rank[y]) for x, y in images)
+    if image != domain:
+        show = lambda ivs: [str(IntervalQB(*(_from_num(field, order[k], q) for k in iv)))
+                            for iv in ivs]
+        raise NotSurjective("images of the branches do not cover the domain exactly: "
+                            f"{show(image)} vs {show(domain)}")
+    # the frame of the transform, the lcm of the denominators of the digits and
+    # of the ends that remain, is q/g for the gcd g of q and their numerators
+    used = sorted({k for r in flat for k in r[:2]})
+    g = math.gcd(q, *(c for k in used for c in order[k]), *itertools.chain(*qd))
+    num = {k: tuple(c // g for c in order[k]) for k in used}
+    perm = sorted(range(len(digits)), key=lambda a: ranked[a][0][0])
+    new = {a: k for k, a in enumerate(perm)}
+    table = _EndTable(field, q // g, [(num[lo], num[hi], new[a]) for lo, hi, a in flat], _sole,
+                      side == "left", ([num[k] for k in used], [spans[k] for k in used]))
+    return BetaTransform(field, [digits[a] for a in perm],
+                         [[ivq[lo] for lo, _ in ranked[a]] for a in perm], side,
+                         [(ivq[lo], new[a]) for lo, _, a in flat],
+                         [IntervalQB(value[lo], value[hi]) for lo, hi in domain], table)
 
 
 # ---------------------------------------------------------------------------
 # presets
 
 def preset(kind, field, alpha=None, digits=None):
-    """Standard transform families; ``alpha`` and ``digits`` as each needs."""
-    one = field.one
-    beta = field.beta
-    if kind == "greedy":
+    """Standard transform families; ``alpha`` and ``digits`` as each needs.
+    Each gives digit k the interval between the bounds k and k + 1."""
+    one, beta, side = field.one, field.beta, "right"
+    if alpha is None and kind in ("linear_mod1", "minimal_weight"):
+        raise ValidationError(f"{kind} preset needs alpha")
+    if kind in ("greedy", "lazy"):
         top = qb_ceil(beta) - 1
         ds = [field.qb([a]) for a in range(top + 1)]
-        parts = [[IntervalQB(d.div_beta(), (d + 1).div_beta())] for d in ds[:-1]]
-        parts.append([IntervalQB(ds[-1].div_beta(), one)])
-        return build_transform(field, ds, parts, "right")
-    if kind == "lazy":
-        top = qb_ceil(beta) - 1
-        ds = [field.qb([a]) for a in range(top + 1)]
-        right = field.qb([top]) * (beta - one).inv()
-        bounds = [field.zero] + [(right + field.qb([a])).div_beta() for a in range(top)] + [right]
-        parts = [[IntervalQB(bounds[a], bounds[a + 1])] for a in range(top + 1)]
-        return build_transform(field, ds, parts, "left")
-    if kind == "pedicini":
+        bounds = [d.div_beta() for d in ds] + [one]
+        if kind == "lazy":
+            right, side = ds[-1] * (beta - one).inv(), "left"
+            bounds = [field.zero] + [(right + d).div_beta() for d in ds[:-1]] + [right]
+    elif kind == "pedicini":
         if not digits:
             raise ValidationError("pedicini preset needs a digit list")
         ds = sorted((d if isinstance(d, QBeta) else field.qb([d]) for d in digits))
@@ -223,46 +248,32 @@ def preset(kind, field, alpha=None, digits=None):
         for lo, hi in zip(ds, ds[1:]):
             if qb_compare(hi - lo, gap_bound) == GT:
                 raise PediciniGapViolated(f"digit gap {hi - lo!r} exceeds {gap_bound!r}")
-        parts = [[IntervalQB(a.div_beta(), b.div_beta())] for a, b in zip(ds, ds[1:])]
-        parts.append([IntervalQB(ds[-1].div_beta(), ds[-1] * (beta - one).inv())])
-        return build_transform(field, ds, parts, "right")
-    if kind == "linear_mod1":
-        if alpha is None:
-            raise ValidationError("linear_mod1 preset needs alpha")
+        bounds = [d.div_beta() for d in ds] + [gap_bound]
+    elif kind == "linear_mod1":
         if qb_compare(alpha, field.zero) == LT or qb_compare(alpha, one) != LT:
             raise BadAlpha("alpha must satisfy 0 <= alpha < 1")
         top = qb_ceil(beta + alpha) - 1
         ds = [field.qb([i]) - alpha for i in range(top + 1)]
-        bounds = [field.zero] + [(field.qb([i]) - alpha).div_beta() for i in range(1, top + 1)] + [one]
-        parts = [[IntervalQB(bounds[i], bounds[i + 1])] for i in range(top + 1)]
-        try:
-            return build_transform(field, ds, parts, "right")
-        except (NotSurjective, ValidationError) as exc:
-            raise BadAlpha(str(exc)) from exc
-    if kind == "minimal_weight":
-        if alpha is None:
-            raise ValidationError("minimal_weight preset needs alpha")
+        bounds = [field.zero] + [d.div_beta() for d in ds[1:]] + [one]
+    elif kind == "minimal_weight":
         if qb_compare(alpha, field.zero) != GT:
             raise BadAlpha("alpha must be positive")
-        ds = [-one, field.zero, one]
-        ba = beta * alpha
-        parts = [[IntervalQB(-ba, -alpha)], [IntervalQB(-alpha, alpha)], [IntervalQB(alpha, ba)]]
-        try:
-            return build_transform(field, ds, parts, "right")
-        except (NotSurjective, ValidationError) as exc:
-            raise BadAlpha(str(exc)) from exc
-    if kind == "symmetric":
-        half = Fraction(1, 2)
-        lo_d = qb_floor((one - beta) / 2)
-        hi_d = qb_ceil((beta - one) / 2)
-        ds = [field.qb([i]) for i in range(lo_d, hi_d + 1)]
-        bounds = [field.qb([-half])]
-        for i in range(lo_d, hi_d):
-            bounds.append((field.qb([i]) + field.qb([half])).div_beta())
-        bounds.append(field.qb([half]))
-        parts = [[IntervalQB(bounds[k], bounds[k + 1])] for k in range(len(ds))]
-        return build_transform(field, ds, parts, "right")
-    raise ValidationError(f"unknown preset kind {kind!r}")
+        ds, ba = [-one, field.zero, one], beta * alpha
+        bounds = [-ba, -alpha, alpha, ba]
+    elif kind == "symmetric":
+        half = field.qb([Fraction(1, 2)])
+        ds = [field.qb([i]) for i in range(qb_floor((one - beta) / 2),
+                                           qb_ceil((beta - one) / 2) + 1)]
+        bounds = [-half] + [(d + half).div_beta() for d in ds[:-1]] + [half]
+    else:
+        raise ValidationError(f"unknown preset kind {kind!r}")
+    parts = [[IntervalQB(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
+    try:
+        return build_transform(field, ds, parts, side)
+    except ValidationError as exc:
+        if kind not in ("linear_mod1", "minimal_weight"):
+            raise
+        raise BadAlpha(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -417,35 +428,25 @@ def endpoint_words(t):
     under the left-continuous one."""
     tw = t.twin()
     right, left = (t, tw) if t.side == "right" else (tw, t)
-    out = []
-    for a, pp in enumerate(t.parts):
-        rows = []
-        for iv in pp:
-            rows.append((expand(right, iv.lo), expand(left, iv.hi)))
-        out.append(rows)
-    return out
+    return [[(expand(right, iv.lo), expand(left, iv.hi)) for iv in pp] for pp in t.parts]
 
 
 def prefix_interval_set(t, prefix):
     """Exact set {x : the expansion of x starts with the given index word}.
 
     Independent of the admissibility machinery: computed by pulling the digit
-    pieces back through the branches.  Returns a disjoint interval list.
+    pieces back through the branches (:func:`numfield._num_div`) and cutting
+    them by the digit's pieces (:func:`_cut`) on the frame ``_q``.  Returns a
+    disjoint interval list.
     """
-    cur = [iv for iv, _ in t.pieces]
+    f, q, irow = t.field, t._q, t.field._inv_row
+    cmp, cur = _num_cmp(f, q), _frame((iv for iv, _ in t.pieces), q)
     for a in reversed(prefix):
-        nxt = []
-        for iv in cur:
-            pre = IntervalQB((iv.lo + t.digits[a]).div_beta(),
-                             (iv.hi + t.digits[a]).div_beta())
-            for piece in t.parts[a]:
-                got = _intersect(pre, piece)
-                if got is not None:
-                    nxt.append(got)
-        cur = _merge_union(nxt)
+        pre = [(_num_div(irow, lo, t._qd[a]), _num_div(irow, hi, t._qd[a])) for lo, hi in cur]
+        cur = _cut(cmp, pre, _frame(t.parts[a], q))
         if not cur:
             return []
-    return cur
+    return [IntervalQB(_from_num(f, lo, q), _from_num(f, hi, q)) for lo, hi in cur]
 
 
 # ---------------------------------------------------------------------------
@@ -555,54 +556,56 @@ def transfer_matrix(t, vdata):
     return mat
 
 
-def invariant_density(t, vdata):
-    """Exact piecewise-constant invariant density weights, one per interval.
-
-    An exact beta-eigenvector h of the transfer matrix E (beta h = E h, from
-    :func:`numfield._beta_eigenvector`, on integers), signed nonnegative and
-    normalized to total integral one.  Weights are proportional to the
-    transverse measure of the interval's fiber.
-    """
+def _density_signs(t, vdata):
+    """The exact beta-eigenvector w of the transfer matrix (beta w = E w, on
+    integers: :func:`numfield._beta_eigenvector`), signed nonnegative, and the
+    signs of its entries; NoFixedPoint when w has entries of both signs."""
     f = t.field
-    w = _beta_eigenvector(f, transfer_matrix(t, vdata))
-    h = [] if w is None else [f.qb(c) for c in w]
-    signs = {qb_compare(x, f.zero) for x in h}
-    if not h or {LT, GT} <= signs:
+    w = _beta_eigenvector(f, transfer_matrix(t, vdata)) or []
+    signs = [_num_sign(f, c) for c in w]
+    if not w or LT in signs and GT in signs:
         raise NoFixedPoint("no nonnegative transfer fixed vector found")
     if GT not in signs:
-        h = [-x for x in h]
+        w, signs = [tuple(-c for c in x) for x in w], [-s for s in signs]
+    return w, signs
+
+
+def invariant_density(t, vdata):
+    """Exact piecewise-constant invariant density weights, one per interval:
+    the eigenvector of :func:`_density_signs` normalized to total integral
+    one.  Weights are proportional to the transverse measure of the
+    interval's fiber.
+    """
+    f = t.field
+    h = [f.qb(c) for c in _density_signs(t, vdata)[0]]
     inv = sum((x * vdata.J[v].length() for x, v in zip(h, vdata.V)), f.zero).inv()
     return [x * inv for x in h]
 
 
 def restrict_to_support(t, weights, vdata):
-    """Restriction of the transform to the union of positive-weight intervals."""
-    f = t.field
-    support = [vdata.J[v] for v, h in zip(vdata.V, weights)
-               if qb_compare(h, f.zero) == GT]
-    support = _merge_union(support)
-    if _union_equal(support, t.components):
+    """Restriction of the transform to the union of positive-weight intervals,
+    for one weight per point of ``vdata.V`` (field elements or numbers): t if
+    all are positive, as the J intervals tile the domain, else the positive J
+    intervals cut out of each digit's pieces on t's frame (:func:`_cut`)."""
+    if len(weights) != len(vdata.V):
+        raise ValidationError(f"{len(weights)} weights for {len(vdata.V)} intervals")
+    keep = [h > 0 for h in weights]
+    if all(keep):
         return t
-    new_parts = []
-    new_digits = []
-    for a, pp in enumerate(t.parts):
-        kept = []
-        for iv in pp:
-            for sv in support:
-                got = _intersect(iv, sv)
-                if got is not None:
-                    kept.append(got)
-        if kept:
-            new_digits.append(t.digits[a])
-            new_parts.append(kept)
-    return build_transform(f, new_digits, new_parts, t.side)
+    f, q = t.field, t._q
+    cmp, support = _num_cmp(f, q), [iv for iv, k in zip(_frame(vdata.intervals, q), keep) if k]
+    cuts = [_cut(cmp, _frame(pp, q), support) for pp in t.parts]
+    return build_transform(f, [d for d, c in zip(t.digits, cuts) if c],
+                           [[IntervalQB(_from_num(f, lo, q), _from_num(f, hi, q)) for lo, hi in c]
+                            for c in cuts if c], t.side)
 
 
 def supported(t, budget=20000):
-    """Convenience pipeline: restrict t to the support of its invariant density."""
+    """Restrict t to the support of its invariant density.  No weight is
+    formed: the signs of the integer beta-eigenvector (:func:`_density_signs`)
+    have the support of the normalized weights, and stand in for them."""
     vd = compute_v(t, budget)
-    w = invariant_density(t, vd)
-    return restrict_to_support(t, w, vd)
+    return restrict_to_support(t, _density_signs(t, vd)[1], vd)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ norm contracts by |beta_j| blockwise.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -739,6 +740,14 @@ def _num_sorted(fld, pts, q):
     return out, [span[p] for p in out]
 
 
+def _num_cmp(fld, q):
+    """Three-way comparison of points of (1/q) Z[beta] given by integer
+    numerators (:func:`_span_compare`), on float spans cached per point."""
+    span = {}
+    look = lambda e: span.get(e) or span.setdefault(e, _float_span(fld, e, q))
+    return lambda x, y: _span_compare(fld, x, y, q, look(x), look(y))
+
+
 def _num_bisect(fld, ends, spans, n, q, s=1, left=False):
     """How many points of ``ends``, sorted integer numerators over q/s with
     their float spans, are <= n/q, or < n/q when ``left``: a bisection that
@@ -788,15 +797,16 @@ class _EndTable:
     [ends[k-1], ends[k]), or (ends[k-1], ends[k]] with ``left``, cell 0 lies
     below every end and the last cell above them.  A cell's label is ``cell``
     of the labels of the intervals that cover it: their set by default,
-    :func:`_sole` for a disjoint family.  Every lookup is one
+    :func:`_sole` for a disjoint family.  A caller that has sorted the ends
+    already passes them with their spans as ``order``.  Every lookup is one
     :func:`_num_bisect`.
     """
 
     __slots__ = ("field", "q", "unit", "left", "ends", "spans", "labels")
 
-    def __init__(self, fld, q, intervals, cell=frozenset, left=False):
+    def __init__(self, fld, q, intervals, cell=frozenset, left=False, order=None):
         self.field, self.q, self.unit, self.left = fld, q, Fraction(1, q), left
-        self.ends, self.spans = _num_sorted(
+        self.ends, self.spans = order or _num_sorted(
             fld, {e for lo, hi, _ in intervals for e in (lo, hi)}, q)
         pos = {e: k for k, e in enumerate(self.ends)}
         cells = [[] for _ in range(len(self.ends) + 1)]
@@ -804,6 +814,12 @@ class _EndTable:
             for k in range(pos[lo] + 1, pos[hi] + 1):
                 cells[k].append(label)
         self.labels = [cell(c) for c in cells]
+
+    def flipped(self):
+        """The same cells, each closed at its other end."""
+        out = copy.copy(self)
+        out.left = not self.left
+        return out
 
     def at(self, n, q):
         """The label of the point n/q, for integer numerators n over a

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import _from_num, endpoint_words
+from .betamap import _cut, _frame, _from_num, endpoint_words
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
-from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _nums,
+from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _nums, _num_cmp,
                        _num_div, _num_sign, _num_step, _span_compare)
 from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
@@ -181,17 +181,8 @@ def build_automaton(t, state_budget=200000):
         raise ValidationError("automaton construction expects the right-continuous map")
     f, q, qd = t.field, t._q, t._qd
     row = f._pow_coords[f.degree]
-    frame = lambda ivs: tuple((_nums(iv.lo.coords, q), _nums(iv.hi.coords, q)) for iv in ivs)
-    parts = [frame(pp) for pp in t.parts]
-    span = {}
-
-    def cmp(x, y):
-        for e in (x, y):
-            if e not in span:
-                span[e] = _float_span(f, e, q)
-        return _span_compare(f, x, y, q, span[x], span[y])
-
-    initial = frame(t.components)
+    parts, cmp = [_frame(pp, q) for pp in t.parts], _num_cmp(f, q)
+    initial = tuple(_frame(t.components, q))
     index = {initial: 0}
     delta = [None]
     queue = [initial]
@@ -199,21 +190,10 @@ def build_automaton(t, state_budget=200000):
         state = queue.pop()
         out = []
         for a, pp in enumerate(parts):
-            # state and pieces are sorted and disjoint, so the intersections
-            # come in order, and their images only touch where ends coincide
-            image = []
-            for lo, hi in state:
-                for plo, phi in pp:
-                    x = lo if cmp(lo, plo) != LT else plo
-                    y = hi if cmp(hi, phi) != GT else phi
-                    if cmp(x, y) != LT:
-                        continue
-                    x, y = _num_step(row, x, qd[a]), _num_step(row, y, qd[a])
-                    if image and image[-1][1] == x:
-                        image[-1] = (image[-1][0], y)
-                    else:
-                        image.append((x, y))
-            image = tuple(image)
+            # the cut of the state by a's pieces is in order and merged where
+            # it touches, and so is its image under the increasing branch
+            image = tuple((_num_step(row, x, qd[a]), _num_step(row, y, qd[a]))
+                          for x, y in _cut(cmp, state, pp))
             if not image:
                 out.append(None)
                 continue
@@ -371,8 +351,7 @@ def difference_pairs(t, g, core=None):
             keep.append((co, sx))
     if not keep:
         return [], []
-    jl = [_nums(iv.lo.coords, q) for iv in g.J]
-    jh = [_nums(iv.hi.coords, q) for iv in g.J]
+    jl, jh = zip(*_frame(g.J, q))
     jlo = np.array([_float_span(f, x, q) for x in jl]).T
     jhi = np.array([_float_span(f, x, q) for x in jh]).T
     ds = np.array([sx for _, sx in keep]).T[:, :, None]

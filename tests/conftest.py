@@ -93,6 +93,14 @@ def stage_cache(t, _cache={}):
     return _cache[key]
 
 
+# the cubic units x^3 - a x^2 - b x - c with a in [-1, 3], b in [-2, 3] and
+# c = +-1, the 19 that make_field accepts
+CUBIC_UNITS = [(0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, -1, 1), (2, 0, 1),
+               (2, 1, -1), (2, 1, 1), (2, 2, 1), (2, 3, 1), (3, -2, 1), (3, -1, 1),
+               (3, 0, -1), (3, 0, 1), (3, 1, -1), (3, 1, 1), (3, 2, -1), (3, 2, 1),
+               (3, 3, 1)]
+
+
 # transforms beyond the bundled configs that several modules check: name ->
 # (field coefficients, builder from the field)
 EXTRA_TRANSFORMS = {

@@ -8,19 +8,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from betatiling import betamap
 from betatiling.betamap import (Expansion, IntervalQB, _num_frame,
                                 build_transform, compute_v, endpoint_words,
                                 expand, expansion_value, invariant_density,
                                 is_admissible, prefix_interval_set, preset,
-                                restrict_to_support, transfer_matrix,
+                                restrict_to_support, supported, transfer_matrix,
                                 transform_from_config, word_from_digits)
 from betatiling.errors import (BudgetExceeded, FieldMismatch, NotSurjective,
                                OutOfDomain, Overlap, PediciniGapViolated,
-                               UnknownDigit)
+                               UnknownDigit, ValidationError)
 from betatiling.numfield import EQ, GT, LT, make_field, psi, qb_compare
 from betatiling.sofic import build_automaton
 
-from conftest import (CONFIG_DIR, EXTRA_TRANSFORMS, RIGHT_CONTINUOUS_CONFIGS,
+from betamap_reference import build_transform_reference, restrict_to_support_reference
+from conftest import (CONFIG_DIR, CUBIC_UNITS, EXTRA_TRANSFORMS, RIGHT_CONTINUOUS_CONFIGS,
                       extra_transform, stage_cache)
 
 
@@ -452,6 +454,148 @@ def test_restrict_smallest_pisot(smallest_pisot, smallest_pisot_symmetric_r):
     assert comps[1].hi == b / 2 - f.one
     assert comps[2].lo == f.one - b / 2
     assert comps[3].hi == half
+
+
+# ---------------------------------------------------------------------------
+# the integer construction against the QBeta reference
+
+def _assert_same_transform(t, r, name):
+    for attr in ("side", "digits", "parts", "pieces", "components", "xmin", "xmax", "_q"):
+        assert getattr(t, attr) == getattr(r, attr), (name, attr)
+    for attr in ("q", "left", "ends", "spans", "labels"):
+        assert getattr(t._table, attr) == getattr(r._table, attr), (name, attr)
+
+
+def _both_paths(monkeypatch, build):
+    """build() with the library's build_transform and with the reference's:
+    each the transform, or the class of the ValidationError it raised.  build
+    must look it up as ``betamap.build_transform``, as the presets do."""
+    out = []
+    for impl in (build_transform, build_transform_reference):
+        with monkeypatch.context() as m:
+            m.setattr(betamap, "build_transform", impl)
+            try:
+                out.append(build())
+            except ValidationError as exc:
+                out.append(type(exc))
+    return out
+
+
+def _split_golden_greedy(f):
+    # the digit-0 piece given as two overlapping intervals whose inner ends,
+    # thirds and quarters, leave the frame when merged
+    third, quarter, inv = f.qb(["1/3"]), f.qb(["1/4"]), f.one.div_beta()
+    parts = [[IntervalQB(f.zero, third), IntervalQB(quarter, inv)], [IntervalQB(inv, f.one)]]
+    return betamap.build_transform(f, [0, 1], parts)
+
+
+def _construction_cases():
+    """name -> (field coefficients, builder from the field, restricted too)"""
+    cases = {}
+    for p in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(p.read_text())
+        restrict = cfg.pop("restrict_to_support", False)
+        cases[p.stem] = (cfg["field"], lambda f, cfg=cfg: transform_from_config(cfg), restrict)
+    for coeffs in CUBIC_UNITS:
+        for kind in ("greedy", "symmetric"):
+            cases[f"{kind}_{coeffs}"] = (coeffs, functools.partial(preset, kind),
+                                         kind == "symmetric")
+    for coeffs in ((1, 1), (1, 1, 1), (0, 1, 1)):
+        for alpha in ("1/5", "2/5", "1/2", "3/4"):
+            cases[f"linear_mod1_{coeffs}_{alpha}"] = (coeffs, lambda f, a=alpha: preset(
+                "linear_mod1", f, alpha=f.qb([a])), False)
+        for alpha in ("2/5", "1/2", "3/5"):
+            cases[f"minimal_weight_{coeffs}_{alpha}"] = (coeffs, lambda f, a=alpha: preset(
+                "minimal_weight", f, alpha=f.qb([a])), False)
+    for digits in ([[0], [1]], [[0], [1], [1, 1]], [[0], [0, 2], [5]], [[0], [1], [2]],
+                   [[0], ["1/2"], [0, 1]]):
+        cases[f"pedicini_{digits}"] = ((1, 1), lambda f, d=digits: preset(
+            "pedicini", f, digits=[f.qb(x) for x in d]), False)
+    cases["golden_greedy_split"] = ((1, 1), _split_golden_greedy, False)
+    return cases
+
+
+def test_construction_matches_qbeta_reference(monkeypatch):
+    # the integer build gives the digits, parts, pieces, components, frame,
+    # end table and twin of the QBeta construction, and the sign-based
+    # support restriction the weight-based one of the QBeta reference
+    fields = {}
+    restricted = []
+    for name, (coeffs, build, restrict) in _construction_cases().items():
+        f = fields.setdefault(tuple(coeffs), make_field(*coeffs))
+        t, r = _both_paths(monkeypatch, lambda: build(f))
+        _assert_same_transform(t, r, name)
+        _assert_same_transform(t.twin(), r.twin(), name + " twin")
+        _assert_same_transform(t.twin().twin(), t, name + " twin twin")
+        if restrict:
+            vd = compute_v(t)
+            ref = restrict_to_support_reference(t, invariant_density(t, vd), vd)
+            _assert_same_transform(supported(t), ref, name + " supported")
+            _assert_same_transform(restrict_to_support(t, invariant_density(t, vd), vd), ref,
+                                   name + " restricted")
+            restricted += [name] if ref is not t else []
+    # the five bundled restricted configs, and the symmetric presets of the
+    # same four cubic fields
+    assert len(restricted) == 9, restricted
+
+
+def _invalid_cases(f):
+    z, one, inv, two = f.zero, f.one, f.one.div_beta(), f.qb([2])
+    iv, build = IntervalQB, lambda *args: betamap.build_transform(*args)
+    return {
+        "overlap": lambda: build(f, [z, one], [[iv(z, one)], [iv(inv, one)]]),
+        "overlap at one end": lambda: build(f, [z, one], [[iv(z, inv)], [iv(z, one)]]),
+        "not surjective": lambda: build(f, [z, one], [[iv(z, inv)], [iv(inv, two)]]),
+        "empty part": lambda: build(f, [z, one], [[iv(z, inv)], []]),
+        "no digits": lambda: build(f, [], []),
+        "reversed": lambda: build(f, [z, one], [[iv(inv, z)], [iv(inv, one)]]),
+        "empty interval": lambda: build(f, [z, one], [[iv(z, z)], [iv(inv, one)]]),
+        "reversed before an empty part": lambda: build(
+            f, [z, one], [[iv(inv, z)], []]),
+        "bad side": lambda: build(f, [z, one], [[iv(z, inv)], [iv(inv, one)]], "up"),
+        "alpha too large": lambda: preset("minimal_weight", f, alpha=two),
+        "alpha too small": lambda: preset("minimal_weight", f, alpha=f.qb(["1/10"])),
+        "alpha out of range": lambda: preset("linear_mod1", f, alpha=one),
+        "pedicini gap": lambda: preset("pedicini", make_field(3, 1), digits=[0, 1]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_invalid_cases(make_field(1, 1))))
+def test_invalid_inputs_raise_the_reference_class(monkeypatch, case):
+    build = _invalid_cases(make_field(1, 1))[case]
+    got, ref = _both_paths(monkeypatch, build)
+    assert isinstance(ref, type) and issubclass(ref, ValidationError)
+    assert got is ref
+
+
+@pytest.mark.parametrize("n_parts", [2, 4])
+def test_digits_and_parts_must_pair_up(golden, n_parts):
+    inv = golden.one.div_beta()
+    one, two, three = golden.one, golden.qb([2]), golden.qb([3])
+    parts = [[IntervalQB(golden.zero, inv)], [IntervalQB(inv, one)],
+             [IntervalQB(one, two)], [IntervalQB(two, three)]]
+    with pytest.raises(ValidationError, match="3 digits but"):
+        build_transform(golden, [0, 1, 2], parts[:n_parts])
+
+
+def test_duplicate_digits_are_refused(golden):
+    # two pieces for the digit 0 would make a valid map with two indices for
+    # one digit, whose index words digit_lookup cannot give back
+    half_inv, inv = golden.qb(["1/2"]).div_beta(), golden.one.div_beta()
+    parts = [[IntervalQB(golden.zero, half_inv)], [IntervalQB(half_inv, inv)],
+             [IntervalQB(inv, golden.one)]]
+    with pytest.raises(ValidationError, match=r"digit QB\(0, 0\) is given twice"):
+        build_transform(golden, [0, 0, 1], parts)
+    merged = build_transform(golden, [0, 1], [parts[0] + parts[1], parts[2]])
+    assert merged.parts == preset("greedy", golden).parts
+
+
+def test_restrict_refuses_weights_of_the_wrong_length(tribonacci_symmetric):
+    vd = compute_v(tribonacci_symmetric)
+    w = invariant_density(tribonacci_symmetric, vd)
+    for bad in (w[:3], w + [w[0]]):
+        with pytest.raises(ValidationError, match="weights for"):
+            restrict_to_support(tribonacci_symmetric, bad, vd)
 
 
 # ---------------------------------------------------------------------------

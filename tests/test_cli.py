@@ -37,6 +37,17 @@ def test_bad_config_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+def test_digits_without_parts_exit_2(tmp_path):
+    # three digits and two interval lists
+    cfg = json.loads((CFG / "golden_pm1.json").read_text())
+    cfg["digits"].append(["0", "0"])
+    p = tmp_path / "unpaired.json"
+    p.write_text(json.dumps(cfg))
+    r = run_cli("vset", "--config", str(p))
+    assert r.returncode == 2
+    assert "ValidationError: 3 digits but 2 interval lists" in r.stderr
+
+
 def test_periodic_golden_greedy():
     r = run_cli("periodic", "--config", str(CFG / "golden_greedy.json"))
     rep = json.loads(r.stdout)

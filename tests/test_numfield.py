@@ -18,7 +18,7 @@ from betatiling.numfield import (EQ, GT, LT, PisotField, _back_substitute, _bare
                                  _float_value, _num_div, _num_step, gamma,
                                  make_field, phi, pi1, psi, qb_compare, qb_floor)
 from betatiling.rootiso import certified_roots, is_irreducible_monic
-from conftest import gamma_interval
+from conftest import CUBIC_UNITS, gamma_interval
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -483,10 +483,6 @@ def test_float_filter_huge_coordinates_take_exact_path(golden, tribonacci):
 # ---------------------------------------------------------------------------
 # certified complex conjugates
 
-CUBIC_UNITS = [(0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, -1, 1), (2, 0, 1),
-               (2, 1, -1), (2, 1, 1), (2, 2, 1), (2, 3, 1), (3, -2, 1), (3, -1, 1),
-               (3, 0, -1), (3, 0, 1), (3, 1, -1), (3, 1, 1), (3, 2, -1), (3, 2, 1),
-               (3, 3, 1)]
 DISK_FIELDS = sorted({tuple(json.loads(p.read_text())["field"]) for p in CONFIGS.glob("*.json")}
                      | set(CUBIC_UNITS)
                      | {(1, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 1, 1)})

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from betatiling import numfield, sofic
-from betatiling.betamap import (IntervalQB, _intersect, _merge_union, compute_v,
+from betatiling.betamap import (IntervalQB, compute_v,
                                 endpoint_words, expand, prefix_interval_set, preset,
                                 transform_from_config)
 from betatiling.errors import BudgetExceeded, ValidationError
@@ -23,6 +23,7 @@ from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
 from betatiling.tiling import (clouds_at_depth, conj_block_bounds, gifs_build,
                                lattice_candidates)
 
+from betamap_reference import _intersect, _merge_union
 from conftest import EXTRA_TRANSFORMS, extra_transform, gamma_interval, stage_cache
 
 
