@@ -9,7 +9,9 @@ intervals J and the merge times m, the ``invariant_density`` weights (of the
 unrestricted map for a ``restrict_to_support`` config: the map whose weights
 chose the support), the ``check_w`` report, one decision entry and one field
 entry.  The decision entry holds the size of the neighbour core, the
-``difference_pairs`` triples and their windows, and the ``decide_tiling``
+``difference_pairs`` triples and their windows (integer coordinates and
+numerators over the transform's frame, written as the rational coordinates
+of the points they stand for), and the ``decide_tiling``
 verdict, overlapping pairs, ``candidates_checked``, spectral gaps and the
 state and edge counts of its difference graph (read by wrapping
 ``sofic.build_diff_transducer``), so a change to the graph shows even when
@@ -32,6 +34,7 @@ script.
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 
 def numbering_free(aut):
@@ -69,6 +72,7 @@ def main(argv=None):
 
     sofic.build_diff_transducer = recording_build
     qb = lambda x: [str(c) for c in x.coords]
+    num = lambda n, q=1: [str(Fraction(c, q)) for c in n]
     dump = {}
     for path in sorted((checkout / "configs").glob("*.json")):
         cfg = json.loads(path.read_text())
@@ -100,8 +104,8 @@ def main(argv=None):
         (td,) = graphs
         row["decision"] = {
             "core": len(sofic._neighbour_core(t)),
-            "difference_pairs": [[qb(delta), i, j] for delta, i, j in pairs],
-            "windows": [[qb(lo), qb(hi)] for lo, hi in windows],
+            "difference_pairs": [[num(delta), i, j] for delta, i, j in pairs],
+            "windows": [[num(lo, t._q), num(hi, t._q)] for lo, hi in windows],
             "verdict": dec.verdict,
             "pairs": [[qb(delta), qb(x), qb(y)] for delta, x, y in dec.pairs],
             "candidates_checked": dec.candidates_checked,

@@ -28,7 +28,6 @@ from .tiling import (GifsGraph, MembershipReport, PeriodicSet, TileCloud,
                      natext_domain, purely_periodic_points, tile_cloud,
                      tiles_containing, torus_translates)
 from .sofic import (DiffTransducer, ShiftAutomaton, build_automaton,
-                    build_diff_transducer, decide_tiling,
-                    difference_candidates, forbidden_words, soficity_check)
+                    build_diff_transducer, decide_tiling, forbidden_words)
 
 __version__ = "0.1.0"

@@ -120,9 +120,6 @@ class BetaTransform:
             raise OutOfDomain(f"{x!r} is not in the domain")
         return a, x * self.field.beta - self.digits[a]
 
-    def diam(self):
-        return self.xmax - self.xmin
-
     def digit_lookup(self, value):
         for i, dg in enumerate(self.digits):
             if dg == value:
@@ -226,11 +223,13 @@ def build_transform(field, digits, parts, side="right"):
 # presets
 
 def preset(kind, field, alpha=None, digits=None):
-    """Standard transform families; ``alpha`` and ``digits`` as each needs.
-    Each gives digit k the interval between the bounds k and k + 1."""
+    """Standard transform families; ``alpha`` (a QBeta) and ``digits`` as each
+    needs.  Each gives digit k the interval between the bounds k and k + 1."""
     one, beta, side = field.one, field.beta, "right"
     if alpha is None and kind in ("linear_mod1", "minimal_weight"):
         raise ValidationError(f"{kind} preset needs alpha")
+    if alpha is not None and not isinstance(alpha, QBeta):
+        raise TypeError(f"alpha must be a QBeta, not {type(alpha).__name__}")
     if kind in ("greedy", "lazy"):
         top = qb_ceil(beta) - 1
         ds = [field.qb([a]) for a in range(top + 1)]
@@ -332,7 +331,10 @@ def _digit_nums(t, q):
 def _num_frame(t, x):
     """(q, numerators of x, numerators of q*digit per digit index), for q the
     lcm of the transform's frame ``_q`` and the denominators of x; raises
-    FieldMismatch when x is not an element of the transform's field."""
+    TypeError when x is no QBeta and FieldMismatch when it is not an element
+    of the transform's field."""
+    if not isinstance(x, QBeta):
+        raise TypeError(f"x must be a QBeta, not {type(x).__name__}")
     if x.field != t.field:
         raise FieldMismatch("point and transform belong to different fields")
     q = math.lcm(t._q, *(c.denominator for c in x.coords))
@@ -611,17 +613,30 @@ def supported(t, budget=20000):
 # ---------------------------------------------------------------------------
 # config I/O
 
+def _config_entry(cfg, key, parse):
+    """parse(cfg[key]), raising ValidationError naming the key when it is
+    missing or ``parse`` refuses its value (TypeError, ValueError, KeyError)."""
+    if key not in cfg:
+        raise ValidationError(f"config needs {key!r}")
+    try:
+        return parse(cfg[key])
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(f"config {key!r}: {exc}") from None
+
+
 def transform_from_config(cfg):
-    """Build a transform from a JSON-style dict (explicit pieces or preset)."""
-    fld = make_field(*cfg["field"])
+    """Build a transform from a JSON-style dict (explicit pieces or preset);
+    a missing or malformed key raises ValidationError naming it."""
+    fld = _config_entry(cfg, "field", lambda c: make_field(*c))
+    qbs = lambda xs: [fld.qb(x) for x in xs]
     if "preset" in cfg:
-        alpha = fld.qb(cfg["alpha"]) if "alpha" in cfg else None
-        digits = [fld.qb(d) for d in cfg["digits"]] if "digits" in cfg else None
+        alpha = _config_entry(cfg, "alpha", fld.qb) if "alpha" in cfg else None
+        digits = _config_entry(cfg, "digits", qbs) if "digits" in cfg else None
         t = preset(cfg["preset"], fld, alpha=alpha, digits=digits)
     else:
-        digits = [fld.qb(d) for d in cfg["digits"]]
-        parts = [[IntervalQB(fld.qb(iv["lo"]), fld.qb(iv["hi"])) for iv in pp]
-                 for pp in cfg["parts"]]
+        digits = _config_entry(cfg, "digits", qbs)
+        parts = _config_entry(cfg, "parts", lambda pps: [
+            [IntervalQB(fld.qb(iv["lo"]), fld.qb(iv["hi"])) for iv in pp] for pp in pps])
         t = build_transform(fld, digits, parts, cfg.get("side", "right"))
     if cfg.get("restrict_to_support"):
         t = supported(t)

@@ -299,7 +299,11 @@ class PisotField:
     # -- element constructors -------------------------------------------------
 
     def qb(self, coords):
-        """Element from a coordinate sequence (rationals, ints, or 'p/q' strings)."""
+        """Element from a coordinate sequence (rationals, ints, or 'p/q' strings);
+        a string, which would give one coordinate per character, or a scalar
+        raises TypeError."""
+        if isinstance(coords, str) or not hasattr(coords, "__iter__"):
+            raise TypeError(f"coords must be a sequence of rationals, not {type(coords).__name__}")
         coords = list(coords)
         if len(coords) > self.degree:
             raise ValidationError("too many coordinates")
@@ -906,7 +910,10 @@ def psi(x):
 def pi1(vec, field):
     """Exact inverse of psi: the Q(beta) element whose lattice image is vec."""
     d = field.degree
-    vec = tuple(Fraction(v) for v in vec)
+    try:
+        vec = tuple(Fraction(v) for v in vec)
+    except (TypeError, ValueError) as exc:
+        raise TypeError(f"vec must be a sequence of rationals: {exc}") from None
     if len(vec) != d:
         raise ValidationError("vector length does not match field degree")
     rows = field._pi1_rows

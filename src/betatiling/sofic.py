@@ -27,46 +27,31 @@ candidate is one start state of the graph, taken at the left end of its
 window.  A pair of tiles overlaps on positive measure exactly when its start
 reaches a recurrent component whose adjacency matrix has beta as an
 eigenvalue, which is tested exactly over the integers, once per component.
+
+The difference machine runs on integers: a difference is its integer
+coordinates, a window end or start point its numerators over the frame
+``_q``.  Only the overlapping pairs that :func:`decide_tiling` publishes
+become ``QBeta``s.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import _cut, _frame, _from_num, endpoint_words
+from .betamap import _cut, _frame
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
-from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _nums, _num_cmp,
+from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _num_cmp,
                        _num_div, _num_sign, _num_step, _span_compare)
-from .tiling import conj_block_bounds, lattice_candidates, _require_integral_digits
+from .tiling import (cell_frame, cell_keys, conj_block_bounds, lattice_candidates,
+                     _require_integral_digits)
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
 # and sofic.expand
 from .betamap import expand  # noqa: F401
 from .tiling import clouds_at_depth  # noqa: F401
-
-
-# ---------------------------------------------------------------------------
-# soficity
-
-@dataclass(frozen=True)
-class SoficityReport:
-    sofic: bool
-    endpoint_expansions: tuple   # ((digit_idx, piece_idx, lower, upper), ...)
-
-
-def soficity_check(t):
-    """Eventual periodicity of every endpoint expansion (always certified for
-    field-element endpoints, by exact orbit closure)."""
-    rows = []
-    words = endpoint_words(t)
-    for a, per_piece in enumerate(words):
-        for i, (low, up) in enumerate(per_piece):
-            rows.append((a, i, low, up))
-    return SoficityReport(True, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +198,11 @@ def forbidden_words(aut, maxlen=6):
     """Minimal forbidden words up to the given length, as digit-index tuples.
 
     A word is minimal forbidden when it is not a factor but both its maximal
-    proper factors are.
+    proper factors are.  A negative ``maxlen`` raises ValidationError rather
+    than reading as a search that found no word.
     """
+    if maxlen < 0:
+        raise ValidationError(f"maxlen must be nonnegative, got {maxlen}")
     out = []
     frontier = [((), aut.initial)]
     for _ in range(maxlen):
@@ -255,7 +243,7 @@ def _difference_box(t):
     that bound reaches no recurrent component.
     """
     f, q = t.field, t._q
-    diam = _nums(t.diam().coords, q)
+    diam = tuple(map(operator.sub, t._table.ends[-1], t._table.ends[0]))   # xmax - xmin
     dlo, dhi = _float_span(f, diam, q)
     neg = tuple(-c for c in diam)
     out = []
@@ -268,10 +256,13 @@ def _difference_box(t):
 
 
 def _digit_differences(t):
-    """a - a' as integer coordinate tuples, keyed by the digit indices (a, a')."""
-    co = [[int(c) for c in dg.coords] for dg in t.digits]
-    return {(a, b): tuple(x - y for x, y in zip(ca, cb))
-            for a, ca in enumerate(co) for b, cb in enumerate(co)}
+    """a - a' as integer coordinate tuples, keyed by the digit indices (a, a'),
+    from the digits' numerators ``_qd`` over the frame ``_q``; the digits must
+    lie in Z[beta]."""
+    _require_integral_digits(t)
+    q, qd = t._q, t._qd
+    return {(a, b): tuple((x - y) // q for x, y in zip(ca, cb))
+            for a, ca in enumerate(qd) for b, cb in enumerate(qd)}
 
 
 def _neighbour_core(t):
@@ -287,24 +278,25 @@ def _neighbour_core(t):
     core is the neighbour set of Siegel and Thuswaldner (Topological
     properties of Rauzy fractals, 2009).
 
-    Box points are keyed by mixed radix over the box's coordinate ranges,
-    which keeps the lexicographic order, so each target is one binary
-    search.  States with no edge to a kept state are removed in one backward
-    pass over predecessor lists, with a count of live successors per state.
+    Box points are keyed by :func:`tiling.cell_keys` over the box's frame,
+    which keeps the lexicographic order, so each target inside the frame is
+    one binary search.  States with no edge to a kept state are removed in
+    one backward pass over predecessor lists, with a count of live
+    successors per state.
     """
     f = t.field
     box = _difference_box(t)
-    pts = np.array(box, dtype=np.int64)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    radix = np.append(np.cumprod((hi - lo + 1)[:0:-1])[::-1], 1)
-    keys = (pts - lo) @ radix
-    cols = tuple(pts.T)
+    cols = tuple(np.array(box, dtype=np.int64).T)
+    frame = cell_frame(cols)
+    keys = cell_keys(cols, frame)
     src, dst = [], []
     for dd in set(_digit_differences(t).values()):
-        nd = np.column_stack(_num_div(f._inv_row, cols, dd))
-        key = (nd - lo) @ radix
+        nd = _num_div(f._inv_row, cols, dd)
+        key = cell_keys(nd, frame)
         pos = np.minimum(np.searchsorted(keys, key), len(box) - 1)
-        (inside,) = np.nonzero(np.all((nd >= lo) & (nd <= hi), axis=1) & (keys[pos] == key))
+        inside = np.logical_and.reduce([(c >= lo) & (c - lo < n)
+                                        for c, lo, n in zip(nd, *frame)])
+        (inside,) = np.nonzero(inside & (keys[pos] == key))
         src.extend(inside.tolist())
         dst.extend(pos[inside].tolist())
     live = [0] * len(box)
@@ -324,31 +316,26 @@ def _neighbour_core(t):
 def difference_pairs(t, g, core=None):
     """Triples (delta, i, j) of candidate overlapping tile classes, and the
     window (lo, hi) of each: lo = max(J_i.lo, J_j.lo - delta) and
-    hi = min(J_i.hi, J_j.hi - delta).
+    hi = min(J_i.hi, J_j.hi - delta).  delta is a tuple of integer
+    coordinates, lo and hi are tuples of integer numerators over the
+    transform's frame ``_q``: the start form of :func:`build_diff_transducer`.
 
-    delta runs over the points of the neighbour core (:func:`_neighbour_core`,
-    computed when ``core`` is not given) with 0 < delta < diam; (i, j) over
-    the interval classes whose translates meet, i.e. lo < hi.  A delta outside
-    the core has no infinite path, so its pairs cannot overlap.  Nothing
-    geometric is screened here: the shared difference graph decides every
-    start exactly.
+    delta runs over the positive points of the neighbour core
+    (:func:`_neighbour_core`, computed when ``core`` is not given); (i, j)
+    over the interval classes whose translates meet, i.e. lo < hi, which no
+    delta >= diam allows.  A delta outside the core has no infinite path, so
+    its pairs cannot overlap.  Nothing geometric is screened here: the shared
+    difference graph decides every start exactly.
 
-    delta, the interval ends and their differences are held as integer
-    numerators over the transform's frame ``_q`` and as certified float
-    spans.  The spans decide the delta filter, each window end and whether a
+    delta, the interval ends and their differences are also held as
+    certified float spans.  The spans decide each window end and whether a
     window is empty; only where two spans overlap does
     :func:`numfield._span_compare` fall back to :func:`numfield._num_sign`.
     """
     _require_integral_digits(t)
     f, q = t.field, t._q
     core = _neighbour_core(t) if core is None else core
-    diam = _nums(t.diam().coords, q)
-    sdiam = _float_span(f, diam, q)
-    keep = []
-    for co in core:
-        sx = _float_span(f, co)
-        if _num_sign(f, co) == GT and _span_compare(f, diam, co, q, sdiam, sx, q) == GT:
-            keep.append((co, sx))
+    keep = [(co, _float_span(f, co)) for co in core if _num_sign(f, co) == GT]
     if not keep:
         return [], []
     jl, jh = zip(*_frame(g.J, q))
@@ -360,34 +347,23 @@ def difference_pairs(t, g, core=None):
     hi = np.minimum(jhi[:, None, :, None], bhi[:, :, None, :])
     gap = _span_sub(hi, lo)
     jlo, jhi, blo, bhi = (np.moveaxis(a, 0, -1).tolist() for a in (jlo, jhi, blo, bhi))
-    deltas = {}
     triples, windows = [], []
     for c, i, j in np.argwhere(gap[1] > 0).tolist():
-        dq = [q * x for x in keep[c][0]]
-        # each window end: (numerators, span, the QBeta when it is J_i's end);
-        # lo = max(J_i.lo, J_j.lo - delta) and hi = min(J_i.hi, J_j.hi - delta)
-        lo, hi = (jl[i], jlo[i], g.J[i].lo), (jh[i], jhi[i], g.J[i].hi)
-        b = tuple(u - v for u, v in zip(jl[j], dq))
+        delta = keep[c][0]
+        # each window end as (numerators, span): lo = max(J_i.lo, J_j.lo - delta)
+        # and hi = min(J_i.hi, J_j.hi - delta)
+        lo, hi = (jl[i], jlo[i]), (jh[i], jhi[i])
+        b = tuple(u - q * v for u, v in zip(jl[j], delta))
         if _span_compare(f, lo[0], b, q, lo[1], blo[c][j]) == LT:
-            lo = (b, blo[c][j], None)
-        b = tuple(u - v for u, v in zip(jh[j], dq))
+            lo = (b, blo[c][j])
+        b = tuple(u - q * v for u, v in zip(jh[j], delta))
         if _span_compare(f, hi[0], b, q, hi[1], bhi[c][j]) == GT:
-            hi = (b, bhi[c][j], None)
+            hi = (b, bhi[c][j])
         if gap[0][c, i, j] <= 0 and _span_compare(f, lo[0], hi[0], q, lo[1], hi[1]) != LT:
             continue
-        if c not in deltas:
-            deltas[c] = f.qb(keep[c][0])
-        triples.append((deltas[c], i, j))
-        windows.append(tuple(_from_num(f, n, q) if x is None else x for n, _, x in (lo, hi)))
+        triples.append((delta, i, j))
+        windows.append((lo[0], hi[0]))
     return triples, windows
-
-
-def difference_candidates(t, g):
-    """Zero, which is always a candidate difference, then the distinct deltas
-    of the :func:`difference_pairs` triples in increasing order."""
-    pairs, _ = difference_pairs(t, g)
-    seen = {delta.coords: delta for delta, _, _ in pairs}
-    return [t.field.zero] + sorted(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +372,7 @@ def difference_candidates(t, g):
 @dataclass
 class DiffTransducer:
     """Two-tape difference graph shared by a set of candidate tile pairs."""
-    states: list        # (diff QBeta, in_alive, out_alive)
+    states: list        # (diff as integer coordinates, in_alive, out_alive)
     edges: list         # (src, dst, a_in, a_out)
     initials: list      # state index of each start, in the order given
 
@@ -404,21 +380,22 @@ class DiffTransducer:
 def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
     """Reachable good part of the difference graph from every start.
 
-    Each start is a candidate (delta0, x): a point x of the domain whose
-    translate x + delta0 lies in the domain too.  States combine the exact
-    remaining-value difference with the alive sets of both tapes, looked up
-    in the automaton's end table at x + delta0 and at x, both formed on
-    integer numerators (memoized by point); a state is good when both
-    sets hold the initial state.  A state and its out-edges do not depend on
-    the start that reached it, so all starts share one graph, bounded by
+    Each start is a candidate (delta0, x) in the form of
+    :func:`difference_pairs`: delta0 a tuple of integer coordinates, x a
+    tuple of integer numerators over the transform's frame ``_q``, a point
+    of the domain whose translate x + delta0 lies in the domain too.  States
+    combine the exact remaining-value difference, integer coordinates, with
+    the alive sets of both tapes, looked up in the automaton's end table at
+    x + delta0 and at x (memoized by point); a state is good when both sets
+    hold the initial state.  A state and its out-edges do not depend on the
+    start that reached it, so all starts share one graph, bounded by
     ``state_budget`` states.  Successors outside the neighbour core
     (:func:`_neighbour_core`, computed when ``core`` is not given) are
     dropped: a fine path projects onto a coarse path, so they have no
-    infinite path.  Differences stay in Z[beta], so the graph runs on integer
-    coordinate tuples: a successor is diff/beta plus (a - a')/beta, the first
+    infinite path.  A successor is diff/beta plus (a - a')/beta, the first
     formed once per state and the second once per digit pair.
     """
-    f = t.field
+    f, q = t.field, t._q
     core = set(_neighbour_core(t) if core is None else core)
     q0 = aut.initial
     irow, zero = f._inv_row, (0,) * f.degree
@@ -443,15 +420,13 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
 
     initials = []
     for delta0, x in starts:
-        q = math.lcm(t._q, *(c.denominator for c in (*x.coords, *delta0.coords)))
-        n = _nums(x.coords, q)
-        p_in = alive_at(tuple(a + b for a, b in zip(n, _nums(delta0.coords, q))), q)
-        p_out = alive_at(n, q)
+        if not all(isinstance(c, int) for c in delta0):
+            raise DigitsNotIntegral("difference must have integer coordinates")
+        p_in = alive_at(tuple(a + q * b for a, b in zip(x, delta0)), q)
+        p_out = alive_at(x, q)
         if q0 not in p_in or q0 not in p_out:
             raise ValidationError("start point x or x + delta lies outside the domain")
-        if not delta0.is_integral():
-            raise DigitsNotIntegral("difference must lie in Z[beta]")
-        initials.append(intern((tuple(int(c) for c in delta0.coords), p_in, p_out)))
+        initials.append(intern((tuple(delta0), p_in, p_out)))
     pre = aut.predecessor_set
     edges = []
     while queue:
@@ -470,8 +445,7 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
                 if nd not in core:
                     continue
                 edges.append((si, intern((nd, npin, npout)), a_in, a_out))
-    qb_states = [(f.qb(co), pin, pout) for co, pin, pout in states]
-    return DiffTransducer(qb_states, edges, initials)
+    return DiffTransducer(states, edges, initials)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +570,7 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     starts = [(delta, lo) for (delta, _, _), (lo, _) in zip(pairs, windows)]
     td = build_diff_transducer(t, aut, starts, state_budget=state_budget, core=core)
     hit, radius = _component_walk(f, td)
-    overlapping = tuple((delta, g.vertices[i], g.vertices[j])
+    overlapping = tuple((f.qb(delta), g.vertices[i], g.vertices[j])
                         for (delta, i, j), s in zip(pairs, td.initials) if hit[s])
     beta_f = float(f.beta)
     gaps = tuple(beta_f - radius[s] for s in td.initials if not hit[s])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .betamap import _from_num, _num_frame, branch_edges, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral,
                      UnrenderableDimension, ValidationError)
-from .numfield import (GT, LT, _float_span, _num_sign, _num_step, _span_compare,
+from .numfield import (GT, LT, QBeta, _float_span, _num_sign, _num_step, _span_compare,
                        gamma_abs_upper, phi, qb_compare)
 
 _FLOAT_STEP_SLACK = 1e-12
@@ -404,6 +405,8 @@ def tiles_containing(t, pset, z, k_budget=400):
     Picks the smallest shift k making the orbit test of every purely periodic
     point valid, then re-checks at k plus the full period round for stability.
     """
+    if not isinstance(z, QBeta):
+        raise TypeError(f"z must be a QBeta, not {type(z).__name__}")
     _require_integral_digits(t)
     if t.side != "right":
         raise ValidationError("tile membership expects the right-continuous map")
@@ -453,14 +456,12 @@ def covering_degree_estimate(t, pset, samples):
     """Minimum owner count over the samples plus the full histogram.
 
     Every sampled count is at least the covering degree, so the minimum is an
-    attained candidate for it (exact when an exclusive sample is hit)."""
-    hist = {}
-    mn = None
-    for z in samples:
-        rep = tiles_containing(t, pset, z)
-        hist[rep.count] = hist.get(rep.count, 0) + 1
-        mn = rep.count if mn is None else min(mn, rep.count)
-    return mn, hist
+    attained candidate for it (exact when an exclusive sample is hit).  An
+    empty sample list has no minimum and raises ValidationError."""
+    if not samples:
+        raise ValidationError("no samples to estimate the covering degree from")
+    counts = [tiles_containing(t, pset, z).count for z in samples]
+    return min(counts), dict(Counter(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +504,11 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     transform's frame ``_q``.  Chains of different candidates meet the same
     points again and again, so one table per search maps a point's numerators
     to its successor's (None outside the domain) and each distinct point is
-    looked up and stepped once.
+    looked up and stepped once.  A negative budget raises ValidationError, as
+    a search that never ran must not read as one that ran out.
     """
+    if min(z_height, k_budget, max_candidates) < 0:
+        raise ValidationError("z_height, k_budget and max_candidates must be nonnegative")
     _require_integral_digits(t)
     f = t.field
     eps = weak_finiteness_epsilon(t, pset)

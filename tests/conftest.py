@@ -93,6 +93,26 @@ def stage_cache(t, _cache={}):
     return _cache[key]
 
 
+# the difference machine's integer form (sofic.difference_pairs and
+# sofic.build_diff_transducer): a difference is a tuple of integer
+# coordinates, a window end or a start point a tuple of integer numerators
+# over the transform's frame _q
+
+def to_machine(t, delta, x):
+    """The start (delta, x) of two QBetas in the machine's form.  A delta off
+    Z[beta] keeps its rational coordinates, for the machine to refuse."""
+    q = t._q
+    assert all(q % c.denominator == 0 for c in x.coords), f"{x!r} is off the frame {q}"
+    d = tuple(int(c) for c in delta.coords) if delta.is_integral() else delta.coords
+    return d, tuple(int(c * q) for c in x.coords)
+
+
+def from_machine(t, n, q=1):
+    """The QBeta of integer numerators n over q: q = 1 for a difference,
+    t._q for a window end or a start point."""
+    return t.field.qb([Fraction(c, q) for c in n])
+
+
 # the cubic units x^3 - a x^2 - b x - c with a in [-1, 3], b in [-2, 3] and
 # c = +-1, the 19 that make_field accepts
 CUBIC_UNITS = [(0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1), (2, -1, 1), (2, 0, 1),

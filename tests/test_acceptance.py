@@ -20,7 +20,7 @@ from betatiling.tiling import (check_f, check_w, clouds_at_depth,
                                covering_degree_estimate, natext_domain,
                                purely_periodic_points, tiles_containing)
 
-from conftest import stage_cache
+from conftest import from_machine, stage_cache, to_machine
 
 
 def ok(msg):
@@ -300,7 +300,7 @@ def test_criterion_8e_path_sums(tribonacci, tribonacci_symmetric_r):
                 break
         if xlo is not None:
             break
-    td = build_diff_transducer(t, aut, [(delta, xlo)])
+    td = build_diff_transducer(t, aut, [to_machine(t, delta, xlo)])
     out_edges = {}
     for s, d, ain, aout in td.edges:
         out_edges.setdefault(s, []).append((d, ain, aout))
@@ -325,7 +325,7 @@ def test_criterion_8e_path_sums(tribonacci, tribonacci_symmetric_r):
                          for k, a in enumerate(reversed(u))), tribonacci.zero)
             val_v = sum((t.digits[a] * beta ** -(k + 1)
                          for k, a in enumerate(reversed(v))), tribonacci.zero)
-            assert val_u - val_v == td.states[s][0] - delta * beta ** -n
+            assert val_u - val_v == from_machine(t, td.states[s][0]) - delta * beta ** -n
             done += 1
     assert done == 1000
     ok("criterion 8e: exact path-sum identity on 1000 transducer paths")

@@ -802,3 +802,28 @@ def test_compute_v_matches_step_index_reference(name):
     assert vd.V == vs
     assert vd.J == jmap and list(vd.J) == list(jmap)
     assert vd.m == m
+
+
+# a missing or malformed config key is a ValidationError that names it (the
+# parent raised KeyError, ValueError or TypeError, or split a string alpha into
+# one coordinate per character)
+@pytest.mark.parametrize("cfg,key", [
+    ({}, "field"),
+    ({"field": "x"}, "field"),
+    ({"field": [1, 1], "preset": "linear_mod1", "alpha": 0.3}, "alpha"),
+    ({"field": [1, 1], "preset": "linear_mod1", "alpha": "3/10"}, "alpha"),
+    ({"field": [1, 1], "digits": [[0], [1]]}, "parts"),
+], ids=["no_field", "field_string", "alpha_float", "alpha_string", "no_parts"])
+def test_config_errors_name_the_key(cfg, key):
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        transform_from_config(cfg)
+
+
+def test_expand_refuses_a_float_point(golden_greedy):
+    with pytest.raises(TypeError, match="x must be a QBeta"):
+        expand(golden_greedy, 0.5)
+
+
+def test_preset_refuses_a_float_alpha(golden):
+    with pytest.raises(TypeError, match="alpha must be a QBeta"):
+        preset("linear_mod1", golden, alpha=0.3)

@@ -147,3 +147,18 @@ def test_out_of_range_depth_and_scale_exit_2(args):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ValidationError: ")
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({}, "field"),
+    ({"field": "x"}, "field"),
+    ({"field": [1, 1], "preset": "linear_mod1", "alpha": 0.3}, "alpha"),
+    ({"field": [1, 1], "preset": "linear_mod1", "alpha": "3/10"}, "alpha"),
+], ids=["no_field", "field_string", "alpha_float", "alpha_string"])
+def test_malformed_config_exit_2_naming_the_key(tmp_path, cfg, key):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    r = run_cli("expand", "--config", str(p), "--x=0,0")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ValidationError: ") and f"'{key}'" in r.stderr
+    assert r.stderr.count("\n") == 1

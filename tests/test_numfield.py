@@ -756,3 +756,15 @@ def test_int_poly_divides_matches_fraction_division(coeffs, monkeypatch):
     for g, p in [([1, 1], [1, 2, 1]), ([-1, 0, 1], [1, 0, -1]), ([2, 1], [3, 1]),
                  ([1, 1], []), ([0, 1], [0, 0, 5]), ([1, 0, 1], [1])]:
         assert int_poly_divides(g, p) == _divides_reference(g, p), (g, p)
+
+
+@pytest.mark.parametrize("coords", ["3/10", 0.3, 3, None], ids=["str", "float", "int", "none"])
+def test_qb_refuses_a_string_or_a_scalar(golden, coords):
+    # a string would be read one character per coordinate
+    with pytest.raises(TypeError, match="coords must be a sequence"):
+        golden.qb(coords)
+
+
+def test_pi1_refuses_a_non_rational_entry(golden):
+    with pytest.raises(TypeError, match="vec must be a sequence of rationals"):
+        pi1(["a", 1], golden)

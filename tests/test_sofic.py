@@ -1,5 +1,4 @@
 import json
-import math
 import pathlib
 import random
 from fractions import Fraction
@@ -11,20 +10,18 @@ from betatiling import numfield, sofic
 from betatiling.betamap import (IntervalQB, compute_v,
                                 endpoint_words, expand, prefix_interval_set, preset,
                                 transform_from_config)
-from betatiling.errors import BudgetExceeded, ValidationError
+from betatiling.errors import BudgetExceeded, DigitsNotIntegral, ValidationError
 from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, _minpoly_at_matrix,
                                  gamma_abs_upper, make_field, qb_compare)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
-                              build_diff_transducer, decide_tiling,
-                              difference_candidates, difference_pairs,
-                              forbidden_words, soficity_check, DiffTransducer,
-                              ShiftAutomaton,
+                              build_diff_transducer, decide_tiling, difference_pairs,
+                              forbidden_words, DiffTransducer, ShiftAutomaton,
                               _component_walk, _difference_box, _neighbour_core, _sccs)
 from betatiling.tiling import (clouds_at_depth, conj_block_bounds, gifs_build,
                                lattice_candidates)
 
 from betamap_reference import _intersect, _merge_union
-from conftest import EXTRA_TRANSFORMS, extra_transform, gamma_interval, stage_cache
+from conftest import EXTRA_TRANSFORMS, extra_transform, from_machine, stage_cache, to_machine
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -40,14 +37,21 @@ def to_digit_tuple(t, idxs):
     return tuple(int(t.digits[a].coords[0]) for a in idxs)
 
 
+def qbeta_pairs(t, pairs, windows):
+    """:func:`difference_pairs`' triples and windows with QBeta differences
+    and window ends."""
+    return ([(from_machine(t, d), i, j) for d, i, j in pairs],
+            [(from_machine(t, lo, t._q), from_machine(t, hi, t._q)) for lo, hi in windows])
+
+
 # ---------------------------------------------------------------------------
 # soficity and the automaton
 
+# every piece end lies in Q(beta), so its expansions are eventually periodic
+# and the shift is sofic; endpoint_words gives them per digit and piece
+
 def test_soficity_golden_greedy(golden_greedy):
-    rep = soficity_check(golden_greedy)
-    assert rep.sofic
-    table = {(a, i): (low, up) for a, i, low, up in rep.endpoint_expansions}
-    low, up = table[(1, 0)]
+    low, up = endpoint_words(golden_greedy)[1][0]
     # the upper word of the top digit is the two-cycle (1 0)
     assert up.preperiod == () and to_digit_tuple(golden_greedy, up.period) == (1, 0)
 
@@ -56,10 +60,7 @@ def test_soficity_smallest_pisot_minweight(smallest_pisot):
     beta = smallest_pisot.beta
     alpha = beta ** 6 * (beta ** 8 - smallest_pisot.one).inv()
     t = preset("minimal_weight", smallest_pisot, alpha=alpha)
-    rep = soficity_check(t)
-    assert rep.sofic
-    table = {(a, i): (low, up) for a, i, low, up in rep.endpoint_expansions}
-    low, up = table[(1, 0)]   # alpha is the right endpoint of the 0-digit piece
+    low, up = endpoint_words(t)[1][0]   # alpha is the right endpoint of the 0-digit piece
     assert to_digit_tuple(t, up.preperiod) == ()
     assert to_digit_tuple(t, up.period) == (0, 1, 0, 0, 0, 0, 0, 0)
 
@@ -235,7 +236,7 @@ def test_alive_sets_match_ray_survival(name):
     aut = build_automaton(t)
     bounds = conj_block_bounds(t)
     checked = 0
-    for (delta, _, _), (lo, hi) in zip(*difference_pairs(t, g)):
+    for (delta, _, _), (lo, hi) in zip(*qbeta_pairs(t, *difference_pairs(t, g))):
         x = _small_orbit_rep_reference(t, lo, hi, bounds)
         for y in (x, x + delta):
             assert aut.alive(y) == _ray_alive_states_reference(aut, expand(t, y)), (y, delta)
@@ -443,22 +444,6 @@ def test_interleaved_layout_automaton_and_routes():
 
 
 # ---------------------------------------------------------------------------
-# candidate differences
-
-def test_zero_always_candidate(golden_greedy):
-    vd, g, _ = stage_cache(golden_greedy)
-    cands = difference_candidates(golden_greedy, g)
-    assert cands[0].is_zero()
-
-
-def test_tribonacci_candidates_contain_inv_beta_sq(tribonacci_symmetric_r):
-    vd, g, _ = stage_cache(tribonacci_symmetric_r)
-    cands = difference_candidates(tribonacci_symmetric_r, g)
-    coords = {c.coords for c in cands}
-    assert (0, 2, -1) in coords     # 1/beta^2
-
-
-# ---------------------------------------------------------------------------
 # difference machine
 
 def test_transducer_path_sum_identity(tribonacci, tribonacci_symmetric_r):
@@ -468,9 +453,9 @@ def test_transducer_path_sum_identity(tribonacci, tribonacci_symmetric_r):
     delta = tribonacci.qb([0, 2, -1])      # 1/beta^2, the overlap difference
     # the identity does not depend on the start point: take the left end of
     # the first window of delta
-    pairs, windows = difference_pairs(t, g)
+    pairs, windows = qbeta_pairs(t, *difference_pairs(t, g))
     x = next(lo for (d, _, _), (lo, _) in zip(pairs, windows) if d == delta)
-    td = build_diff_transducer(t, aut, [(delta, x)])
+    td = build_diff_transducer(t, aut, [to_machine(t, delta, x)])
     out_edges = {}
     for s, d, ain, aout in td.edges:
         out_edges.setdefault(s, []).append((d, ain, aout))
@@ -500,7 +485,7 @@ def test_transducer_path_sum_identity(tribonacci, tribonacci_symmetric_r):
                      for k, a in enumerate(reversed(u))), tribonacci.zero)
         val_v = sum((t.digits[a] * beta ** -(k + 1)
                      for k, a in enumerate(reversed(v))), tribonacci.zero)
-        term = td.states[s][0]
+        term = from_machine(t, td.states[s][0])
         assert val_u - val_v == term - delta * beta ** -n
         checked += 1
     assert checked >= 1000
@@ -649,11 +634,20 @@ def test_diff_transducer_rejects_start_outside_domain(golden_greedy):
     aut = build_automaton(t)
     f = t.field
     delta = f.beta - f.one
-    assert build_diff_transducer(t, aut, [(delta, f.zero)]).initials == [0]
+    assert build_diff_transducer(t, aut, [to_machine(t, delta, f.zero)]).initials == [0]
     for x in (t.xmax, f.zero - f.one, f.one - delta):
         # x past the domain's supremum, below it, or x + delta at the supremum
         with pytest.raises(ValidationError, match="outside the domain"):
-            build_diff_transducer(t, aut, [(delta, x)])
+            build_diff_transducer(t, aut, [to_machine(t, delta, x)])
+
+
+def test_diff_transducer_refuses_a_difference_off_the_lattice(golden_greedy):
+    t = golden_greedy
+    aut = build_automaton(t)
+    f = t.field
+    for delta in ((Fraction(1, 2), 0), (0.0, 1)):
+        with pytest.raises(DigitsNotIntegral):
+            build_diff_transducer(t, aut, [(delta, to_machine(t, f.zero, f.zero)[1])])
 
 
 def test_cross_validation_w_vs_decision(golden_greedy, golden_symmetric_r):
@@ -675,14 +669,14 @@ def test_cubic_30m1_greedy_decides_tiling():
     t = config_transform("cubic_30m1_greedy")
     vd, g, pset = stage_cache(t)
     assert check_w(t, pset).status == "holds"
-    pairs, windows = difference_pairs(t, g)
+    pairs, windows = qbeta_pairs(t, *difference_pairs(t, g))
     delta = t.field.qb([-2, 1])
     assert (t.field.zero, t.field.qb([3, -1])) in [w for w, (d, _, _) in zip(windows, pairs)
                                                    if d == delta]
     # the start at that window's left end, x = 0 with x + delta = beta - 2,
     # reads membership, so beta - 2 is not in the state [0, beta - 2)
     aut = build_automaton(t)
-    td = build_diff_transducer(t, aut, [(delta, t.field.zero)])
+    td = build_diff_transducer(t, aut, [to_machine(t, delta, t.field.zero)])
     hit, _ = _component_walk(t.field, td)
     assert not hit[td.initials[0]]
     dec = decide_tiling(t, g, pset)
@@ -703,7 +697,7 @@ def _decide_per_pair(t, g, aut):
     """Reference decision: one difference machine per (delta, xrep) key, at a
     representative xrep strictly inside the window, each with its own
     component loop, stopping at the first passing component."""
-    pairs, _ = difference_pairs(t, g)
+    pairs, _ = qbeta_pairs(t, *difference_pairs(t, g))
     bounds = conj_block_bounds(t)
     beta_f = float(t.field.beta)
     done, overlapping, gaps = {}, [], []
@@ -713,7 +707,7 @@ def _decide_per_pair(t, g, aut):
         xrep = _small_orbit_rep_reference(t, lo, hi, bounds)
         key = (delta.coords, xrep.coords)
         if key not in done:
-            td = build_diff_transducer(t, aut, [(delta, xrep)])
+            td = build_diff_transducer(t, aut, [to_machine(t, delta, xrep)])
             n = len(td.states)
             adj = [[] for _ in range(n)]
             for s, d, _, _ in td.edges:
@@ -742,42 +736,19 @@ def _decide_per_pair(t, g, aut):
 
 def _small_orbit_rep_reference(t, lo, hi, bounds):
     """One representative per call: a fresh lattice box per window and scale,
-    the lexicographically first exact hit strictly inside (lo, hi), else the
-    simplest rational."""
+    the lexicographically first exact hit strictly inside (lo, hi) at the
+    first scale 1, 2, 4, ... that has one.  Z[beta] is dense, so some scale
+    has one, and a point of Z[beta] lies on every frame, as the starts of the
+    difference machine must."""
     f = t.field
     flo = _float_span(f, lo.coords)[0]
     fhi = _float_span(f, hi.coords)[1]
-    scale = 1
-    while scale <= 4:
+    for scale in (2 ** k for k in range(13)):
         for coords in lattice_candidates(f, flo, fhi, [b * scale for b in bounds]):
             x = f.qb(coords)
             if qb_compare(x, lo) == GT and qb_compare(x, hi) == LT:
                 return x
-        scale *= 2
-    return _simple_rational_in_reference(lo, hi)
-
-
-def _simplest_between(lo, hi):
-    """Smallest-denominator fraction x with lo < x < hi, for rationals lo < hi."""
-    fl = math.floor(lo)
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        return fl + Fraction(1, math.floor(1 / (hi - fl)) + 1)
-    return fl + 1 / _simplest_between(1 / (hi - fl), 1 / (lo - fl))
-
-
-def _simple_rational_in_reference(lo, hi):
-    """The simplest rational strictly between an upper bound of lo and a lower
-    bound of hi, for field elements lo < hi."""
-    assert qb_compare(lo, hi) == LT
-    w = Fraction(1, 16)
-    while True:
-        b1 = gamma_interval(lo, 0, w)[1]
-        a2 = gamma_interval(hi, 0, w)[0]
-        if b1 < a2:
-            return lo.field.qb([_simplest_between(b1, a2)])
-        w /= 64
+    raise AssertionError(f"no lattice point inside ({lo!r}, {hi!r})")
 
 
 def _difference_pairs_reference(t, g):
@@ -817,18 +788,47 @@ def test_decision_indexes_match_per_call_references(name, depth):
     held = set(g._cloud_cache)
     clouds_at_depth(g, depth)
     try:
-        pairs, windows = difference_pairs(t, g)
+        pairs, windows = qbeta_pairs(t, *difference_pairs(t, g))
     finally:
         for k in set(g._cloud_cache) - held:
             del g._cloud_cache[k]
-    if name not in _REFERENCES:     # the reference takes seconds and reads no depth
-        core = set(_neighbour_core(t))
-        ref = [(p, w) for p, w in zip(*_difference_pairs_reference(t, g)) if p[0].coords in core]
-        _REFERENCES[name] = [p for p, _ in ref], [w for _, w in ref]
-    ref, ref_windows = _REFERENCES[name]
+    ref, ref_windows = _core_references(name)
     assert [(x.coords, i, j) for x, i, j in pairs] == [(x.coords, i, j) for x, i, j in ref]
     assert windows == ref_windows
     assert pairs
+
+
+def _core_references(name):
+    """The reference triples and windows over the neighbour core, once per
+    config (the reference takes seconds and reads no depth)."""
+    if name not in _REFERENCES:
+        t = config_transform(name)
+        core = set(_neighbour_core(t))
+        ref = [(p, w) for p, w in zip(*_difference_pairs_reference(t, stage_cache(t)[1]))
+               if p[0].coords in core]
+        _REFERENCES[name] = [p for p, _ in ref], [w for _, w in ref]
+    return _REFERENCES[name]
+
+
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS)
+def test_integer_starts_match_qbeta_reference(name):
+    # the machine's integer form: every delta is the reference's coordinates,
+    # every window end the reference's numerators over the frame, and the
+    # start states hold delta with the alive sets the automaton reads off
+    # the QBeta window end lo at lo + delta and at lo
+    t = config_transform(name)
+    g = stage_cache(t)[1]
+    aut = build_automaton(t)
+    pairs, windows = difference_pairs(t, g)
+    ref, ref_windows = _core_references(name)
+    assert [(to_machine(t, d, t.field.zero)[0], i, j) for d, i, j in ref] == pairs
+    assert [tuple(to_machine(t, t.field.zero, x)[1] for x in w) for w in ref_windows] == windows
+    starts = [(d, lo) for (d, _, _), (lo, _) in zip(pairs, windows)]
+    td = build_diff_transducer(t, aut, starts)
+    assert [td.states[s] for s in td.initials] == [
+        (to_machine(t, d, lo)[0], aut.alive(lo + d), aut.alive(lo))
+        for (d, _, _), (lo, _) in zip(ref, ref_windows)]
+    assert all(type(c) is int for st in td.states for c in st[0])
 
 
 @pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "tribonacci_symmetric"])
@@ -940,7 +940,7 @@ def test_recurrent_states_lie_in_the_certified_box(name):
     caps = [2 * b for b in conj_block_bounds(t)]
     core = set(_neighbour_core(t))
     for s in seen:
-        x = td.states[s][0]
+        x = from_machine(t, td.states[s][0])
         assert qb_compare(abs(x), diam) != GT
         assert all(gamma_abs_upper(x, j) <= cap for (_, j), cap in zip(f.hblocks, caps))
         assert x.coords in core
@@ -956,7 +956,7 @@ def _decide_whole_box(t, g, aut):
     starts = [(delta, lo) for (delta, _, _), (lo, _) in zip(pairs, windows)]
     td = build_diff_transducer(t, aut, starts, core=box)
     hit, radius = _component_walk(t.field, td)
-    overlapping = [(delta, g.vertices[i], g.vertices[j])
+    overlapping = [(from_machine(t, delta), g.vertices[i], g.vertices[j])
                    for (delta, i, j), s in zip(pairs, td.initials) if hit[s]]
     gaps = [float(t.field.beta) - radius[s] for s in td.initials if not hit[s]]
     return ("multiple" if overlapping else "tiling"), overlapping, gaps, td, len(pairs)
@@ -1004,10 +1004,10 @@ def _neighbour_core_reference(t):
         kept = trimmed
 
 
-@pytest.mark.parametrize("name", ["golden_greedy", "golden_pm1", "golden_pedicini",
-                                  "tribonacci_symmetric", "cubic_30m1_greedy"])
+@pytest.mark.parametrize("name", RIGHT_CONTINUOUS + ["tetranacci_symmetric"])
 def test_neighbour_core_matches_field_reference(name):
-    t = config_transform(name)
+    t = (preset("symmetric", make_field(1, 1, 1, 1)) if name == "tetranacci_symmetric"
+         else config_transform(name))
     core = _neighbour_core(t)
     assert core == _neighbour_core_reference(t)
     assert 0 < len(core) and (0,) * t.field.degree in core
@@ -1021,3 +1021,10 @@ def test_degree_four_greedy_decides_tiling():
     vd, g, pset = stage_cache(t)
     dec = decide_tiling(t, g, pset)
     assert dec.verdict == "tiling" and dec.pairs == ()
+
+
+def test_forbidden_words_refuses_a_negative_length(golden_greedy):
+    aut = build_automaton(golden_greedy)
+    assert forbidden_words(aut, 0) == []
+    with pytest.raises(ValidationError, match="maxlen must be nonnegative"):
+        forbidden_words(aut, -1)

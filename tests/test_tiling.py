@@ -820,3 +820,23 @@ def test_density_matches_cloud_measure(golden, golden_greedy, golden_symmetric_r
         for l, w in zip(lens, hf):
             if w < 1e-12:
                 assert l < 3 * err
+
+
+def test_tiles_containing_refuses_an_int_point(golden_greedy):
+    _, _, pset = stage_cache(golden_greedy)
+    with pytest.raises(TypeError, match="z must be a QBeta"):
+        tiles_containing(golden_greedy, pset, 3)
+
+
+@pytest.mark.parametrize("budget", ["z_height", "k_budget", "max_candidates"])
+def test_check_w_refuses_a_negative_budget(golden_greedy, budget):
+    _, _, pset = stage_cache(golden_greedy)
+    assert check_w(golden_greedy, pset, **{budget: 0}).status in ("holds", "fails_by_budget")
+    with pytest.raises(ValidationError, match="must be nonnegative"):
+        check_w(golden_greedy, pset, **{budget: -1})
+
+
+def test_covering_degree_estimate_refuses_no_samples(golden_greedy):
+    _, _, pset = stage_cache(golden_greedy)
+    with pytest.raises(ValidationError, match="no samples"):
+        covering_degree_estimate(golden_greedy, pset, [])
