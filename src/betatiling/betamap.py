@@ -40,11 +40,6 @@ class IntervalQB:
         return f"[{float(self.lo):.6g}, {float(self.hi):.6g})"
 
 
-def _frame(ivs, q):
-    """The (lo, hi) integer numerators over q of intervals on a frame dividing q."""
-    return [(_nums(iv.lo.coords, q), _nums(iv.hi.coords, q)) for iv in ivs]
-
-
 def _merged(ivs):
     """Disjoint normal form of a union of half-open intervals (lo, hi), lo < hi,
     with ends ranked in one order: sorted, merged where they overlap or touch."""
@@ -75,6 +70,13 @@ def _cut(cmp, ivs, jvs):
     return out
 
 
+def _require_own(t, obj, name):
+    """ValidationError unless obj (boundary-orbit data, a graph-directed
+    system, an automaton) was built for the transform t itself."""
+    if obj.transform is not t:
+        raise ValidationError(f"{name} was built for another transform")
+
+
 class BetaTransform:
     """A validated expansion map.  Immutable; build with :func:`build_transform`.
 
@@ -82,7 +84,8 @@ class BetaTransform:
     denominators of the digits and of the piece ends, ``_qd`` holds the
     digits' numerators over ``_q``, and ``_table`` is the end table of the
     pieces over ``_q``, labelled by digit index (on the left-continuous side
-    a point on an end lies in the lower piece).  Orbits of points in
+    a point on an end lies in the lower piece); its cells are the pieces, and
+    ``_parts`` holds each digit's (lo, hi) numerators.  Orbits of points in
     (1/q) Z[beta], q a multiple of ``_q``, are carried on integers
     (:func:`_num_frame`) and looked up in it.  Pieces, components and table
     come from the one sort of :func:`build_transform`.
@@ -94,6 +97,7 @@ class BetaTransform:
         self.xmin, self.xmax = components[0].lo, components[-1].hi
         self._q = table.q
         self._qd = tuple(_nums(d.coords, table.q) for d in digits)
+        self._parts = [[c[:2] for c in table.cells() if c[2] == a] for a in range(len(digits))]
 
     # -- membership --------------------------------------------------------
 
@@ -178,7 +182,7 @@ def build_transform(field, digits, parts, side="right"):
             raise ValidationError(f"digit {d!r} is given twice")
     q = math.lcm(*(c.denominator for x in (*digits, *ends) for c in x.coords))
     qd, row = [_nums(d.coords, q) for d in digits], field._pow_coords[field.degree]
-    nparts = [_frame(pp, q) for pp in parts]
+    nparts = [[(_nums(iv.lo.coords, q), _nums(iv.hi.coords, q)) for iv in pp] for pp in parts]
     images = [(_num_step(row, lo, qd[a]), _num_step(row, hi, qd[a]))
               for a, npp in enumerate(nparts) for lo, hi in npp]
     order, spans = _num_sorted(
@@ -286,6 +290,7 @@ class Expansion:
     exact: bool = True
 
     def digit_at(self, k):
+        _require_position(k)
         if k < len(self.preperiod):
             return self.preperiod[k]
         if not self.period:
@@ -294,6 +299,7 @@ class Expansion:
 
     def tail(self, k):
         """The shifted word starting at position k, in canonical form."""
+        _require_position(k)
         if k <= len(self.preperiod):
             return Expansion(self.preperiod[k:], self.period, self.exact)
         if not self.period:
@@ -303,6 +309,18 @@ class Expansion:
 
     def __len__(self):
         return len(self.preperiod) + len(self.period)
+
+
+def _require_position(k):
+    if k < 0:
+        raise ValidationError(f"position must be nonnegative, got {k}")
+
+
+def _require_letters(n, word):
+    """UnknownDigit for a letter of the word that is no index below n."""
+    for a in word:
+        if not 0 <= a < n:
+            raise UnknownDigit(f"digit index {a} out of range")
 
 
 # Integer orbit kernel.  An orbit of x under x -> beta*x - d stays in
@@ -376,12 +394,10 @@ def _value_nums(t, word):
     1 - beta^p, with beta^p from the field's power table, gives numerators
     over den, so over q = _q den; then the preperiod by Horner in 1/beta,
     on divisions of the kernel, over q."""
-    f, na = t.field, len(t.digits)
+    f = t.field
     if not word.period:
         raise ValidationError("word must be eventually periodic (nonempty period)")
-    for a in itertools.chain(word.preperiod, word.period):
-        if not 0 <= a < na:
-            raise UnknownDigit(f"digit index {a} out of range")
+    _require_letters(len(t.digits), itertools.chain(word.preperiod, word.period))
     acc, qd, row = (0,) * f.degree, t._qd, f._pow_coords[f.degree]
     for a in word.period:
         acc = _num_step(row, acc, qd[a])
@@ -439,13 +455,14 @@ def prefix_interval_set(t, prefix):
     Independent of the admissibility machinery: computed by pulling the digit
     pieces back through the branches (:func:`numfield._num_div`) and cutting
     them by the digit's pieces (:func:`_cut`) on the frame ``_q``.  Returns a
-    disjoint interval list.
+    disjoint interval list; a letter that is no digit index raises UnknownDigit.
     """
+    _require_letters(len(t.digits), prefix)
     f, q, irow = t.field, t._q, t.field._inv_row
-    cmp, cur = _num_cmp(f, q), _frame((iv for iv, _ in t.pieces), q)
+    cmp, cur = _num_cmp(f, q), [(lo, hi) for lo, hi, _ in t._table.cells()]
     for a in reversed(prefix):
         pre = [(_num_div(irow, lo, t._qd[a]), _num_div(irow, hi, t._qd[a])) for lo, hi in cur]
-        cur = _cut(cmp, pre, _frame(t.parts[a], q))
+        cur = _cut(cmp, pre, t._parts[a])
         if not cur:
             return []
     return [IntervalQB(_from_num(f, lo, q), _from_num(f, hi, q)) for lo, hi in cur]
@@ -462,6 +479,7 @@ class VData:
     m: dict            # discontinuity -> merge time (None if the orbits never merge)
     table: object      # numfield._EndTable of the J intervals, labelled by index
     intervals: list    # J in the order of V
+    transform: object  # the map the points were computed for
 
 
 def compute_v(t, budget=20000):
@@ -471,10 +489,10 @@ def compute_v(t, budget=20000):
     iterated in lockstep on the integer orbit kernel, over the transform's
     frame, with exact equality of numerators; the loop stops at the merge
     time or, when the orbit pair closes a cycle without merging, after the
-    pair cycle is complete (all orbit points collected).  The points are
-    sorted on their float spans (:func:`numfield._num_sorted`), and each cuts
-    the domain component it starts or lies in at the next point; the J
-    intervals, labelled by index, form the end table ``table``.
+    pair cycle is complete (all orbit points collected).  Discontinuities and
+    component starts and ends are read off the cells of the pieces table.  One
+    sort (:func:`numfield._num_sorted`) of the points and component ends gives
+    J_v, from v to the next, and the end table ``table`` of J, labelled by index.
     """
     if t.side != "right":
         raise ValidationError("boundary-orbit analysis expects the right-continuous map")
@@ -488,15 +506,12 @@ def compute_v(t, budget=20000):
             raise OutOfDomain(f"{_from_num(f, x, q)!r} is not in the domain")
         return _num_step(row, x, qd[a])
 
-    pts = {_nums(iv.lo.coords, q) for iv in t.components}
-    m = {}
-    for (iv, a), (jv, b) in zip(t.pieces, t.pieces[1:]):
-        if iv.hi != jv.lo or a == b:
-            continue
-        u = w = _nums(jv.lo.coords, q)
-        seen_pairs = set()
-        merge = None
-        collected = []
+    cells = t._table.cells()
+    los, his = {c[0] for c in cells}, {c[1] for c in cells}
+    pts, ends, m = los - his, his - los, {}      # the component starts and ends
+    for x in (lo for lo, _, _ in cells if lo in his):
+        u, w, p = x, x, _from_num(f, x, q)
+        seen_pairs, merge, collected = set(), None, []
         for k in range(1, budget + 1):
             u, w = step(t, u), step(tw, w)
             if u == w:
@@ -507,18 +522,15 @@ def compute_v(t, budget=20000):
             seen_pairs.add((u, w))
             collected += (u, w)
         else:
-            raise BudgetExceeded("orbit pair did not close", point=str(jv.lo), steps=budget)
-        m[jv.lo] = merge
+            raise BudgetExceeded("orbit pair did not close", point=str(p), steps=budget)
+        m[p] = merge
         pts.update(p for p in collected if t._table.at(p, q) is not None)
-    vs = _num_sorted(f, pts, q)[0]
-    comp_hi = {_nums(iv.lo.coords, q): _nums(iv.hi.coords, q) for iv in t.components}
-    rows, end = [], None
-    for i, (v, nxt) in enumerate(zip(vs, vs[1:] + [None])):
-        end = comp_hi.get(v, end)       # v starts a component or lies in the last one
-        rows.append((v, end if nxt is None or nxt in comp_hi else nxt, i))
-    ivs = [IntervalQB(_from_num(f, lo, q), _from_num(f, hi, q)) for lo, hi, _ in rows]
+    order = _num_sorted(f, pts | ends, q)
+    rows = [(v, w) for v, w in zip(order[0], order[0][1:]) if v in pts]
+    ivs = [IntervalQB(_from_num(f, lo, q), _from_num(f, hi, q)) for lo, hi in rows]
     vlist = [iv.lo for iv in ivs]
-    return VData(vlist, dict(zip(vlist, ivs)), m, _EndTable(f, q, rows, _sole), ivs)
+    table = _EndTable(f, q, [(*r, i) for i, r in enumerate(rows)], _sole, order=order)
+    return VData(vlist, dict(zip(vlist, ivs)), m, table, ivs, t)
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +539,15 @@ def compute_v(t, budget=20000):
 def branch_edges(t, vdata):
     """Per point V[i], the pairs (j, a), in digit order, of every digit a
     whose branch-a preimage (V[i] + a)/beta lies in piece a and in interval
-    j.  The preimages are formed on integer numerators over one frame, and
-    both lookups bisect an end table: the transform's pieces and the J
-    intervals of ``vdata.table``."""
-    f = t.field
-    q = math.lcm(t._q, vdata.table.q)
-    qd, irow = _digit_nums(t, q), f._inv_row
-    out = []
-    for v in vdata.V:
-        n, row = _nums(v.coords, q), []
-        for a, d in enumerate(qd):
+    j.  The preimages are formed on the numerators of the J table's cells,
+    over the frame ``_q``, and both lookups bisect an end table: the
+    transform's pieces and the J intervals of ``vdata.table``.  A ``vdata``
+    of another transform raises ValidationError."""
+    _require_own(t, vdata, "vdata")
+    q, irow, out = t._q, t.field._inv_row, []
+    for n, _, _ in vdata.table.cells():
+        row = []
+        for a, d in enumerate(t._qd):
             y = _num_div(irow, n, d)
             if t._table.at(y, q) == a:
                 j = vdata.table.at(y, q)
@@ -588,15 +599,17 @@ def restrict_to_support(t, weights, vdata):
     """Restriction of the transform to the union of positive-weight intervals,
     for one weight per point of ``vdata.V`` (field elements or numbers): t if
     all are positive, as the J intervals tile the domain, else the positive J
-    intervals cut out of each digit's pieces on t's frame (:func:`_cut`)."""
+    intervals cut out of each digit's pieces on t's frame (:func:`_cut`).  A
+    ``vdata`` of another transform raises ValidationError."""
+    _require_own(t, vdata, "vdata")
     if len(weights) != len(vdata.V):
         raise ValidationError(f"{len(weights)} weights for {len(vdata.V)} intervals")
     keep = [h > 0 for h in weights]
     if all(keep):
         return t
     f, q = t.field, t._q
-    cmp, support = _num_cmp(f, q), [iv for iv, k in zip(_frame(vdata.intervals, q), keep) if k]
-    cuts = [_cut(cmp, _frame(pp, q), support) for pp in t.parts]
+    cmp, support = _num_cmp(f, q), [(lo, hi) for lo, hi, i in vdata.table.cells() if keep[i]]
+    cuts = [_cut(cmp, pp, support) for pp in t._parts]
     return build_transform(f, [d for d, c in zip(t.digits, cuts) if c],
                            [[IntervalQB(_from_num(f, lo, q), _from_num(f, hi, q)) for lo, hi in c]
                             for c in cuts if c], t.side)
@@ -626,18 +639,29 @@ def _config_entry(cfg, key, parse):
 
 def transform_from_config(cfg):
     """Build a transform from a JSON-style dict (explicit pieces or preset);
-    a missing or malformed key raises ValidationError naming it."""
+    a missing or malformed key raises ValidationError naming it.  Float
+    coordinates, which would be read as binary fractions, a ``side`` beside a
+    ``preset`` and a ``restrict_to_support`` that is not a bool are refused."""
     fld = _config_entry(cfg, "field", lambda c: make_field(*c))
-    qbs = lambda xs: [fld.qb(x) for x in xs]
+
+    def qb(x):
+        if isinstance(x, (list, tuple)) and any(isinstance(c, float) for c in x):
+            raise TypeError(f"float coordinate in {x}; give it as an int or a 'p/q' string")
+        return fld.qb(x)
+
+    qbs = lambda xs: [qb(x) for x in xs]
+    restrict = cfg.get("restrict_to_support", False)
+    if not isinstance(restrict, bool):
+        raise ValidationError(f"config 'restrict_to_support': {restrict!r} is not a bool")
     if "preset" in cfg:
-        alpha = _config_entry(cfg, "alpha", fld.qb) if "alpha" in cfg else None
+        if "side" in cfg:
+            raise ValidationError("config 'side': a preset fixes its own side")
+        alpha = _config_entry(cfg, "alpha", qb) if "alpha" in cfg else None
         digits = _config_entry(cfg, "digits", qbs) if "digits" in cfg else None
         t = preset(cfg["preset"], fld, alpha=alpha, digits=digits)
     else:
         digits = _config_entry(cfg, "digits", qbs)
         parts = _config_entry(cfg, "parts", lambda pps: [
-            [IntervalQB(fld.qb(iv["lo"]), fld.qb(iv["hi"])) for iv in pp] for pp in pps])
+            [IntervalQB(qb(iv["lo"]), qb(iv["hi"])) for iv in pp] for pp in pps])
         t = build_transform(fld, digits, parts, cfg.get("side", "right"))
-    if cfg.get("restrict_to_support"):
-        t = supported(t)
-    return t
+    return supported(t) if restrict else t

@@ -301,7 +301,8 @@ class PisotField:
     def qb(self, coords):
         """Element from a coordinate sequence (rationals, ints, or 'p/q' strings);
         a string, which would give one coordinate per character, or a scalar
-        raises TypeError."""
+        raises TypeError.  A float coordinate is read as its exact binary
+        fraction (0.3 as 5404319552844595/2^54); configs refuse floats."""
         if isinstance(coords, str) or not hasattr(coords, "__iter__"):
             raise TypeError(f"coords must be a sequence of rationals, not {type(coords).__name__}")
         coords = list(coords)
@@ -803,7 +804,8 @@ class _EndTable:
     of the labels of the intervals that cover it: their set by default,
     :func:`_sole` for a disjoint family.  A caller that has sorted the ends
     already passes them with their spans as ``order``.  Every lookup is one
-    :func:`_num_bisect`.
+    :func:`_num_bisect`.  The labelled bounded cells (:meth:`cells`) are the
+    intervals of a disjoint family whose touching members differ in label.
     """
 
     __slots__ = ("field", "q", "unit", "left", "ends", "spans", "labels")
@@ -825,6 +827,10 @@ class _EndTable:
         out.left = not self.left
         return out
 
+    def cells(self):
+        """The bounded cells not labelled None, as (lo, hi, label) in order."""
+        return [c for c in zip(self.ends, self.ends[1:], self.labels[1:]) if c[2] is not None]
+
     def at(self, n, q):
         """The label of the point n/q, for integer numerators n over a
         multiple q of the table's frame."""
@@ -834,7 +840,10 @@ class _EndTable:
     def cell_of(self, x):
         """The cell of the field element x, bisected on its rational
         coordinates (an end is its numerators times ``unit``); raises
-        FieldMismatch when x is not in the table's field."""
+        TypeError when x is no QBeta and FieldMismatch when it is not in the
+        table's field."""
+        if not isinstance(x, QBeta):
+            raise TypeError(f"x must be a QBeta, not {type(x).__name__}")
         if x.field is not self.field and x.field != self.field:
             raise FieldMismatch("point and intervals belong to different fields")
         return _num_bisect(self.field, self.ends, self.spans, x.coords, 1, self.unit, self.left)

@@ -28,10 +28,11 @@ window.  A pair of tiles overlaps on positive measure exactly when its start
 reaches a recurrent component whose adjacency matrix has beta as an
 eigenvalue, which is tested exactly over the integers, once per component.
 
-The difference machine runs on integers: a difference is its integer
-coordinates, a window end or start point its numerators over the frame
-``_q``.  Only the overlapping pairs that :func:`decide_tiling` publishes
-become ``QBeta``s.
+Both layers run on integers read off end tables: the automaton's pieces
+and initial state off the cells of the pieces table, the windows off those
+of the J table.  A difference is its integer coordinates, a window end or
+start point its numerators over the frame ``_q``.  Only the overlapping
+pairs that :func:`decide_tiling` publishes become ``QBeta``s.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betamap import _cut, _frame
+from .betamap import _cut, _require_letters, _require_own
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
 from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _num_cmp,
                        _num_div, _num_sign, _num_step, _span_compare)
@@ -82,7 +83,9 @@ class ShiftAutomaton:
     # -- runs ---------------------------------------------------------------
 
     def run(self, word, start=None):
-        """Final state after the finite index word, or None if it dies."""
+        """Final state after the finite index word, or None if it dies; a
+        letter that is no digit index raises UnknownDigit."""
+        _require_letters(self.alphabet, word)
         s = self.initial if start is None else start
         for a in word:
             if s is None:
@@ -165,9 +168,9 @@ def build_automaton(t, state_budget=200000):
     if t.side != "right":
         raise ValidationError("automaton construction expects the right-continuous map")
     f, q, qd = t.field, t._q, t._qd
-    row = f._pow_coords[f.degree]
-    parts, cmp = [_frame(pp, q) for pp in t.parts], _num_cmp(f, q)
-    initial = tuple(_frame(t.components, q))
+    row, parts, cmp, ends = f._pow_coords[f.degree], t._parts, _num_cmp(f, q), t._table.ends
+    # the domain's hull cut by the pieces: the components, merged where they touch
+    initial = tuple(_cut(cmp, [(ends[0], ends[-1])], [c[:2] for c in t._table.cells()]))
     index = {initial: 0}
     delta = [None]
     queue = [initial]
@@ -331,14 +334,16 @@ def difference_pairs(t, g, core=None):
     certified float spans.  The spans decide each window end and whether a
     window is empty; only where two spans overlap does
     :func:`numfield._span_compare` fall back to :func:`numfield._num_sign`.
+    A ``g`` of another transform raises ValidationError.
     """
     _require_integral_digits(t)
+    _require_own(t, g, "g")
     f, q = t.field, t._q
     core = _neighbour_core(t) if core is None else core
     keep = [(co, _float_span(f, co)) for co in core if _num_sign(f, co) == GT]
     if not keep:
         return [], []
-    jl, jh = zip(*_frame(g.J, q))
+    jl, jh, _ = zip(*g.table.cells())
     jlo = np.array([_float_span(f, x, q) for x in jl]).T
     jhi = np.array([_float_span(f, x, q) for x in jh]).T
     ds = np.array([sx for _, sx in keep]).T[:, :, None]
@@ -560,9 +565,13 @@ def decide_tiling(t, g, pset, depth=10, state_budget=60000, automaton=None):
     is an eigenvalue of its adjacency matrix.  A pair overlaps exactly when
     the component of its start is hit.  No tile cloud is read, so the verdict
     does not depend on a depth; ``pset`` and ``depth`` are unused and kept
-    only for callers that still pass them.
+    only for callers that still pass them.  A ``g`` or ``automaton`` of
+    another transform raises ValidationError.
     """
     _require_integral_digits(t)
+    _require_own(t, g, "g")
+    if automaton is not None:
+        _require_own(t, automaton, "automaton")
     f = t.field
     aut = automaton if automaton is not None else build_automaton(t)
     core = _neighbour_core(t)

@@ -236,7 +236,7 @@ def clouds_at_depth(g, depth):
 def tile_cloud(g, x, depth):
     """Certified depth-k cloud of the tile of vertex x (an index), or of the
     interval containing the point x."""
-    i = x if isinstance(x, int) else g.vertex_index(x)
+    i = x if isinstance(x, numbers.Integral) and not isinstance(x, bool) else g.vertex_index(x)
     if i is None or not 0 <= i < len(g.vertices):
         raise ValidationError(f"{x!r} is neither a vertex index nor a point of the domain")
     clouds, err = clouds_at_depth(g, depth)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 from fractions import Fraction
@@ -83,14 +84,19 @@ def smallest_pisot_symmetric_r(smallest_pisot):
 
 
 def stage_cache(t, _cache={}):
-    """Shared heavy pipeline stages keyed by the transform's config."""
+    """Shared heavy pipeline stages keyed by the transform's config.  Equal
+    configs build the same map, so the stages of an earlier transform are
+    handed out bound to t, as the library refuses those of another map."""
     key = str(t.to_config())
     if key not in _cache:
         vd = betamap.compute_v(t)
         g = tiling.gifs_build(t, vd)
         pset = tiling.purely_periodic_points(t)
         _cache[key] = (vd, g, pset)
-    return _cache[key]
+    vd, g, pset = _cache[key]
+    if vd.transform is not t:
+        vd, g = dataclasses.replace(vd, transform=t), dataclasses.replace(g, transform=t)
+    return vd, g, pset
 
 
 # the difference machine's integer form (sofic.difference_pairs and

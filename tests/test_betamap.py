@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from betatiling import betamap
-from betatiling.betamap import (Expansion, IntervalQB, _num_frame,
+from betatiling.betamap import (Expansion, IntervalQB, _num_frame, branch_edges,
                                 build_transform, compute_v, endpoint_words,
                                 expand, expansion_value, invariant_density,
                                 is_admissible, prefix_interval_set, preset,
@@ -18,8 +18,9 @@ from betatiling.betamap import (Expansion, IntervalQB, _num_frame,
 from betatiling.errors import (BudgetExceeded, FieldMismatch, NotSurjective,
                                OutOfDomain, Overlap, PediciniGapViolated,
                                UnknownDigit, ValidationError)
-from betatiling.numfield import EQ, GT, LT, make_field, psi, qb_compare
+from betatiling.numfield import EQ, GT, LT, _nums, make_field, psi, qb_compare
 from betatiling.sofic import build_automaton
+from betatiling.tiling import gifs_build
 
 from betamap_reference import build_transform_reference, restrict_to_support_reference
 from conftest import (CONFIG_DIR, CUBIC_UNITS, EXTRA_TRANSFORMS, RIGHT_CONTINUOUS_CONFIGS,
@@ -813,7 +814,17 @@ def test_compute_v_matches_step_index_reference(name):
     ({"field": [1, 1], "preset": "linear_mod1", "alpha": 0.3}, "alpha"),
     ({"field": [1, 1], "preset": "linear_mod1", "alpha": "3/10"}, "alpha"),
     ({"field": [1, 1], "digits": [[0], [1]]}, "parts"),
-], ids=["no_field", "field_string", "alpha_float", "alpha_string", "no_parts"])
+    ({"field": [1, 1], "preset": "symmetric", "restrict_to_support": "no"}, "restrict_to_support"),
+    ({"field": [1, 1], "preset": "symmetric", "restrict_to_support": "false"},
+     "restrict_to_support"),
+    ({"field": [1, 1], "preset": "greedy", "side": "left"}, "side"),
+    ({"field": [1, 1], "preset": "linear_mod1", "alpha": [0.3]}, "alpha"),
+    ({"field": [1, 1], "preset": "pedicini", "digits": [[0], [1.0]]}, "digits"),
+    ({"field": [1, 1], "digits": [[-1], [1]],
+      "parts": [[{"lo": [-1], "hi": [0]}], [{"lo": [0.0], "hi": [1]}]]}, "parts"),
+], ids=["no_field", "field_string", "alpha_float", "alpha_string", "no_parts",
+        "restrict_string_no", "restrict_string_false", "side_beside_preset",
+        "alpha_float_coordinate", "digits_float_coordinate", "parts_float_coordinate"])
 def test_config_errors_name_the_key(cfg, key):
     with pytest.raises(ValidationError, match=f"'{key}'"):
         transform_from_config(cfg)
@@ -827,3 +838,78 @@ def test_expand_refuses_a_float_point(golden_greedy):
 def test_preset_refuses_a_float_alpha(golden):
     with pytest.raises(TypeError, match="alpha must be a QBeta"):
         preset("linear_mod1", golden, alpha=0.3)
+
+
+def test_restrict_to_support_takes_json_bools(golden):
+    cfg = {"field": [1, 1], "preset": "symmetric"}
+    full = transform_from_config(dict(cfg, restrict_to_support=False))
+    assert full.pieces == preset("symmetric", golden).pieces
+    restricted = transform_from_config(dict(cfg, restrict_to_support=True))
+    assert restricted.pieces == supported(full).pieces != full.pieces
+
+
+# ---------------------------------------------------------------------------
+# the numerator record: every interval family's numerators are the cells of
+# its end table
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+                         + ["tetranacci_greedy", "tetranacci_symmetric"])
+def test_end_table_cells_are_the_numerator_record(name):
+    if name.startswith("tetranacci_"):
+        t = preset(name.split("_")[1], make_field(1, 1, 1, 1))
+    else:
+        t = transform_from_config(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    for s in (t, t.twin()):
+        nums = lambda iv: (_nums(iv.lo.coords, s._q), _nums(iv.hi.coords, s._q))
+        cells = s._table.cells()
+        assert cells == [(*nums(iv), a) for iv, a in s.pieces], name
+        assert s._parts == [[nums(iv) for iv in pp] for pp in s.parts], name
+        merged = []
+        for lo, hi, _ in cells:
+            if merged and merged[-1][1] == lo:
+                merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        assert merged == [nums(iv) for iv in s.components], name
+        if s.side == "right":
+            vd = compute_v(s)
+            assert vd.table.cells() == [(*nums(vd.J[v]), i) for i, v in enumerate(vd.V)], name
+            assert vd.intervals == [vd.J[v] for v in vd.V], name
+
+
+# ---------------------------------------------------------------------------
+# inputs built for another transform, letters and positions out of range, and
+# points that are no field element
+
+@pytest.mark.parametrize("entry", ["branch_edges", "gifs_build", "transfer_matrix",
+                                   "invariant_density", "restrict_to_support"])
+def test_boundary_data_of_another_transform_is_refused(entry, golden_greedy, golden_symmetric):
+    vd = compute_v(golden_symmetric)
+    call = {"branch_edges": lambda: branch_edges(golden_greedy, vd),
+            "gifs_build": lambda: gifs_build(golden_greedy, vd),
+            "transfer_matrix": lambda: transfer_matrix(golden_greedy, vd),
+            "invariant_density": lambda: invariant_density(golden_greedy, vd),
+            "restrict_to_support": lambda: restrict_to_support(golden_greedy, [1, 0, 1, 1], vd)}
+    with pytest.raises(ValidationError, match="vdata was built for another transform"):
+        call[entry]()
+
+
+@pytest.mark.parametrize("prefix", [(-1,), (5,), (0, 2)], ids=["negative", "past_end", "second"])
+def test_prefix_interval_set_refuses_a_bad_letter(golden_greedy, prefix):
+    with pytest.raises(UnknownDigit):
+        prefix_interval_set(golden_greedy, prefix)
+
+
+@pytest.mark.parametrize("where", ["digit_at", "tail"])
+def test_expansion_refuses_a_negative_position(where):
+    word = Expansion((0,), (1, 0))
+    with pytest.raises(ValidationError, match="position must be nonnegative"):
+        getattr(word, where)(-1)
+    assert word.digit_at(0) == 0 and word.tail(0) == word
+
+
+@pytest.mark.parametrize("lookup", ["contains", "digit_index_of", "step", "step_index"])
+@pytest.mark.parametrize("x", [0.5, 1], ids=["float", "int"])
+def test_point_lookups_refuse_a_non_point(golden_greedy, lookup, x):
+    with pytest.raises(TypeError, match="x must be a QBeta"):
+        getattr(golden_greedy, lookup)(x)

@@ -154,7 +154,13 @@ def test_out_of_range_depth_and_scale_exit_2(args):
     ({"field": "x"}, "field"),
     ({"field": [1, 1], "preset": "linear_mod1", "alpha": 0.3}, "alpha"),
     ({"field": [1, 1], "preset": "linear_mod1", "alpha": "3/10"}, "alpha"),
-], ids=["no_field", "field_string", "alpha_float", "alpha_string"])
+    ({"field": [1, 1], "preset": "symmetric", "restrict_to_support": "no"}, "restrict_to_support"),
+    ({"field": [1, 1], "preset": "greedy", "side": "left"}, "side"),
+    ({"field": [1, 1], "preset": "linear_mod1", "alpha": [0.3]}, "alpha"),
+    ({"field": [1, 1], "digits": [[-1], [1]],
+      "parts": [[{"lo": [-1], "hi": [0]}], [{"lo": [0.0], "hi": [1]}]]}, "parts"),
+], ids=["no_field", "field_string", "alpha_float", "alpha_string", "restrict_string",
+        "side_beside_preset", "alpha_float_coordinate", "parts_float_coordinate"])
 def test_malformed_config_exit_2_naming_the_key(tmp_path, cfg, key):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))

@@ -10,7 +10,8 @@ from betatiling import numfield, sofic
 from betatiling.betamap import (IntervalQB, compute_v,
                                 endpoint_words, expand, prefix_interval_set, preset,
                                 transform_from_config)
-from betatiling.errors import BudgetExceeded, DigitsNotIntegral, ValidationError
+from betatiling.errors import (BudgetExceeded, DigitsNotIntegral, UnknownDigit,
+                               ValidationError)
 from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, _minpoly_at_matrix,
                                  gamma_abs_upper, make_field, qb_compare)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
@@ -1028,3 +1029,32 @@ def test_forbidden_words_refuses_a_negative_length(golden_greedy):
     assert forbidden_words(aut, 0) == []
     with pytest.raises(ValidationError, match="maxlen must be nonnegative"):
         forbidden_words(aut, -1)
+
+
+@pytest.mark.parametrize("entry", ["difference_pairs", "decide_tiling_g", "decide_tiling_automaton"])
+def test_inputs_of_another_transform_are_refused(entry, golden_greedy, golden_symmetric,
+                                                 tribonacci_symmetric):
+    _, g_greedy, _ = stage_cache(golden_greedy)
+    _, g_symmetric, _ = stage_cache(golden_symmetric)
+    call = {"difference_pairs": lambda: difference_pairs(tribonacci_symmetric, g_greedy),
+            "decide_tiling_g": lambda: decide_tiling(golden_greedy, g_symmetric, None),
+            "decide_tiling_automaton": lambda: decide_tiling(
+                golden_greedy, g_greedy, None, automaton=build_automaton(golden_symmetric))}
+    with pytest.raises(ValidationError, match="built for another transform"):
+        call[entry]()
+
+
+@pytest.mark.parametrize("word", [[-1], [-1, -1], [7], [0, 5]],
+                         ids=["negative", "negative_pair", "past_end", "second"])
+def test_automaton_runs_refuse_a_bad_letter(golden_greedy, word):
+    aut = build_automaton(golden_greedy)
+    with pytest.raises(UnknownDigit):
+        aut.run(word)
+    with pytest.raises(UnknownDigit):
+        aut.is_factor(word)
+
+
+@pytest.mark.parametrize("x", [0.5, 1], ids=["float", "int"])
+def test_alive_refuses_a_non_point(golden_greedy, x):
+    with pytest.raises(TypeError, match="x must be a QBeta"):
+        build_automaton(golden_greedy).alive(x)

@@ -74,3 +74,10 @@ def test_import_leaves_mpmath_unloaded():
                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"],
                          capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sofic_forms_no_numerators_from_qbetas():
+    # the automaton and the difference machine read every interval family off
+    # its end table; sofic names none of the QBeta/numerator converters
+    names = set(_names(ast.parse((SRC / "betatiling" / "sofic.py").read_text())))
+    assert not names & {"_nums", "_from_num", "_num_frame", "_frame"}

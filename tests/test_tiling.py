@@ -413,6 +413,16 @@ def test_tile_cloud_rejects_a_vertex_index_out_of_range(golden_pm1):
         tile_cloud(g, golden_pm1.xmax, 2)
 
 
+def test_tile_cloud_takes_any_integral_index_but_a_bool(golden_pm1):
+    vd, g, _ = stage_cache(golden_pm1)
+    want = tile_cloud(g, 1, 2)
+    got = tile_cloud(g, np.int64(1), 2)
+    assert got.owner == want.owner and np.array_equal(got.points, want.points)
+    for x in (True, 0.3):
+        with pytest.raises(TypeError, match="x must be a QBeta"):
+            tile_cloud(g, x, 2)
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_slab_enumerators_match_meshgrid_reference(name):
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
