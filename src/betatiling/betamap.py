@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (BadAlpha, BudgetExceeded, EmptyPart, FieldMismatch, NoFixedPoint,
                      NotSurjective, OutOfDomain, Overlap, PediciniGapViolated,
                      UnknownDigit, ValidationError)
-from .numfield import (GT, LT, QBeta, _beta_eigenvector, _cramer, _EndTable, _mul_matrix,
-                       _nums, _num_cmp, _num_div, _num_sign, _num_sorted, _num_step, _sole,
-                       make_field,
-                       qb_ceil, qb_compare, qb_floor)
+from .numfield import (GT, LT, QBeta, _beta_eigenvector, _EndTable, _lcm_nums, _nums,
+                       _num_cmp, _num_sign, _num_sorted, _sole, make_field, qb_ceil,
+                       qb_compare, qb_floor)
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def build_transform(field, digits, parts, side="right"):
 
     ``digits`` are distinct field elements, ``parts`` one interval list per
     digit, all over one numerator frame q.  One :func:`numfield._num_sorted`
-    ranks every piece end and image end beta*x - d (:func:`numfield._num_step`):
+    ranks every piece end and image end beta*x - d (the field's ``_step``):
     reversed intervals, overlaps and the equality of the images' union with
     the domain are read off the ranks, and the same order gives the pieces,
     components and end table.  Raises EmptyPart, Overlap, NotSurjective,
@@ -181,10 +182,9 @@ def build_transform(field, digits, parts, side="right"):
         if d in digits[:k]:
             raise ValidationError(f"digit {d!r} is given twice")
     q = math.lcm(*(c.denominator for x in (*digits, *ends) for c in x.coords))
-    qd, row = [_nums(d.coords, q) for d in digits], field._pow_coords[field.degree]
+    qd, step = [_nums(d.coords, q) for d in digits], field._step
     nparts = [[(_nums(iv.lo.coords, q), _nums(iv.hi.coords, q)) for iv in pp] for pp in parts]
-    images = [(_num_step(row, lo, qd[a]), _num_step(row, hi, qd[a]))
-              for a, npp in enumerate(nparts) for lo, hi in npp]
+    images = [(step(lo, qd[a]), step(hi, qd[a])) for a, npp in enumerate(nparts) for lo, hi in npp]
     order, spans = _num_sorted(
         field, {e for iv in itertools.chain(*nparts, images) for e in iv}, q)
     rank, value, ranked = {e: k for k, e in enumerate(order)}, {}, []
@@ -294,7 +294,7 @@ class Expansion:
         if k < len(self.preperiod):
             return self.preperiod[k]
         if not self.period:
-            raise IndexError("finite word")
+            raise ValidationError(f"position {k} is past the end of a finite word")
         return self.period[(k - len(self.preperiod)) % len(self.period)]
 
     def tail(self, k):
@@ -303,7 +303,7 @@ class Expansion:
         if k <= len(self.preperiod):
             return Expansion(self.preperiod[k:], self.period, self.exact)
         if not self.period:
-            raise IndexError("finite word")
+            raise ValidationError(f"position {k} is past the end of a finite word")
         r = (k - len(self.preperiod)) % len(self.period)
         return Expansion((), self.period[r:] + self.period[:r], self.exact)
 
@@ -312,28 +312,34 @@ class Expansion:
 
 
 def _require_position(k):
+    """TypeError naming k unless it is an integer (a bool is not), and
+    ValidationError when it is negative."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise TypeError(f"k must be an integer position, not {type(k).__name__}")
     if k < 0:
         raise ValidationError(f"position must be nonnegative, got {k}")
 
 
 def _require_letters(n, word):
-    """UnknownDigit for a letter of the word that is no index below n."""
+    """UnknownDigit for a letter of the word that is no digit index: an
+    integer, not a bool, below n."""
     for a in word:
-        if not 0 <= a < n:
-            raise UnknownDigit(f"digit index {a} out of range")
+        integral = type(a) is int or isinstance(a, numbers.Integral) and not isinstance(a, bool)
+        if not (integral and 0 <= a < n):
+            raise UnknownDigit(f"letter {a!r} is no digit index below {n}")
 
 
 # Integer orbit kernel.  An orbit of x under x -> beta*x - d stays in
 # (1/q) Z[beta] for q the lcm of the denominators of x and of the transform's
 # frame ``_q``, which the digits' divide, so it is carried as integer
 # numerator tuples over that one q, with no Fraction and no gcd.  Both
-# directions are shifts of the coordinates: a step beta*x - d
-# (:func:`numfield._num_step`) adds the top coordinate times the row of
-# beta^d, a division (x + d)/beta (:func:`numfield._num_div`) the constant
+# directions are shifts of the coordinates, done by the field's straight-line
+# kernels: a step beta*x - d (``field._step``) adds the top coordinate times
+# the row of beta^d, a division (x + d)/beta (``field._div``) the constant
 # coordinate times the row of 1/beta.  The digits' numerators over ``_q``
 # are held on the transform (``_qd``) and scaled to a larger frame; the
-# powers beta^p of a period's value come from the field's power table,
-# which grows on demand.
+# inverse of 1 - beta^p that a period's value needs comes from the field's
+# period table, which grows on demand.
 
 def _from_num(field, n, q):
     return QBeta(field, tuple(Fraction(c, q) for c in n))
@@ -355,8 +361,8 @@ def _num_frame(t, x):
         raise TypeError(f"x must be a QBeta, not {type(x).__name__}")
     if x.field != t.field:
         raise FieldMismatch("point and transform belong to different fields")
-    q = math.lcm(t._q, *(c.denominator for c in x.coords))
-    return q, _nums(x.coords, q), _digit_nums(t, q)
+    n, q = _lcm_nums(x.coords, t._q)
+    return q, n, _digit_nums(t, q)
 
 
 def expand(t, x, max_steps=100000):
@@ -367,7 +373,7 @@ def expand(t, x, max_steps=100000):
     (a defect signal for field elements) if no revisit happens in max_steps.
     """
     q, cur, qd = _num_frame(t, x)
-    row = t.field._pow_coords[t.field.degree]
+    step, at = t.field._step, t._table.at
     seen = {}
     word = []
     for k in range(max_steps):
@@ -375,44 +381,49 @@ def expand(t, x, max_steps=100000):
             j = seen[cur]
             return Expansion(tuple(word[:j]), tuple(word[j:]), True)
         seen[cur] = k
-        a = t._table.at(cur, q)
+        a = at(cur, q)
         if a is None:
             raise OutOfDomain(f"{_from_num(t.field, cur, q)!r} is not in the domain")
         word.append(a)
-        cur = _num_step(row, cur, qd[a])
+        cur = step(cur, qd[a])
     raise BudgetExceeded("no period detected", x=str(x), steps=max_steps)
 
 
 def _value_nums(t, word):
     """(q, numerators over q) of the value of an eventually periodic word,
-    q a multiple of the frame ``_q``; raises UnknownDigit for a letter that
-    is no digit index.
+    q a multiple of the frame ``_q``; raises TypeError when the word is no
+    Expansion and UnknownDigit for a letter that is no digit index.
 
     The period d_1 .. d_p by Horner in beta over ``_q``, on steps of the
     orbit kernel: its numerators A stand for -sum_k d_k beta^(p-k), so the
-    period's value is A / (_q (1 - beta^p)).  One integer division by
-    1 - beta^p, with beta^p from the field's power table, gives numerators
-    over den, so over q = _q den; then the preperiod by Horner in 1/beta,
-    on divisions of the kernel, over q."""
-    f = t.field
+    period's value is A / (_q (1 - beta^p)).  The field's inverse of
+    1 - beta^p (:meth:`numfield.PisotField._period_inverse`), integer rows
+    over D, turns A into numerators over D, reduced to their lowest
+    denominator den, so over q = _q den; then the preperiod by Horner in
+    1/beta, on divisions of the kernel, over q."""
+    if not isinstance(word, Expansion):
+        raise TypeError(f"word must be an Expansion, not {type(word).__name__}")
     if not word.period:
         raise ValidationError("word must be eventually periodic (nonempty period)")
     _require_letters(len(t.digits), itertools.chain(word.preperiod, word.period))
-    acc, qd, row = (0,) * f.degree, t._qd, f._pow_coords[f.degree]
+    f = t.field
+    acc, qd, step = (0,) * f.degree, t._qd, f._step
     for a in word.period:
-        acc = _num_step(row, acc, qd[a])
-    pw = f._power(len(word.period))
-    val, den = _cramer(_mul_matrix(f, (1 - pw[0], *(-c for c in pw[1:]))), acc)
-    q = t._q * den
-    qd, irow = _digit_nums(t, q), f._inv_row
+        acc = step(acc, qd[a])
+    rows, den = f._period_inverse(len(word.period))
+    val = [sum(map(operator.mul, r, acc)) for r in rows]
+    g = math.gcd(den, *val)
+    q, val = t._q * (den // g), tuple(c // g for c in val)
+    qd, div = _digit_nums(t, q), f._div
     for a in reversed(word.preperiod):
-        val = _num_div(irow, val, qd[a])
+        val = div(val, qd[a])
     return q, val
 
 
 def expansion_value(t, word):
     """Exact value sum(digit_k * beta^-k) of an eventually periodic word;
-    raises UnknownDigit for a letter that is no digit index."""
+    raises TypeError for a word that is no Expansion and UnknownDigit for a
+    letter that is no digit index."""
     q, val = _value_nums(t, word)
     return _from_num(t.field, val, q)
 
@@ -432,11 +443,11 @@ def is_admissible(t, word):
     membership, linear in the word length.
     """
     q, cur = _value_nums(t, word)
-    qd, row = _digit_nums(t, q), t.field._pow_coords[t.field.degree]
+    qd, step, at = _digit_nums(t, q), t.field._step, t._table.at
     for a in itertools.chain(word.preperiod, word.period):
-        if t._table.at(cur, q) != a:
+        if at(cur, q) != a:
             return False
-        cur = _num_step(row, cur, qd[a])
+        cur = step(cur, qd[a])
     return True
 
 
@@ -453,15 +464,15 @@ def prefix_interval_set(t, prefix):
     """Exact set {x : the expansion of x starts with the given index word}.
 
     Independent of the admissibility machinery: computed by pulling the digit
-    pieces back through the branches (:func:`numfield._num_div`) and cutting
+    pieces back through the branches (the field's ``_div``) and cutting
     them by the digit's pieces (:func:`_cut`) on the frame ``_q``.  Returns a
     disjoint interval list; a letter that is no digit index raises UnknownDigit.
     """
     _require_letters(len(t.digits), prefix)
-    f, q, irow = t.field, t._q, t.field._inv_row
+    f, q, div = t.field, t._q, t.field._div
     cmp, cur = _num_cmp(f, q), [(lo, hi) for lo, hi, _ in t._table.cells()]
     for a in reversed(prefix):
-        pre = [(_num_div(irow, lo, t._qd[a]), _num_div(irow, hi, t._qd[a])) for lo, hi in cur]
+        pre = [(div(lo, t._qd[a]), div(hi, t._qd[a])) for lo, hi in cur]
         cur = _cut(cmp, pre, t._parts[a])
         if not cur:
             return []
@@ -498,13 +509,13 @@ def compute_v(t, budget=20000):
         raise ValidationError("boundary-orbit analysis expects the right-continuous map")
     f = t.field
     tw = t.twin()
-    q, qd, row = t._q, t._qd, f._pow_coords[f.degree]
+    q, qd, kernel = t._q, t._qd, f._step
 
     def step(s, x):
         a = s._table.at(x, q)
         if a is None:
             raise OutOfDomain(f"{_from_num(f, x, q)!r} is not in the domain")
-        return _num_step(row, x, qd[a])
+        return kernel(x, qd[a])
 
     cells = t._table.cells()
     los, his = {c[0] for c in cells}, {c[1] for c in cells}
@@ -544,11 +555,11 @@ def branch_edges(t, vdata):
     transform's pieces and the J intervals of ``vdata.table``.  A ``vdata``
     of another transform raises ValidationError."""
     _require_own(t, vdata, "vdata")
-    q, irow, out = t._q, t.field._inv_row, []
+    q, div, out = t._q, t.field._div, []
     for n, _, _ in vdata.table.cells():
         row = []
         for a, d in enumerate(t._qd):
-            y = _num_div(irow, n, d)
+            y = div(n, d)
             if t._table.at(y, q) == a:
                 j = vdata.table.at(y, q)
                 if j is None:
@@ -663,5 +674,8 @@ def transform_from_config(cfg):
         digits = _config_entry(cfg, "digits", qbs)
         parts = _config_entry(cfg, "parts", lambda pps: [
             [IntervalQB(qb(iv["lo"]), qb(iv["hi"])) for iv in pp] for pp in pps])
-        t = build_transform(fld, digits, parts, cfg.get("side", "right"))
+        side = cfg.get("side", "right")
+        if side not in ("right", "left"):
+            raise ValidationError(f"config 'side': {side!r} is not 'right' or 'left'")
+        t = build_transform(fld, digits, parts, side)
     return supported(t) if restrict else t

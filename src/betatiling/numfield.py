@@ -23,13 +23,18 @@ of a map, its J intervals and the cells of the automaton's states.
 
 Orbits run on the integer orbit kernel: a point of (1/q) Z[beta] is a tuple
 of integer numerators over q, and both directions of x -> beta*x - d are
-shifts of it.  A step (:func:`_num_step`) moves the coordinates up one power
-and adds the top one times the row of beta^d; a division (x + d)/beta
-(:func:`_num_div`) moves them down one power and adds the constant one times
-the row of 1/beta = (beta^(d-1) - c1 beta^(d-2) - ... - c(d-1))/cd, integral
-because cd = +-1.  Each costs about d multiplications.  A transform holds
-its digits' numerators over its own frame once; the field holds the integer
-rows of beta^k in a table that grows on demand (:meth:`PisotField._power`).
+shifts of it.  A step moves the coordinates up one power and adds the top
+one times the row of beta^d; a division (x + d)/beta moves them down one
+power and adds the constant one times the row of 1/beta =
+(beta^(d-1) - c1 beta^(d-2) - ... - c(d-1))/cd, integral because cd = +-1.
+The step, the division and the certified float span of the filter are
+straight-line kernels: :func:`_kernels` formats their source from the
+degree alone, compiles it once per degree, and each field binds its own
+rows and float constants to it (``_step``, ``_div``, ``_span``).  A
+transform holds its digits' numerators over its own frame once; the field
+holds the integer rows of beta^k (:meth:`PisotField._power`) and the
+inverses of 1 - beta^p that periodic words need
+(:meth:`PisotField._period_inverse`) in tables that grow on demand.
 
 Every conjugate beta_j, real or not, is one certified disk with a Gaussian
 dyadic centre, and one counting argument certifies them all
@@ -54,8 +59,10 @@ norm contracts by |beta_j| blockwise.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,7 +119,11 @@ class PisotField:
     Every embedding x -> Gamma_j(x) is one routine, :func:`_embed`: integer
     Horner at the disk's centre plus the radius times a derivative bound.
     Construct with :func:`make_field`; instances are immutable apart from
-    these monotone refinement caches, and safe to share between threads.
+    these monotone refinement caches and two tables that only grow, the
+    powers of beta (:meth:`_power`) and the period inverses
+    (:meth:`_period_inverse`); each table is swapped in whole by a larger
+    copy, so an entry once read never changes, and instances are safe to
+    share between threads.
     """
 
     def __init__(self, coeffs):
@@ -165,7 +176,7 @@ class PisotField:
 
     def _init_float_filter(self):
         # beta-hat, delta >= |beta - beta-hat| and a float B >= beta-hat + delta
-        # for the bound of _float_value, from the current beta enclosure
+        # for the span kernel's bound, from the current beta enclosure
         disk = self._disks[0]
         b = float(disk.re)
         delta = _to_float_up(abs(disk.re - Fraction(b)) + disk.radius)
@@ -177,6 +188,7 @@ class PisotField:
         self._float_rel = 2 * (d * delta + u + 2 * d * u / (1 - 2 * d * u))
         # underflow: each of the at most 4d roundings adds at most 2^-1075
         self._float_abs = _to_float_up(sum(big ** k for k in range(d)) / 2 ** 1000)
+        self._span = _kernels(d)[2](b, self._float_big, self._float_rel, self._float_abs)
 
     def _refine_disk(self, j, radius):
         disk = self._disks[j]
@@ -215,27 +227,43 @@ class PisotField:
         inv = [_cramer(tuple(zip(*cols)), [int(i == j) for i in range(d)]) for j in range(d)]
         self._pi1_rows = tuple(zip(*([Fraction(x, den) for x in num] for num, den in inv)))
         # integer powers beta^0 .. beta^(2d-2) in the basis, for reduction after
-        # products; row d, beta^d = c1 beta^(d-1) + ... + cd, is the step of
-        # the integer orbit kernel, and the table grows on demand
+        # products; row d, beta^d = c1 beta^(d-1) + ... + cd, is the row of the
+        # kernel's step, and the table grows on demand
         self._pow_coords = tuple(tuple(int(i == j) for i in range(d)) for j in range(d))
         self._pow_coords += (tuple(reversed(c)),)
-        self._power(2 * d - 2)
         # 1/beta = (beta^(d-1) - c1 beta^(d-2) - ... - c(d-1)) / cd, integral
-        # as cd = +-1: the step of the kernel's division (:func:`_num_div`)
+        # as cd = +-1: the row of the kernel's division
         self._inv_row = tuple(-c[d - 2 - k] * c[d - 1] if k < d - 1 else c[d - 1]
                               for k in range(d))
         self._inv_beta = tuple(Fraction(x) for x in self._inv_row)
+        step, div, _ = _kernels(d)
+        self._step, self._div = step(*self._pow_coords[d]), div(*self._inv_row)
+        self._power(2 * d - 2)
+        self._period_inv = {}
 
     def _power(self, k):
         """Integer coordinates of beta^k, k >= 0.  The table only grows, by
         a longer copy swapped in whole, so a row once read never changes."""
         pows = self._pow_coords
         if k >= len(pows):
-            row, zero, rows = pows[self.degree], (0,) * self.degree, list(pows)
+            zero, rows = (0,) * self.degree, list(pows)
             while len(rows) < max(k + 1, 2 * len(pows)):
-                rows.append(_num_step(row, rows[-1], zero))
+                rows.append(self._step(rows[-1], zero))
             pows = self._pow_coords = tuple(rows)
         return pows[k]
+
+    def _period_inverse(self, p):
+        """(rows, den) for the integer matrix rows / den of multiplication by
+        1/(1 - beta^p), p >= 1: one :func:`_cramer` per p.  The table only
+        grows, by a copy swapped in whole, so an entry once read never
+        changes."""
+        inv = self._period_inv
+        if p not in inv:
+            pw = self._power(p)
+            num, den = _cramer(_mul_matrix(self, (1 - pw[0], *(-c for c in pw[1:]))),
+                               (1,) + (0,) * (self.degree - 1))
+            inv = self._period_inv = {**inv, p: (_mul_matrix(self, tuple(num)), den)}
+        return inv[p]
 
     # -- geometry ------------------------------------------------------------
 
@@ -332,21 +360,75 @@ class PisotField:
     def __hash__(self):
         return hash(self.coeffs)
 
-
-def _num_step(row, n, qd):
-    """Numerators of beta*x - d from those of x and of d, with row = beta^deg:
-    n shifted up one power, plus its top coordinate times row."""
-    top = n[-1]
-    return tuple([c + top * r - e for c, r, e in zip((0, *n), row, qd)])
+    def __reduce__(self):
+        # the bound kernels are closures, which do not pickle: a field is
+        # pickled by its coefficients and certified anew
+        return PisotField, (self.coeffs,)
 
 
-def _num_div(irow, n, qd):
-    """Numerators of (x + d)/beta from those of x and of d, with irow the
-    integer coordinates of 1/beta: n + qd shifted down one power, plus its
-    constant coordinate times irow.  The coordinates may be ints or numpy
-    integer columns, one entry per point."""
-    low = n[0] + qd[0]
-    return tuple([c + e + low * r for c, e, r in zip((*n[1:], 0), (*qd[1:], 0), irow)])
+@functools.cache
+def _kernels(d):
+    """The factories of the straight-line orbit kernels of degree d, compiled
+    once per degree; a field binds its own constants to each:
+
+    - ``step(r0, .., r(d-1))(n, e)``: the numerators of beta*x - d from
+      those n of x and e of d, with r the row of beta^d: n shifted up one
+      power, plus its top coordinate times r;
+    - ``div(r0, .., r(d-1))(n, e)``: the numerators of (x + d)/beta, with r
+      the row of 1/beta: n + e shifted down one power, plus its constant
+      coordinate times r.  The coordinates may be ints or numpy integer
+      columns, one entry per point;
+    - ``span(b, big, rel, tiny)(n, q)``: the float interval [v - e, v + e],
+      rounded outwards, that holds sum_k n_k beta^k / q, for integer
+      numerators n and an integer q > 0.  v is the float Horner value with b
+      for beta and each n_k / q rounded once, and e = rel * S + tiny the
+      bound of the module docstring, S the Horner value of the |n_k / q| at
+      big; (-inf, inf) when some n_k / q has no finite float or S reaches
+      ``_FLOAT_SUM_MAX``.
+
+    The source is formatted from d alone: it names no coefficient and no
+    value of a caller."""
+    ks = range(d)
+    ns, es, rs = (", ".join(f"{v}{k}" for k in ks) + "," for v in "ner")
+    step = [f"n{d - 1} * r0 - e0"] + [f"n{k - 1} + n{d - 1} * r{k} - e{k}" for k in ks[1:]]
+    div = [f"n{k + 1} + e{k + 1} + low * r{k}" for k in ks[:-1]] + [f"low * r{d - 1}"]
+    value, total = f"c{d - 1}", f"abs(c{d - 1})"
+    for k in reversed(ks[:-1]):
+        value, total = f"({value}) * b + c{k}", f"({total}) * big + abs(c{k})"
+    src = f"""
+def step_kernel({rs}):
+    def step(n, e):
+        {ns} = n
+        {es} = e
+        return ({", ".join(step)},)
+    return step
+
+def div_kernel({rs}):
+    def div(n, e):
+        {ns} = n
+        {es} = e
+        low = n0 + e0
+        return ({", ".join(div)},)
+    return div
+
+def span_kernel(b, big, rel, tiny):
+    def span(n, q):
+        {ns} = n
+        try:
+            {", ".join(f"c{k}" for k in ks)}, = {", ".join(f"n{k} / q" for k in ks)},
+        except OverflowError:
+            return -inf, inf
+        s = {total}
+        if not s < cap:
+            return -inf, inf
+        v = {value}
+        e = rel * s + tiny
+        return nextafter(v - e, -inf), nextafter(v + e, inf)
+    return span
+"""
+    env = {"inf": math.inf, "nextafter": math.nextafter, "cap": _FLOAT_SUM_MAX}
+    exec(compile(src, f"<numfield kernels, degree {d}>", "exec"), env)
+    return env["step_kernel"], env["div_kernel"], env["span_kernel"]
 
 
 def _bareiss(m):
@@ -462,10 +544,10 @@ def _beta_eigenvector(field, m):
 def _mul_matrix(field, n):
     """Integer matrix of multiplication by the element with integer
     coordinates n: its columns are n, n beta, ..., n beta^(d-1)."""
-    row, zero = field._pow_coords[field.degree], (0,) * field.degree
+    step, zero = field._step, (0,) * field.degree
     cols = [n]
     for _ in range(field.degree - 1):
-        cols.append(_num_step(row, cols[-1], zero))
+        cols.append(step(cols[-1], zero))
     return tuple(zip(*cols))
 
 
@@ -667,50 +749,20 @@ def gamma_abs_upper(x, j):
     return Fraction(math.isqrt(re * re + im * im) + 1 + rad, den)
 
 
-def _float_value(fld, coords, q=1):
-    """Float value v of sum_k c_k beta^k / q and the certified bound
-    e >= |v - sum_k c_k beta^k / q| of the module docstring, plus an
-    underflow term.
-
-    ``coords`` are Fractions or ints; each c_k / q is rounded once to the
-    nearest float.  e is infinite when a coordinate has no finite float or
-    S overflows.
-    """
-    try:
-        cs = [c.numerator / (c.denominator * q) for c in coords]
-    except OverflowError:
-        return 0.0, math.inf
-    b, big = fld._float_beta, fld._float_big
-    v = s = 0.0
-    for c in reversed(cs):
-        v = v * b + c
-        s = s * big + abs(c)
-    if not s < _FLOAT_SUM_MAX:
-        return v, math.inf
-    return v, fld._float_rel * s + fld._float_abs
-
-
-def _float_span(fld, coords, q=1):
-    """[v - e, v + e] from :func:`_float_value`, rounded outwards: a float
-    interval certified to hold the real value of sum_k c_k beta^k / q."""
-    v, e = _float_value(fld, coords, q)
-    return math.nextafter(v - e, -math.inf), math.nextafter(v + e, math.inf)
-
-
 def _num_sign(fld, n, q=1):
-    """Sign of sum_k n_k beta^k / q, as LT, EQ or GT, for coordinates n
-    (integers or Fractions) and an integer q > 0.
+    """Sign of sum_k n_k beta^k / q, as LT, EQ or GT, for integer
+    coordinates n and an integer q > 0.
 
-    The sign of the float value v of :func:`_float_value` is returned when
-    |v| exceeds its certified bound e; inside that band all-zero coordinates
-    are EQ, and otherwise the exact loop runs: :func:`_embed` at beta,
-    narrowed by 2^-64 per round until it excludes zero.  Every exact
-    comparison of the library ends here, on a difference it has formed.
+    The float span of the field's ``_span`` kernel decides when it excludes
+    zero; inside it all-zero coordinates are EQ, and otherwise the exact loop
+    runs: :func:`_embed` at beta, narrowed by 2^-64 per round until it
+    excludes zero.  Every exact comparison of the library ends here, on a
+    difference it has formed.
     """
-    v, e = _float_value(fld, n, q)
-    if v > e:
+    lo, hi = fld._span(n, q)
+    if lo > 0:
         return GT
-    if -v > e:
+    if hi < 0:
         return LT
     if not any(n):
         return EQ
@@ -726,8 +778,8 @@ def _num_sign(fld, n, q=1):
 
 def _span_compare(fld, x, y, q, sx, sy, ys=1):
     """Three-way comparison of the points x/q and ys*y/q, given by integer
-    numerators and their certified float spans sx and sy
-    (:func:`_float_span`): disjoint spans decide, else :func:`_num_sign`
+    numerators and their certified float spans sx and sy (the field's
+    ``_span`` kernel): disjoint spans decide, else :func:`_num_sign`
     of x - ys*y."""
     if sx[1] < sy[0]:
         return LT
@@ -739,7 +791,7 @@ def _span_compare(fld, x, y, q, sx, sy, ys=1):
 def _num_sorted(fld, pts, q):
     """The points pts of (1/q) Z[beta], given by integer numerators, sorted by
     value with :func:`_span_compare`, and their float spans in that order."""
-    span = {p: _float_span(fld, p, q) for p in pts}
+    span = {p: fld._span(p, q) for p in pts}
     out = sorted(span, key=functools.cmp_to_key(
         lambda x, y: _span_compare(fld, x, y, q, span[x], span[y])))
     return out, [span[p] for p in out]
@@ -749,34 +801,30 @@ def _num_cmp(fld, q):
     """Three-way comparison of points of (1/q) Z[beta] given by integer
     numerators (:func:`_span_compare`), on float spans cached per point."""
     span = {}
-    look = lambda e: span.get(e) or span.setdefault(e, _float_span(fld, e, q))
+    look = lambda e: span.get(e) or span.setdefault(e, fld._span(e, q))
     return lambda x, y: _span_compare(fld, x, y, q, look(x), look(y))
 
 
-def _num_bisect(fld, ends, spans, n, q, s=1, left=False):
-    """How many points of ``ends``, sorted integer numerators over q/s with
-    their float spans, are <= n/q, or < n/q when ``left``: a bisection that
-    compares the point's certified float span with each end's inline and
-    calls :func:`_num_sign` of the difference only where the two overlap.
-    The point's span is :func:`_float_span`'s, formed inline: this is the
-    lookup of every orbit step."""
-    b, big, v, sm = fld._float_beta, fld._float_big, 0.0, 0.0
-    try:
-        for c in reversed(n):
-            c = c.numerator / (c.denominator * q)
-            v = v * b + c
-            sm = sm * big + abs(c)
-    except OverflowError:
-        sm = math.inf
-    e = fld._float_rel * sm + fld._float_abs if sm < _FLOAT_SUM_MAX else math.inf
-    xlo, xhi = math.nextafter(v - e, -math.inf), math.nextafter(v + e, math.inf)
-    lo, hi = 0, len(ends)
+def _num_bisect(tab, n, q):
+    """The cell of the point n/q in the end table ``tab``, for integer
+    numerators n over a multiple q of its frame: how many ends are <= n/q,
+    or < n/q when ``tab.left``.  The point's certified float span (the
+    field's ``_span`` kernel) is cut, by two C bisections, against the
+    running maxima ``his`` of the ends' upper span bounds and the running
+    minima ``los`` of their lower ones: the ends before the first cut lie
+    below the point and those from the second on above it.  The ends in
+    between, whose spans may overlap the point's, are bisected by their own
+    spans and by :func:`_num_sign` of the difference where the two overlap.
+    This is the lookup of every orbit step."""
+    fld, spans = tab.field, tab.spans
+    xlo, xhi = fld._span(n, q)
+    lo, hi = bisect.bisect_left(tab.his, xlo), bisect.bisect_right(tab.los, xhi)
     while lo < hi:
         mid = (lo + hi) // 2
         elo, ehi = spans[mid]
         c = LT if xhi < elo else GT if xlo > ehi else _num_sign(
-            fld, tuple(a - s * b for a, b in zip(n, ends[mid])), q)
-        if c == LT or (left and c == EQ):
+            fld, tuple(a - q // tab.q * b for a, b in zip(n, tab.ends[mid])), q)
+        if c == LT or (tab.left and c == EQ):
             hi = mid
         else:
             lo = mid + 1
@@ -786,6 +834,14 @@ def _num_bisect(fld, ends, spans, n, q, s=1, left=False):
 def _nums(coords, q):
     """Integer numerators over q of coordinates whose denominators divide q."""
     return tuple(c.numerator * (q // c.denominator) for c in coords)
+
+
+def _lcm_nums(coords, q=1):
+    """(numerators, m) of rational coordinates over m, the lcm of q and
+    their denominators."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    m = math.lcm(q, *[e for _, e in ratios])
+    return tuple([a * (m // e) for a, e in ratios]), m
 
 
 def _sole(labels):
@@ -798,7 +854,8 @@ class _EndTable:
     ends given as integer numerators over the frame q.
 
     It holds the distinct ends sorted by value (:func:`_num_sorted`), their
-    certified float spans, and one label per cell: cell k is
+    certified float spans with the running bounds of :func:`_num_bisect`,
+    and one label per cell: cell k is
     [ends[k-1], ends[k]), or (ends[k-1], ends[k]] with ``left``, cell 0 lies
     below every end and the last cell above them.  A cell's label is ``cell``
     of the labels of the intervals that cover it: their set by default,
@@ -808,12 +865,14 @@ class _EndTable:
     intervals of a disjoint family whose touching members differ in label.
     """
 
-    __slots__ = ("field", "q", "unit", "left", "ends", "spans", "labels")
+    __slots__ = ("field", "q", "left", "ends", "spans", "los", "his", "labels")
 
     def __init__(self, fld, q, intervals, cell=frozenset, left=False, order=None):
-        self.field, self.q, self.unit, self.left = fld, q, Fraction(1, q), left
+        self.field, self.q, self.left = fld, q, left
         self.ends, self.spans = order or _num_sorted(
             fld, {e for lo, hi, _ in intervals for e in (lo, hi)}, q)
+        self.los = list(itertools.accumulate((lo for lo, _ in reversed(self.spans)), min))[::-1]
+        self.his = list(itertools.accumulate((hi for _, hi in self.spans), max))
         pos = {e: k for k, e in enumerate(self.ends)}
         cells = [[] for _ in range(len(self.ends) + 1)]
         for lo, hi, label in intervals:
@@ -834,19 +893,17 @@ class _EndTable:
     def at(self, n, q):
         """The label of the point n/q, for integer numerators n over a
         multiple q of the table's frame."""
-        return self.labels[_num_bisect(self.field, self.ends, self.spans, n, q,
-                                       q // self.q, self.left)]
+        return self.labels[_num_bisect(self, n, q)]
 
     def cell_of(self, x):
-        """The cell of the field element x, bisected on its rational
-        coordinates (an end is its numerators times ``unit``); raises
-        TypeError when x is no QBeta and FieldMismatch when it is not in the
-        table's field."""
+        """The cell of the field element x, bisected on its numerators over
+        the lcm of the frame and its denominators; raises TypeError when x is
+        no QBeta and FieldMismatch when it is not in the table's field."""
         if not isinstance(x, QBeta):
             raise TypeError(f"x must be a QBeta, not {type(x).__name__}")
         if x.field is not self.field and x.field != self.field:
             raise FieldMismatch("point and intervals belong to different fields")
-        return _num_bisect(self.field, self.ends, self.spans, x.coords, 1, self.unit, self.left)
+        return _num_bisect(self, *_lcm_nums(x.coords, self.q))
 
     def of(self, x):
         """The label of the field element x (:meth:`cell_of`)."""
@@ -855,24 +912,25 @@ class _EndTable:
 
 def qb_compare(x, y):
     """Exact three-way comparison; -1, 0, 1 for <, =, >: equal coordinates
-    are EQ, else :func:`_num_sign` of the difference x - y."""
+    are EQ, else :func:`_num_sign` of the numerators of x - y."""
     if x.field != y.field:
         raise FieldMismatch("cannot compare elements of different fields")
     if x.coords == y.coords:
         return EQ
-    return _num_sign(x.field, tuple(a - b for a, b in zip(x.coords, y.coords)))
+    return _num_sign(x.field, *_lcm_nums([a - b for a, b in zip(x.coords, y.coords)]))
 
 
 def qb_floor(x):
     """Exact floor of a field element.
 
-    Returns the floor of the float interval of :func:`_float_span` when both
-    its ends have the same floor; otherwise narrows the enclosure of x from
-    :func:`_embed` until its ends have the same floor.
+    Returns the floor of the float span of x's numerators (the field's
+    ``_span`` kernel) when both its ends have the same floor; otherwise
+    narrows the enclosure of x from :func:`_embed` until its ends have the
+    same floor.
     """
     if x.is_rational():
         return math.floor(x.coords[0])
-    lo, hi = _float_span(x.field, x.coords)
+    lo, hi = x.field._span(*_lcm_nums(x.coords))
     if hi - lo < 1 and math.floor(lo) == math.floor(hi):
         return math.floor(lo)
     radius = Fraction(1, 32)

@@ -38,6 +38,7 @@ pairs that :func:`decide_tiling` publishes become ``QBeta``s.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -45,8 +46,8 @@ import numpy as np
 
 from .betamap import _cut, _require_letters, _require_own
 from .errors import BudgetExceeded, DigitsNotIntegral, ValidationError
-from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _float_span, _num_cmp,
-                       _num_div, _num_sign, _num_step, _span_compare)
+from .numfield import (GT, LT, _beta_eigenvector, _EndTable, _num_cmp, _num_sign,
+                       _span_compare)
 from .tiling import (cell_frame, cell_keys, conj_block_bounds, lattice_candidates,
                      _require_integral_digits)
 # unused here: perfbench/workloads.py PATCHES still wraps sofic.clouds_at_depth
@@ -84,8 +85,13 @@ class ShiftAutomaton:
 
     def run(self, word, start=None):
         """Final state after the finite index word, or None if it dies; a
-        letter that is no digit index raises UnknownDigit."""
+        letter that is no digit index raises UnknownDigit, and a ``start``
+        that is neither None nor a state index (an integer, not a bool,
+        below ``n_states``) ValidationError."""
         _require_letters(self.alphabet, word)
+        if start is not None and (isinstance(start, bool) or not isinstance(start, numbers.Integral)
+                                  or not 0 <= start < self.n_states):
+            raise ValidationError(f"start {start!r} is no state index below {self.n_states}")
         s = self.initial if start is None else start
         for a in word:
             if s is None:
@@ -168,7 +174,7 @@ def build_automaton(t, state_budget=200000):
     if t.side != "right":
         raise ValidationError("automaton construction expects the right-continuous map")
     f, q, qd = t.field, t._q, t._qd
-    row, parts, cmp, ends = f._pow_coords[f.degree], t._parts, _num_cmp(f, q), t._table.ends
+    step, parts, cmp, ends = f._step, t._parts, _num_cmp(f, q), t._table.ends
     # the domain's hull cut by the pieces: the components, merged where they touch
     initial = tuple(_cut(cmp, [(ends[0], ends[-1])], [c[:2] for c in t._table.cells()]))
     index = {initial: 0}
@@ -180,7 +186,7 @@ def build_automaton(t, state_budget=200000):
         for a, pp in enumerate(parts):
             # the cut of the state by a's pieces is in order and merged where
             # it touches, and so is its image under the increasing branch
-            image = tuple((_num_step(row, x, qd[a]), _num_step(row, y, qd[a]))
+            image = tuple((step(x, qd[a]), step(y, qd[a]))
                           for x, y in _cut(cmp, state, pp))
             if not image:
                 out.append(None)
@@ -247,11 +253,11 @@ def _difference_box(t):
     """
     f, q = t.field, t._q
     diam = tuple(map(operator.sub, t._table.ends[-1], t._table.ends[0]))   # xmax - xmin
-    dlo, dhi = _float_span(f, diam, q)
+    dlo, dhi = f._span(diam, q)
     neg = tuple(-c for c in diam)
     out = []
     for coords in lattice_candidates(f, -dhi, dhi, [2 * b for b in conj_block_bounds(t)]):
-        sx = _float_span(f, coords)
+        sx = f._span(coords, 1)
         if (_span_compare(f, diam, coords, q, (dlo, dhi), sx, q) != LT
                 and _span_compare(f, neg, coords, q, (-dhi, -dlo), sx, q) != GT):
             out.append(coords)
@@ -294,7 +300,7 @@ def _neighbour_core(t):
     keys = cell_keys(cols, frame)
     src, dst = [], []
     for dd in set(_digit_differences(t).values()):
-        nd = _num_div(f._inv_row, cols, dd)
+        nd = f._div(cols, dd)
         key = cell_keys(nd, frame)
         pos = np.minimum(np.searchsorted(keys, key), len(box) - 1)
         inside = np.logical_and.reduce([(c >= lo) & (c - lo < n)
@@ -340,12 +346,12 @@ def difference_pairs(t, g, core=None):
     _require_own(t, g, "g")
     f, q = t.field, t._q
     core = _neighbour_core(t) if core is None else core
-    keep = [(co, _float_span(f, co)) for co in core if _num_sign(f, co) == GT]
+    keep = [(co, f._span(co, 1)) for co in core if _num_sign(f, co) == GT]
     if not keep:
         return [], []
     jl, jh, _ = zip(*g.table.cells())
-    jlo = np.array([_float_span(f, x, q) for x in jl]).T
-    jhi = np.array([_float_span(f, x, q) for x in jh]).T
+    jlo = np.array([f._span(x, q) for x in jl]).T
+    jhi = np.array([f._span(x, q) for x in jh]).T
     ds = np.array([sx for _, sx in keep]).T[:, :, None]
     blo, bhi = _span_sub(jlo[:, None, :], ds), _span_sub(jhi[:, None, :], ds)
     lo = np.maximum(jlo[:, None, :, None], blo[:, :, None, :])
@@ -403,9 +409,9 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
     f, q = t.field, t._q
     core = set(_neighbour_core(t) if core is None else core)
     q0 = aut.initial
-    irow, zero = f._inv_row, (0,) * f.degree
+    div, zero = f._div, (0,) * f.degree
     na = len(t.digits)
-    ddiv = {key: _num_div(irow, dd, zero) for key, dd in _digit_differences(t).items()}
+    ddiv = {key: div(dd, zero) for key, dd in _digit_differences(t).items()}
 
     index = {}
     states = []
@@ -437,7 +443,7 @@ def build_diff_transducer(t, aut, starts, state_budget=60000, core=None):
     while queue:
         si = queue.pop()
         diff, pin, pout = states[si]
-        base = _num_div(irow, diff, zero)
+        base = div(diff, zero)
         for a_in in range(na):
             npin = pre(pin, a_in)
             if q0 not in npin:

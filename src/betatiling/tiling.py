@@ -22,8 +22,7 @@ import numpy as np
 from .betamap import _from_num, _num_frame, branch_edges, expand
 from .errors import (BudgetExceeded, DigitsNotIntegral,
                      UnrenderableDimension, ValidationError)
-from .numfield import (GT, LT, QBeta, _float_span, _num_sign, _num_step, _span_compare,
-                       gamma_abs_upper, phi, qb_compare)
+from .numfield import GT, LT, QBeta, _num_sign, _span_compare, gamma_abs_upper, phi, qb_compare
 
 _FLOAT_STEP_SLACK = 1e-12
 _BYTE_LIMIT = 1 << 30       # largest cloud level, translate scene or lattice box
@@ -517,22 +516,22 @@ def check_w(t, pset, z_height=40, k_budget=300, max_candidates=20000):
     q, qd = t._q, t._qd
     ys = [_num_frame(t, y)[1] for y in pts]
     periodic = set(ys)
-    row = f._pow_coords[f.degree]
+    kernel = f._step
     succ = {}
 
     def step(c):
         if c not in succ:
             a = t._table.at(c, q)
-            succ[c] = None if a is None else _num_step(row, c, qd[a])
+            succ[c] = None if a is None else kernel(c, qd[a])
         return succ[c]
 
     # 0 <= z < eps on the float spans, and on integers where they overlap
     qe, en, _ = _num_frame(t, eps)
-    seps = _float_span(f, en, qe)
+    seps = f._span(en, qe)
     tried = 0
     for coords in cands:
         if (_num_sign(f, coords) == LT
-                or _span_compare(f, en, coords, qe, seps, _float_span(f, coords), qe) != GT):
+                or _span_compare(f, en, coords, qe, seps, f._span(coords, 1), qe) != GT):
             continue
         tried += 1
         if tried > max_candidates:

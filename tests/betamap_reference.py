@@ -5,6 +5,11 @@ images formed by ``QBeta`` products, and the pieces, components, frame and end
 table of a transform computed from its parts as :class:`BetaTransform` used
 to.  A reference transform is a namespace with the attributes that the
 comparison reads.
+
+Also the generic form of the orbit kernels that the field's straight-line
+kernels (``_step``, ``_div``, ``_span``) are checked against: a step and a
+division as comprehensions over the coordinates, and the float span as a
+loop over them.
 """
 
 import math
@@ -12,7 +17,43 @@ from types import SimpleNamespace
 
 from betatiling.betamap import IntervalQB
 from betatiling.errors import EmptyPart, NotSurjective, Overlap, ValidationError
-from betatiling.numfield import GT, LT, QBeta, _EndTable, _nums, _sole, qb_compare
+from betatiling.numfield import (_FLOAT_SUM_MAX, GT, LT, QBeta, _EndTable, _nums, _sole,
+                                 qb_compare)
+
+
+def step_reference(row, n, qd):
+    """Numerators of beta*x - d from those of x and of d, with row = beta^deg:
+    n shifted up one power, plus its top coordinate times row."""
+    top = n[-1]
+    return tuple([c + top * r - e for c, r, e in zip((0, *n), row, qd)])
+
+
+def div_reference(irow, n, qd):
+    """Numerators of (x + d)/beta from those of x and of d, with irow the
+    integer coordinates of 1/beta: n + qd shifted down one power, plus its
+    constant coordinate times irow.  The coordinates may be ints or numpy
+    integer columns, one entry per point."""
+    low = n[0] + qd[0]
+    return tuple([c + e + low * r for c, e, r in zip((*n[1:], 0), (*qd[1:], 0), irow)])
+
+
+def span_reference(fld, coords, q=1):
+    """The certified float span of sum_k c_k beta^k / q from the field's
+    float constants, one coordinate at a time: each c_k / q rounded once,
+    the Horner value v and the bound e = rel * S + tiny, S the Horner value
+    of the |c_k / q| at big, and [v - e, v + e] rounded outwards; e is
+    infinite when a coordinate has no finite float or S overflows."""
+    try:
+        cs = [c.numerator / (c.denominator * q) for c in coords]
+    except OverflowError:
+        v, e = 0.0, math.inf
+    else:
+        v = s = 0.0
+        for c in reversed(cs):
+            v = v * fld._float_beta + c
+            s = s * fld._float_big + abs(c)
+        e = fld._float_rel * s + fld._float_abs if s < _FLOAT_SUM_MAX else math.inf
+    return math.nextafter(v - e, -math.inf), math.nextafter(v + e, math.inf)
 
 
 def _merge_union(intervals):

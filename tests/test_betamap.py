@@ -5,6 +5,7 @@ import pathlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from betatiling.betamap import (Expansion, IntervalQB, _num_frame, branch_edges,
                                 is_admissible, prefix_interval_set, preset,
                                 restrict_to_support, supported, transfer_matrix,
                                 transform_from_config, word_from_digits)
-from betatiling.errors import (BudgetExceeded, FieldMismatch, NotSurjective,
+from betatiling.errors import (BetaError, BudgetExceeded, FieldMismatch, NotSurjective,
                                OutOfDomain, Overlap, PediciniGapViolated,
                                UnknownDigit, ValidationError)
 from betatiling.numfield import EQ, GT, LT, _nums, make_field, psi, qb_compare
@@ -822,9 +823,12 @@ def test_compute_v_matches_step_index_reference(name):
     ({"field": [1, 1], "preset": "pedicini", "digits": [[0], [1.0]]}, "digits"),
     ({"field": [1, 1], "digits": [[-1], [1]],
       "parts": [[{"lo": [-1], "hi": [0]}], [{"lo": [0.0], "hi": [1]}]]}, "parts"),
+    (dict(json.loads((CONFIG_DIR / "golden_pm1.json").read_text()), side="up"), "side"),
+    (dict(json.loads((CONFIG_DIR / "golden_pm1.json").read_text()), side=None), "side"),
 ], ids=["no_field", "field_string", "alpha_float", "alpha_string", "no_parts",
         "restrict_string_no", "restrict_string_false", "side_beside_preset",
-        "alpha_float_coordinate", "digits_float_coordinate", "parts_float_coordinate"])
+        "alpha_float_coordinate", "digits_float_coordinate", "parts_float_coordinate",
+        "side_up", "side_null"])
 def test_config_errors_name_the_key(cfg, key):
     with pytest.raises(ValidationError, match=f"'{key}'"):
         transform_from_config(cfg)
@@ -906,6 +910,43 @@ def test_expansion_refuses_a_negative_position(where):
     with pytest.raises(ValidationError, match="position must be nonnegative"):
         getattr(word, where)(-1)
     assert word.digit_at(0) == 0 and word.tail(0) == word
+
+
+@pytest.mark.parametrize("where,k", [("digit_at", 2), ("digit_at", 5), ("tail", 3)])
+def test_finite_word_refuses_a_position_past_its_end(where, k):
+    # a BetaError, not a bare IndexError
+    word = Expansion((0, 1), ())
+    with pytest.raises(BetaError, match=f"position {k} is past the end of a finite word"):
+        getattr(word, where)(k)
+    assert word.digit_at(1) == 1 and word.tail(2) == Expansion((), ())
+
+
+@pytest.mark.parametrize("where", ["digit_at", "tail"])
+@pytest.mark.parametrize("k", [True, 1.5, "1"], ids=["bool", "float", "str"])
+def test_expansion_refuses_a_position_that_is_no_integer(where, k):
+    # True is no position 1
+    word = Expansion((0,), (1, 0))
+    with pytest.raises(TypeError, match="k must be an integer position"):
+        getattr(word, where)(k)
+    assert word.digit_at(np.int64(1)) == 1
+
+
+@pytest.mark.parametrize("word", [Expansion((0,), (1.5,)), Expansion((1.0,), (0,)),
+                                  Expansion((True,), (0,)), Expansion((), ("a",))],
+                         ids=["float_period", "integral_float", "bool", "str"])
+@pytest.mark.parametrize("entry", [expansion_value, is_admissible])
+def test_word_values_refuse_a_letter_that_is_no_integer(golden_greedy, word, entry):
+    # refused before the orbit kernel would index the digits with it
+    with pytest.raises(UnknownDigit, match="is no digit index below 2"):
+        entry(golden_greedy, word)
+
+
+@pytest.mark.parametrize("word", ["abc", (0, 1), None], ids=["str", "tuple", "none"])
+@pytest.mark.parametrize("entry", [expansion_value, is_admissible])
+def test_word_values_refuse_a_word_that_is_no_expansion(golden_greedy, word, entry):
+    # a TypeError naming the argument, not an AttributeError
+    with pytest.raises(TypeError, match="word must be an Expansion"):
+        entry(golden_greedy, word)
 
 
 @pytest.mark.parametrize("lookup", ["contains", "digit_index_of", "step", "step_index"])

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from betatiling.betamap import Expansion, expand, expansion_value, transform_from_config
 from betatiling.errors import NotIrreducible, NotPisot, NotUnit, ValidationError
-from betatiling import rootiso
+from betatiling import numfield, rootiso
 from betatiling.numfield import (EQ, GT, LT, PisotField, _back_substitute, _bareiss, _cramer,
-                                 _float_value, _num_div, _num_step, gamma,
-                                 make_field, phi, pi1, psi, qb_compare, qb_floor)
+                                 _lcm_nums, gamma, make_field, phi, pi1, psi, qb_compare,
+                                 qb_floor)
 from betatiling.rootiso import certified_roots, is_irreducible_monic
+from betamap_reference import div_reference, span_reference, step_reference
 from conftest import CUBIC_UNITS, gamma_interval
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -455,8 +457,8 @@ def test_float_filter_matches_exact_loop(coeffs):
         for z in (d, d + f.one, -d, d * 2 + f.one):
             if not z.is_rational():
                 assert qb_floor(z) == _ref_floor(z), z
-        v, e = _float_value(f, d.coords)
-        banded += not abs(v) > e
+        lo, hi = f._span(*_lcm_nums(d.coords))
+        banded += lo <= 0 <= hi
     assert banded > len(pairs) // 4
 
 
@@ -467,7 +469,7 @@ def test_float_filter_huge_coordinates_take_exact_path(golden, tribonacci):
         tiny = f.qb([0] * (f.degree - 1) + [Fraction(1, big)])
         for x in (f.qb([big + 1, -big]), f.qb([Fraction(big, 3), 1]),
                   f.qb([big]) * (f.beta - f.qb([Fraction(big + 1, big)]))):
-            assert _float_value(f, x.coords)[1] == math.inf
+            assert f._span(*_lcm_nums(x.coords)) == (-math.inf, math.inf)
             for y in (f.zero, x + eps, x - eps, x + f.one, x + tiny):
                 assert qb_compare(x, y) == _ref_compare(x, y), (x, y)
                 assert qb_compare(y, x) == _ref_compare(y, x), (x, y)
@@ -555,8 +557,9 @@ def test_complex_conjugate_disks_are_certified(coeffs):
     # rho bounds every other conjugate and is below 1; the float filter's
     # bound on beta covers |beta - beta-hat|
     assert f.rho < 1 and all(abs(r) <= f.rho for r in held[1:])
-    v, e = _float_value(f, (0, 1) + (0,) * (d - 2))
-    assert v == f._float_beta
+    v, e = f._float_beta, f._float_rel * f._float_big + f._float_abs
+    assert f._span((0, 1) + (0,) * (d - 2), 1) == (math.nextafter(v - e, -math.inf),
+                                                   math.nextafter(v + e, math.inf))
     with mpmath.workdps(150):
         assert abs(held[0] - mpmath.mpf(v)) <= e / (2 * d * f._float_big)
         assert held[0] <= f._float_big
@@ -672,11 +675,11 @@ def test_num_step_and_num_div_are_inverse_shifts(coeffs, data):
     q = data.draw(st.integers(1, 10 ** 6))
     n = tuple(data.draw(st.lists(kernel_ints, min_size=d, max_size=d)))
     e = tuple(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d)))
-    step = _num_step(f._pow_coords[d], n, e)
-    assert _num_div(f._inv_row, step, e) == n
+    step = f._step(n, e)
+    assert f._div(step, e) == n
     elem = lambda m: f.qb([Fraction(c, q) for c in m])
     assert elem(step) == elem(n) * f.beta - elem(e)
-    assert elem(_num_div(f._inv_row, n, e)) == (elem(n) + elem(e)).div_beta()
+    assert elem(f._div(n, e)) == (elem(n) + elem(e)).div_beta()
 
 
 @pytest.mark.parametrize("coeffs", FIELDS)
@@ -685,9 +688,9 @@ def test_num_div_on_numpy_columns_matches_tuples(coeffs):
     rng = np.random.default_rng(len(coeffs))
     pts = rng.integers(-10 ** 6, 10 ** 6, size=(50, f.degree))
     e = tuple(int(c) for c in rng.integers(-3, 4, size=f.degree))
-    cols = np.column_stack(_num_div(f._inv_row, tuple(pts.T), e))
+    cols = np.column_stack(f._div(tuple(pts.T), e))
     assert [tuple(r) for r in cols.tolist()] == [
-        _num_div(f._inv_row, tuple(int(c) for c in r), e) for r in pts]
+        f._div(tuple(int(c) for c in r), e) for r in pts]
 
 
 @pytest.mark.parametrize("coeffs", FIELDS)
@@ -702,6 +705,93 @@ def test_power_table_grows_on_demand(coeffs):
     # the table only grows, and a row once read never changes
     assert len(f._pow_coords) > 301
     assert f._pow_coords[:len(first)] == first
+
+
+def test_field_and_transform_pickle(tribonacci):
+    # the kernels a field binds are closures; a field pickles by its coefficients
+    g = pickle.loads(pickle.dumps(tribonacci))
+    assert g == tribonacci and g._step((1, 2, 3), (0, 0, 1)) == (3, 4, 4)
+    t = transform_from_config(json.loads((CONFIGS / "golden_greedy.json").read_text()))
+    u = pickle.loads(pickle.dumps(t))
+    assert expand(u, u.field.qb(["1/3"])) == expand(t, t.field.qb(["1/3"]))
+
+
+# the straight-line kernels against the generic comprehensions and loop they
+# replace (betamap_reference), on fields of degree 2 to 5
+
+KERNEL_FIELDS = [(1, 1), (1, 1, 1), (0, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1, 1)]
+# numerators whose S passes 2^1000 (the infinite bound) or whose floats overflow
+huge_ints = st.one_of(st.integers(2 ** 1000, 2 ** 1010), st.integers(-2 ** 1010, -2 ** 1000),
+                      st.integers(2 ** 1100, 2 ** 1200))
+kernel_frames = st.one_of(st.integers(1, 10 ** 6), st.integers(10 ** 30, 10 ** 40))
+
+
+@pytest.mark.parametrize("coeffs", KERNEL_FIELDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_kernels_match_the_generic_references(coeffs, data):
+    f = _kernel_field(coeffs)
+    d = f.degree
+    ints = st.one_of(kernel_ints, huge_ints) if data.draw(st.booleans()) else kernel_ints
+    n = tuple(data.draw(st.lists(ints, min_size=d, max_size=d)))
+    e = tuple(data.draw(st.lists(kernel_ints, min_size=d, max_size=d)))
+    q = data.draw(kernel_frames)
+    assert f._step(n, e) == step_reference(f._pow_coords[d], n, e)
+    assert f._div(n, e) == div_reference(f._inv_row, n, e)
+    assert f._span(n, q) == span_reference(f, n, q)
+
+
+@pytest.mark.parametrize("coeffs", KERNEL_FIELDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_span_kernel_takes_the_infinite_bound_past_2_to_the_1000(coeffs, data):
+    f = _kernel_field(coeffs)
+    d = f.degree
+    n = list(data.draw(st.lists(kernel_ints, min_size=d, max_size=d)))
+    n[data.draw(st.integers(0, d - 1))] = data.draw(huge_ints)
+    assert f._span(tuple(n), 1) == span_reference(f, n) == (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("coeffs", KERNEL_FIELDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_div_kernel_on_int64_columns_matches_the_reference(coeffs, data):
+    f = _kernel_field(coeffs)
+    d = f.degree
+    rows = data.draw(st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=d, max_size=d),
+                              min_size=1, max_size=20))
+    e = tuple(data.draw(st.lists(st.integers(-7, 7), min_size=d, max_size=d)))
+    pts = np.array(rows, dtype=np.int64)
+    got, want = f._div(tuple(pts.T), e), div_reference(f._inv_row, tuple(pts.T), e)
+    assert all(c.dtype == np.int64 for c in got)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert [tuple(r) for r in np.column_stack(got).tolist()] == [
+        div_reference(f._inv_row, tuple(r), e) for r in rows]
+
+
+@pytest.mark.parametrize("coeffs", sorted({tuple(json.loads(p.read_text())["field"])
+                                           for p in CONFIGS.glob("*.json")}))
+def test_period_inverse_table_matches_the_per_word_solve(coeffs):
+    # (1 - beta^p)^-1 from the table, applied to a period's numerators and
+    # reduced, is the per-word solve of (1 - beta^p) x = A; the table keeps
+    # each p
+    f = make_field(*coeffs)
+    d = f.degree
+    rng = random.Random(d)
+    first = f._period_inv
+    for p in range(1, 65):
+        pw = f._power(p)
+        m = numfield._mul_matrix(f, (1 - pw[0], *(-c for c in pw[1:])))
+        rows, den = f._period_inverse(p)
+        assert den > 0 and [[sum(a * b for a, b in zip(r, col)) for col in zip(*rows)]
+                            for r in m] == [[den * (i == j) for j in range(d)] for i in range(d)]
+        for acc in [tuple(int(i == j) for i in range(d)) for j in range(d)] + [
+                tuple(rng.randint(-10 ** 12, 10 ** 12) for _ in range(d)) for _ in range(4)]:
+            val = [sum(a * b for a, b in zip(r, acc)) for r in rows]
+            g = math.gcd(den, *val)
+            assert ([c // g for c in val], den // g) == _cramer(m, acc), (p, acc)
+        assert f._period_inverse(p) is f._period_inverse(p)
+    assert first == {} and sorted(f._period_inv) == list(range(1, 65))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from betatiling.betamap import (IntervalQB, compute_v,
                                 transform_from_config)
 from betatiling.errors import (BudgetExceeded, DigitsNotIntegral, UnknownDigit,
                                ValidationError)
-from betatiling.numfield import (GT, LT, _beta_eigenvector, _float_span, _minpoly_at_matrix,
+from betatiling.numfield import (GT, LT, _beta_eigenvector, _lcm_nums, _minpoly_at_matrix,
                                  gamma_abs_upper, make_field, qb_compare)
 from betatiling.sofic import (beta_is_eigenvalue, build_automaton,
                               build_diff_transducer, decide_tiling, difference_pairs,
@@ -207,20 +207,29 @@ def test_integer_fallbacks_decide_when_every_span_straddles(name, monkeypatch):
     probes = [y for iv in vd.intervals + [iv for iv, _ in t.pieces]
               for x in (iv.lo, iv.hi, iv.lo - t.field.one) for y in (x, x - eps, x + eps)]
 
-    def wide(fld, coords, q=1):
-        lo, hi = _float_span(fld, coords, q)
-        return lo - 1.0, hi + 1.0
+    kernels = numfield._kernels
 
-    monkeypatch.setattr(sofic, "_float_span", wide)
-    monkeypatch.setattr(numfield, "_float_span", wide)
-    slow = build_automaton(t)
+    def wide(d):
+        # the kernels of every field made from here on, with each span one
+        # wider on both sides
+        step, div, span = kernels(d)
+
+        def wide_span(*consts):
+            inner = span(*consts)
+            return lambda n, q: tuple(map(sum, zip(inner(n, q), (-1.0, 1.0))))
+        return step, div, wide_span
+
+    monkeypatch.setattr(numfield, "_kernels", wide)
+    t2 = config_transform(name)
+    lo, hi = t2.field._span((0,) * t2.field.degree, 1)
+    assert lo <= -1.0 and hi >= 1.0
+    vd2 = compute_v(t2)
+    g2 = gifs_build(t2, vd2)
+    slow = build_automaton(t2)
     table = lambda tab: (tab.ends, tab.labels)
     assert (slow.delta, table(slow._table)) == (aut.delta, table(aut._table))
     assert all(slow.alive(x) == aut.alive(x) for x in probes)
-    assert difference_pairs(t, g) == pairs
-    t2 = config_transform(name)
-    vd2 = compute_v(t2)
-    g2 = gifs_build(t2, vd2)
+    assert difference_pairs(t2, g2) == pairs
     assert table(t2._table) == table(t._table) and table(vd2.table) == table(vd.table)
     assert all(t2.digit_index_of(x) == t.digit_index_of(x) for x in probes)
     assert all(g2.vertex_index(x) == g.vertex_index(x) for x in probes)
@@ -742,8 +751,8 @@ def _small_orbit_rep_reference(t, lo, hi, bounds):
     has one, and a point of Z[beta] lies on every frame, as the starts of the
     difference machine must."""
     f = t.field
-    flo = _float_span(f, lo.coords)[0]
-    fhi = _float_span(f, hi.coords)[1]
+    flo = f._span(*_lcm_nums(lo.coords))[0]
+    fhi = f._span(*_lcm_nums(hi.coords))[1]
     for scale in (2 ** k for k in range(13)):
         for coords in lattice_candidates(f, flo, fhi, [b * scale for b in bounds]):
             x = f.qb(coords)
@@ -901,7 +910,7 @@ def test_difference_box_matches_per_state_reference(name):
     # large again in every direction
     t = config_transform(name)
     f = t.field
-    dhi = 1.5 * _float_span(f, (t.xmax - t.xmin).coords)[1]
+    dhi = 1.5 * f._span(*_lcm_nums((t.xmax - t.xmin).coords))[1]
     wide = lattice_candidates(f, -dhi, dhi, [3 * b for b in conj_block_bounds(t)])
     in_box = _in_box_reference(t)
     box = _difference_box(t)
@@ -1052,6 +1061,21 @@ def test_automaton_runs_refuse_a_bad_letter(golden_greedy, word):
         aut.run(word)
     with pytest.raises(UnknownDigit):
         aut.is_factor(word)
+
+
+@pytest.mark.parametrize("start", [-1, 2, 9, 2.5, True, "0"],
+                         ids=["negative", "past_end", "far_past_end", "float", "bool", "str"])
+def test_automaton_run_refuses_a_start_that_is_no_state(golden_greedy, start):
+    # golden greedy has two states: -1 must not wrap to the last one, nor 9
+    # raise IndexError or 2.5 a bare TypeError
+    aut = build_automaton(golden_greedy)
+    assert aut.n_states == 2
+    with pytest.raises(ValidationError, match="start .* is no state index below 2"):
+        aut.run([0], start=start)
+    with pytest.raises(ValidationError, match="start .* is no state index below 2"):
+        aut.run([], start=start)
+    assert aut.run([0], start=np.int64(1)) == aut.delta[1][0]
+    assert aut.run([], start=0) == 0 and aut.run([0], start=None) == aut.run([0])
 
 
 @pytest.mark.parametrize("x", [0.5, 1], ids=["float", "int"])

@@ -81,3 +81,22 @@ def test_sofic_forms_no_numerators_from_qbetas():
     # its end table; sofic names none of the QBeta/numerator converters
     names = set(_names(ast.parse((SRC / "betatiling" / "sofic.py").read_text())))
     assert not names & {"_nums", "_from_num", "_num_frame", "_frame"}
+
+
+def test_generated_code_stays_in_the_kernel_generator():
+    # exec, eval and compile are named only inside numfield._kernels, which
+    # formats the straight-line orbit kernels from the degree alone
+    found = []
+    for path in sorted((SRC / "betatiling").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and path.name == "numfield.py" and fn.name == "_kernels"
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inside
+                  and (node.id if isinstance(node, ast.Name) else node.attr)
+                  in {"exec", "eval", "compile"}]
+    assert not found, found
+    kernels = [node for node in ast.walk(ast.parse((SRC / "betatiling" / "numfield.py").read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_kernels"]
+    assert len(kernels) == 1 and {"exec", "compile"} <= set(_names(kernels[0]))
